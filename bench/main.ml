@@ -692,18 +692,10 @@ let checker () =
         show "incremental+memo"
           (Exhaustive.run ~memo:true ~mode ~build ~pids ~depth ~prop ())
       in
-      let _ =
-        show "incremental+memo x4 domains"
-          (Exhaustive.run ~domains:4 ~memo:true ~mode ~build ~pids ~depth ~prop ())
-      in
       let reduce = { Exhaustive.sleep = true; symmetry } in
       let red =
         show "reduced (sleep+symmetry)"
           (Exhaustive.run ~reduce ~mode ~build ~pids ~depth ~prop ())
-      in
-      let _ =
-        show "reduced x4 domains"
-          (Exhaustive.run ~domains:4 ~reduce ~mode ~build ~pids ~depth ~prop ())
       in
       let ratio a b =
         float_of_int a.Exhaustive.steps_executed
@@ -1811,12 +1803,10 @@ let ckpt_bench () =
   let run_split_plain () =
     let fr = Exhaustive.split ~build ~pids ~depth ~split_depth ~prop () in
     let verdict, _ =
-      List.fold_left
-        (fun (v, st) sj ->
-          let v', st' = Exhaustive.run_subtree ~build ~pids ~depth ~prop sj in
-          (Exhaustive.merge_verdicts ~pids v v', Exhaustive.merge_stats st st'))
-        (Exhaustive.Ok fr.Exhaustive.fr_pruned, fr.Exhaustive.fr_stats)
-        fr.Exhaustive.fr_jobs
+      Exhaustive.merge_frontier ~pids fr
+        (List.map
+           (Exhaustive.run_subtree ~build ~pids ~depth ~prop)
+           fr.Exhaustive.fr_jobs)
     in
     credited verdict
   in
@@ -1920,14 +1910,19 @@ let () =
       args
   in
   let requested = match args with [] -> List.map fst all | ids -> ids in
+  (* a misspelt name fails before anything runs, so a scripted list of
+     experiments cannot silently skip one *)
+  List.iter
+    (fun id ->
+      if not (List.mem_assoc id all) then begin
+        Fmt.epr "unknown experiment %S (known: %s)@." id
+          (String.concat " " (List.map fst all));
+        exit 2
+      end)
+    requested;
   Fmt.pr "Wait-Freedom with Advice - experiment harness@.";
   List.iter
     (fun id ->
-      match List.assoc_opt id all with
-      | Some f ->
-        f ();
-        Rec.finish ()
-      | None ->
-        Fmt.epr "unknown experiment %S (known: %s)@." id
-          (String.concat " " (List.map fst all)))
+      (List.assoc id all) ();
+      Rec.finish ())
     requested

@@ -31,7 +31,13 @@ let continue ~interval_s ~cancel ~store ~sc ~config ~pre () =
     Error
       (Printf.sprintf "split depth %d not in [1, %d)" split_depth depth)
   else
-    let fr = Exhaustive.split ?reduce:red ~build ~pids ~depth ~split_depth ~prop () in
+    let* fr =
+      match
+        Exhaustive.split ?reduce:red ~build ~pids ~depth ~split_depth ~prop ()
+      with
+      | fr -> Ok fr
+      | exception Invalid_argument msg -> Error msg
+    in
     let total = List.length fr.Exhaustive.fr_jobs in
     let* () =
       match pre with
@@ -101,25 +107,9 @@ let continue ~interval_s ~cancel ~store ~sc ~config ~pre () =
         (fun a b -> compare a.Record.dj_id b.Record.dj_id)
         !done_
     in
-    let verdict =
-      List.fold_left
-        (fun acc d ->
-          Exhaustive.merge_verdicts ~pids acc d.Record.dj_verdict)
-        (Exhaustive.Ok fr.Exhaustive.fr_pruned)
-        sorted
-    in
-    let verdict =
-      match fr.Exhaustive.fr_cex with
-      | None -> verdict
-      | Some cex ->
-        Exhaustive.merge_verdicts ~pids verdict (Exhaustive.Counterexample cex)
-    in
-    let stats =
-      List.fold_left
-        (fun acc d -> Exhaustive.merge_stats acc d.Record.dj_stats)
-        fr.Exhaustive.fr_stats sorted
-    in
-    Ok (verdict, stats)
+    Ok
+      (Exhaustive.merge_frontier ~pids fr
+         (List.map (fun d -> (d.Record.dj_verdict, d.Record.dj_stats)) sorted))
 
 let run ?(interval_s = default_interval_s) ?split_depth ?(reduce = false)
     ?cancel ~store ~scenario:sc ~depth () =

@@ -274,7 +274,7 @@ let worker_loop st ~sc ~depth ~reduce ~deadline_ms ~retries ~backoff_ms
     try serve ()
     with e -> die (Some client) outstanding (Printexc.to_string e))
 
-let default_split_depth ~depth = max 1 (min 3 (depth - 1))
+let default_split_depth = Ckpt.Local.default_split_depth
 
 (* The journaling closure: called with [st.mutex] held after every accepted
    result ([force:false] — interval-gated) and once at completion
@@ -349,10 +349,12 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
     | msg :: _ -> Error msg
     | [] -> (
       let red = Mcheck.Scenario.reduction sc ~reduce in
-      let fr =
+      match
         Exhaustive.split ?reduce:red ~build:sc.Mcheck.Scenario.sc_build ~pids
           ~depth ~split_depth ~prop:sc.Mcheck.Scenario.sc_prop ()
-      in
+      with
+      | exception Invalid_argument msg -> Error msg
+      | fr -> (
       let total = List.length fr.Exhaustive.fr_jobs in
       match resume with
       | Some r when r.Ckpt.Record.ck_total <> total ->
@@ -429,26 +431,13 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
           List.sort compare
             (Hashtbl.fold (fun id _ acc -> id :: acc) st.results [])
         in
-        let verdict =
-          List.fold_left
-            (fun acc id ->
-              Exhaustive.merge_verdicts ~pids acc
-                (Hashtbl.find st.results id).jr_verdict)
-            (Exhaustive.Ok fr.Exhaustive.fr_pruned)
-            ids
-        in
-        let verdict =
-          match fr.Exhaustive.fr_cex with
-          | None -> verdict
-          | Some cex ->
-            Exhaustive.merge_verdicts ~pids verdict
-              (Exhaustive.Counterexample cex)
-        in
-        let stats =
-          List.fold_left
-            (fun acc id ->
-              Exhaustive.merge_stats acc (Hashtbl.find st.results id).jr_stats)
-            fr.Exhaustive.fr_stats ids
+        let verdict, stats =
+          Exhaustive.merge_frontier ~pids fr
+            (List.map
+               (fun id ->
+                 let jr = Hashtbl.find st.results id in
+                 (jr.jr_verdict, jr.jr_stats))
+               ids)
         in
         let workers_r =
           List.mapi
@@ -472,4 +461,4 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
             r_redispatched = st.redispatched;
             r_workers = workers_r;
           }
-      end)
+      end))

@@ -7,27 +7,31 @@
     full depth. A returned counterexample is a concrete schedule, directly
     replayable with {!replay_ok}.
 
-    The engine is {e incremental}: one live runtime is kept per DFS path, so
-    descending costs one step per node; the runtime is rebuilt and the prefix
-    replayed only when the search moves to a sibling branch (effect
-    continuations cannot be cloned). A state-fingerprint memo
-    ({!Runtime.digest}) prunes converging interleavings while keeping the
-    reported schedule count exact, and the top-level branching factor can be
-    sharded across OCaml domains. {!stats} makes the saved work observable.
+    One incremental DFS does all the searching: {!run} runs it from the
+    root, {!split} runs it to a shallow frontier and emits the nodes there
+    as jobs, and {!run_subtree} runs it below one such job. One live
+    runtime is kept per DFS path, so descending costs one step per node;
+    the runtime is rebuilt and the prefix replayed only when the search
+    moves to a sibling branch (effect continuations cannot be cloned). A
+    state-fingerprint memo ({!Runtime.digest}) prunes converging
+    interleavings while keeping the reported schedule count exact, and
+    optional reduction layers prune further on the same terms. {!stats}
+    makes the saved work observable. More cores are used by running
+    {!split}'s jobs on several processes (the [subtree] service verb).
 
     Cost before pruning is |pids|^depth schedules: keep |pids| ≤ 4 and
     depth ≤ 12 or so. Used to verify the agreement primitives (safe
     agreement, commit–adopt, adoption set-agreement) against {e all}
-    interleavings rather than sampled ones.
+    interleavings rather than sampled ones. Every entry point raises
+    [Invalid_argument] before any step when |pids|^depth exceeds
+    [max_int], the largest count a verdict can credit.
 
     Soundness requirements on the inputs (all hold for the usual
     fresh-memory/fresh-algorithm builders):
     - [build] must be deterministic and return independent runtimes;
     - with the memo enabled, [prop] must be a function of the reached state
       as captured by {!Runtime.digest} (memory, statuses, decisions, per
-      process observations) — not of absolute event times or the trace;
-    - with [domains > 1], [build] and [prop] must not share mutable state
-      across calls (each domain builds and steps its own runtimes). *)
+      process observations) — not of absolute event times or the trace. *)
 
 type verdict =
   | Ok of int  (** number of complete schedules accounted for *)
@@ -78,8 +82,8 @@ val merge_verdicts : pids:Pid.t list -> verdict -> verdict -> verdict
     order = position order in [pids]; a strict prefix orders first).
     Associative and commutative, and — because {!split} emits jobs in DFS
     (= lex) order and each job reports its own lex-least violation — folding
-    over any permutation of a frontier's results reproduces the sequential
-    engine's counterexample. *)
+    over any permutation of a frontier's results reproduces the whole-tree
+    search's counterexample. *)
 
 val record_stats : ?labels:(string * string) list -> Obs.Metrics.registry -> stats -> unit
 (** Export into a metric registry: counters [exhaustive.nodes],
@@ -90,12 +94,12 @@ val record_stats : ?labels:(string * string) list -> Obs.Metrics.registry -> sta
 
 (** {1 Sound state-space reduction}
 
-    Optional pruning layers for {!run}, composing with the memo and with
-    [?domains] sharding. Both are {e credited}: a pruned subtree's complete
-    schedules are added to the count, so verdicts — including exact counts
-    and, in the sequential engine, the identity of the first counterexample
-    (DFS order is lexicographic, and the lex-least violating schedule is
-    never pruned) — match the unreduced engines. *)
+    Optional pruning layers for {!run}, {!split} and {!run_subtree},
+    composing with the memo. Both are {e credited}: a pruned subtree's
+    complete schedules are added to the count, so verdicts — including
+    exact counts and the identity of the first counterexample (DFS order is
+    lexicographic, and the lex-least violating schedule is never pruned) —
+    match the unreduced search. *)
 
 type reduction = {
   sleep : bool;
@@ -113,8 +117,9 @@ type reduction = {
 }
 
 val no_reduction : reduction
-(** [{ sleep = false; symmetry = [] }] — [run ~reduce:no_reduction] takes
-    the exact unreduced code path. *)
+(** [{ sleep = false; symmetry = [] }], the default: the trivial context.
+    It prunes nothing and never peeks, so the search executes exactly the
+    steps of the plain schedules. *)
 
 exception Cancelled
 (** Raised by {!run} when its [?cancel] hook fired: the search was
@@ -123,7 +128,6 @@ exception Cancelled
     [?cancel] reproduces the full deterministic verdict. *)
 
 val run :
-  ?domains:int ->
   ?memo:bool ->
   ?mode:mode ->
   ?reduce:reduction ->
@@ -134,36 +138,35 @@ val run :
   prop:(Runtime.t -> bool) ->
   unit ->
   verdict * stats
-(** The incremental engine. [?cancel] (default never) is a cooperative
-    cancellation hook polled once per DFS child, in every worker: the
-    moment it returns [true] the whole run raises {!Cancelled} (after
-    stopping all domains) instead of returning — the hook the service
-    layer uses for per-request deadlines. [?domains] (default [1]) shards the top-level
-    branching factor across that many OCaml domains (capped at [|pids|]),
-    joined first-counterexample-wins: with several workers reporting, the
-    counterexample whose first step comes earliest in [pids] is returned, but
-    which counterexample is found within one worker's shard may differ from
-    the sequential engine's (all returned counterexamples are genuine).
+(** The incremental engine over the whole tree. [?cancel] (default never)
+    is a cooperative cancellation hook polled once per DFS child: the
+    moment it returns [true] the run raises {!Cancelled} instead of
+    returning — the hook the service layer uses for per-request deadlines.
+    A counterexample is the lex-least violating schedule (DFS order).
     [?memo] (default [true]) enables the state-fingerprint memo. [?reduce]
-    (default off) enables the reduction layers above; reduction forces every
-    process to its first suspension point eagerly ({!Runtime.peek}), so
-    [prop] must additionally not distinguish a [Fresh] process from a peeked
-    one (true of properties over memory, decisions and participation).
+    (default {!no_reduction}) enables the reduction layers above; reduction
+    forces every process to its first suspension point eagerly
+    ({!Runtime.peek}), so [prop] must additionally not distinguish a
+    [Fresh] process from a peeked one (true of properties over memory,
+    decisions and participation).
     Verdicts (including exact schedule counts) are identical to
     {!run_replay} under the soundness requirements above. *)
 
 (** {1 Frontier splitting — distributing the search}
 
-    {!split} explores only to a shallow [split_depth] and emits every
+    {!split} runs the search only to a shallow [split_depth] and emits every
     frontier node as a self-contained {!subtree} job carrying the schedule
     prefix plus the exact reduction context (sleep mask, orbit-multiplier
-    product, per-class used counts) the whole-tree engine holds when it
+    product, per-class used counts) the whole-tree search holds when it
     enters that node. {!run_subtree} — typically on another process, via the
-    [subtree] service verb — re-enters the engine from that context. Folding
-    {!merge_verdicts} and {!merge_stats} over the job results (in any order)
-    plus the splitter's own [fr_pruned] credit reproduces {!run}'s verdict
-    and exact credited schedule count; memo tables are private per job, so
-    only [memo_hits]/[nodes]-style effort counters may differ. *)
+    [subtree] service verb — re-enters the same search from that context.
+    {!merge_frontier} folds the job results (in any order) with the
+    splitter's own result and reproduces {!run}'s verdict and exact
+    credited schedule count. It is the same traversal cut at the frontier:
+    with the memo off, splitter plus job [nodes], [sleep_pruned] and
+    [orbits_collapsed] equal {!run}'s. Jobs replay their prefixes, so steps
+    and builds exceed it, and memo tables are private per job, so with the
+    memo on [memo_hits]/[nodes] differ too. *)
 
 type subtree = {
   sj_id : int;
@@ -205,6 +208,14 @@ val split :
     accordingly replays a job's prefix without re-checking it. [~mode],
     [~reduce] and the scenario must match between [split] and the
     [run_subtree] calls that consume its jobs. *)
+
+val merge_frontier :
+  pids:Pid.t list -> split_result -> (verdict * stats) list -> verdict * stats
+(** [merge_frontier ~pids fr results]: the partitioned run's verdict and
+    stats from [fr] and the {!run_subtree} results of its jobs, in any
+    order. Folds {!merge_verdicts} from [Ok fr_pruned] (or from [fr_cex]
+    when the split stopped on a violation) and {!merge_stats} from
+    [fr_stats]. *)
 
 val run_subtree :
   ?memo:bool ->

@@ -182,9 +182,13 @@ let modelcheck ~cancel params =
     let sc = scenario_param params in
     let red = Mcheck.Scenario.reduction sc ~reduce in
     let verdict, stats =
-      Exhaustive.run ?reduce:red ~cancel ~build:sc.Mcheck.Scenario.sc_build
-        ~pids:sc.Mcheck.Scenario.sc_pids ~depth
-        ~prop:sc.Mcheck.Scenario.sc_prop ()
+      match
+        Exhaustive.run ?reduce:red ~cancel ~build:sc.Mcheck.Scenario.sc_build
+          ~pids:sc.Mcheck.Scenario.sc_pids ~depth
+          ~prop:sc.Mcheck.Scenario.sc_prop ()
+      with
+      | exception Invalid_argument msg -> bad "%s" msg
+      | r -> r
     in
     modelcheck_result ~scenario:sc.Mcheck.Scenario.sc_name ~depth
       ~n_s:sc.Mcheck.Scenario.sc_n_s ~reduce:(red <> None) (verdict, stats)

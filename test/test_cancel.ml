@@ -153,16 +153,6 @@ let test_immediate_cancel () =
 
 (* parallel runs honour cancellation too (worker domains poll the hook) *)
 let test_parallel_cancel () =
-  check_bool "exhaustive domains=2" true
-    (match
-       Exhaustive.run ~domains:2
-         ~cancel:(fun () -> true)
-         ~build:sa_build
-         ~pids:[ Pid.c 0; Pid.c 1; Pid.s 0 ]
-         ~depth:8 ~prop:sa_prop ()
-     with
-    | _ -> false
-    | exception Exhaustive.Cancelled -> true);
   check_bool "fuzz domains=2" true
     (match
        Adversary.fuzz_target ~domains:2

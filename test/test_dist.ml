@@ -54,23 +54,7 @@ let dist_run ?(memo = true) ?reduce ?(mode = Exhaustive.Every)
           sj)
       fr.Exhaustive.fr_jobs
   in
-  let verdict =
-    List.fold_left
-      (fun acc (v, _) -> Exhaustive.merge_verdicts ~pids acc v)
-      (Exhaustive.Ok fr.Exhaustive.fr_pruned)
-      (order results)
-  in
-  let verdict =
-    match fr.Exhaustive.fr_cex with
-    | Some cex ->
-      Exhaustive.merge_verdicts ~pids verdict (Exhaustive.Counterexample cex)
-    | None -> verdict
-  in
-  let stats =
-    List.fold_left
-      (fun acc (_, s) -> Exhaustive.merge_stats acc s)
-      fr.Exhaustive.fr_stats (order results)
-  in
+  let verdict, stats = Exhaustive.merge_frontier ~pids fr (order results) in
   (verdict, stats, List.length fr.Exhaustive.fr_jobs)
 
 (* --- partition invariance: any frontier, any merge order --- *)
@@ -104,33 +88,41 @@ let test_partition_matches_run () =
       ("sleep-only", 1, 5, Some { Exhaustive.sleep = true; symmetry = [] });
     ]
 
-(* With the memo off, effort is not path-dependent: the partitioned run must
-   prune exactly what the single-process engine prunes, layer by layer. *)
+(* With the memo off, effort is not path-dependent: the partitioned run is
+   the same traversal cut at the frontier, so it visits exactly the nodes
+   and prunes exactly what the single-process search does, layer by layer.
+   Safe configs only: after a counterexample the jobs past it still run. *)
 let test_partition_pruning_counters_exact () =
   let n_s = 2 in
   let build = sa_build ~n_s in
   let pids = Pid.all ~n_c:2 ~n_s in
-  let depth = 5 in
-  let reduce = Some (sa_reduce ~n_s) in
-  let expected_v, expected_s =
-    Exhaustive.run ~memo:false ?reduce ~build ~pids ~depth ~prop:sa_prop ()
-  in
+  let depth = 6 in
   List.iter
-    (fun split_depth ->
-      let v, s, _ =
-        dist_run ~memo:false ?reduce ~build ~pids ~depth ~split_depth
-          ~prop:sa_prop ()
+    (fun (label, reduce) ->
+      let expected_v, expected_s =
+        Exhaustive.run ~memo:false ?reduce ~build ~pids ~depth ~prop:sa_prop
+          ()
       in
-      check_string
-        (Fmt.str "verdict sd=%d" split_depth)
-        (verdict_str expected_v) (verdict_str v);
-      Alcotest.(check int)
-        (Fmt.str "sleep_pruned sd=%d" split_depth)
-        expected_s.Exhaustive.sleep_pruned s.Exhaustive.sleep_pruned;
-      Alcotest.(check int)
-        (Fmt.str "orbits_collapsed sd=%d" split_depth)
-        expected_s.Exhaustive.orbits_collapsed s.Exhaustive.orbits_collapsed)
-    [ 1; 2; 3 ]
+      List.iter
+        (fun split_depth ->
+          let v, s, _ =
+            dist_run ~memo:false ?reduce ~build ~pids ~depth ~split_depth
+              ~prop:sa_prop ()
+          in
+          let check_count name field =
+            Alcotest.(check int)
+              (Fmt.str "%s %s sd=%d" label name split_depth)
+              (field expected_s) (field s)
+          in
+          check_string
+            (Fmt.str "%s verdict sd=%d" label split_depth)
+            (verdict_str expected_v) (verdict_str v);
+          check_count "nodes" (fun s -> s.Exhaustive.nodes);
+          check_count "sleep_pruned" (fun s -> s.Exhaustive.sleep_pruned);
+          check_count "orbits_collapsed" (fun s ->
+              s.Exhaustive.orbits_collapsed))
+        [ 1; 2; 3 ])
+    [ ("plain", None); ("reduced", Some (sa_reduce ~n_s)) ]
 
 (* --- lex-least counterexample selection is partition-order-invariant --- *)
 
@@ -176,6 +168,51 @@ let test_prefix_violation_stops_split () =
   | Some cex ->
     check_string "same counterexample" (verdict_str expected)
       (verdict_str (Exhaustive.Counterexample cex))
+
+(* credited counts are exact ints: a tree of more than max_int schedules is
+   refused by every entry point before any step *)
+let test_count_overflow_rejected () =
+  let builds = ref 0 in
+  let build () =
+    incr builds;
+    sa_build ~n_s:1 ()
+  in
+  let pids = Pid.all ~n_c:2 ~n_s:1 in
+  let fr =
+    Exhaustive.split ~build ~pids ~depth:39 ~split_depth:1 ~prop:sa_prop ()
+  in
+  Alcotest.(check int)
+    "3^39 fits: one job per pid" 3
+    (List.length fr.Exhaustive.fr_jobs);
+  builds := 0;
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  check_bool "split over 3^40 raises" true
+    (raises (fun () ->
+         Exhaustive.split ~build ~pids ~depth:40 ~split_depth:1 ~prop:sa_prop
+           ()));
+  check_bool "run over 3^40 raises" true
+    (raises (fun () -> Exhaustive.run ~build ~pids ~depth:40 ~prop:sa_prop ()));
+  check_bool "run_subtree over 3^40 raises" true
+    (raises (fun () ->
+         Exhaustive.run_subtree ~build ~pids ~depth:40 ~prop:sa_prop
+           (List.hd fr.Exhaustive.fr_jobs)));
+  Alcotest.(check int) "no runtime built" 0 !builds;
+  (* the partitioned executors answer Error, not an exception *)
+  let sc =
+    match Mcheck.Scenario.find "safe-agreement" ~n_s:1 with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail e
+  in
+  Test_ckpt.with_store (fun store ->
+      check_bool "Ckpt.Local over 3^40 is an Error" true
+        (Result.is_error (Ckpt.Local.run ~store ~scenario:sc ~depth:40 ())));
+  check_bool "coordinator over 3^40 is an Error" true
+    (Result.is_error
+       (Dist.Coordinator.run ~retries:0 ~scenario:sc ~depth:40
+          ~workers:[ Svc.Addr.to_string (Svc.Addr.Tcp ("127.0.0.1", 9)) ]
+          ()))
 
 (* --- subtree jobs survive the wire format --- *)
 
@@ -421,6 +458,8 @@ let suite =
       test_counterexample_partition_invariant;
     Alcotest.test_case "prefix violation stops the split" `Quick
       test_prefix_violation_stops_split;
+    Alcotest.test_case "credited count overflow rejected" `Quick
+      test_count_overflow_rejected;
     Alcotest.test_case "subtree json roundtrip" `Quick
       test_subtree_json_roundtrip;
     Alcotest.test_case "coordinator matches local over TCP (1/2/4 workers)"

@@ -184,7 +184,7 @@ let test_splitter_exhaustive () =
       Fmt.(list ~sep:(any " ") Simkit.Pid.pp)
       cex
 
-(* --- differential: incremental engine (+/- memo, +/- domains) must agree
+(* --- differential: incremental engine (+/- memo) must agree
        with the replay-from-scratch baseline, verdict and count alike --- *)
 
 let mk_ns ~n_c ~n_s mem c_code =
@@ -267,25 +267,6 @@ let test_engines_agree_on_violation () =
         (verdict_str v))
     [ false; true ]
 
-let test_parallel_engine_agrees () =
-  let build = race_build ~n_c:3 ~n_s:1 in
-  let pids = Pid.all ~n_c:3 ~n_s:1 in
-  let prop = race_prop_valid ~n_c:3 in
-  let seq, _ = Exhaustive.run ~build ~pids ~depth:6 ~prop () in
-  let par, _ = Exhaustive.run ~domains:4 ~build ~pids ~depth:6 ~prop () in
-  Alcotest.(check string) "sharded count = sequential count" (verdict_str seq)
-    (verdict_str par);
-  (* violation case: any domain's counterexample must be genuine *)
-  match
-    Exhaustive.run ~domains:4 ~build:(race_build ~n_c:2 ~n_s:1)
-      ~pids:(Pid.all_c 2) ~depth:6 ~prop:race_prop_false ()
-  with
-  | Exhaustive.Ok _, _ -> Alcotest.fail "expected a counterexample"
-  | Exhaustive.Counterexample cex, _ ->
-    check_bool "parallel counterexample reproduces the violation" false
-      (Exhaustive.replay_ok ~build:(race_build ~n_c:2 ~n_s:1)
-         ~prop:race_prop_false cex)
-
 (* --- determinism: a reported counterexample replays to the same violation,
        and re-running the checker reports the same schedule --- *)
 
@@ -339,7 +320,18 @@ let test_incremental_speedup () =
     true
     (base_st.Exhaustive.steps_executed
     >= 3 * inc_st.Exhaustive.steps_executed);
-  check_bool "memo observed hits" true (inc_st.Exhaustive.memo_hits > 0)
+  check_bool "memo observed hits" true (inc_st.Exhaustive.memo_hits > 0);
+  (* exact effort, memo on and off: these move if the plain search peeks,
+     takes footprints or reorders children *)
+  let exact = Alcotest.(check int) in
+  exact "memo nodes" 2280 inc_st.Exhaustive.nodes;
+  exact "memo steps" 12420 inc_st.Exhaustive.steps_executed;
+  exact "memo replays" 1710 inc_st.Exhaustive.replays;
+  exact "memo hits" 671 inc_st.Exhaustive.memo_hits;
+  let _, off_st = Exhaustive.run ~memo:false ~build ~pids ~depth:8 ~prop () in
+  exact "memo-off nodes" 87380 off_st.Exhaustive.nodes;
+  exact "memo-off steps" 524288 off_st.Exhaustive.steps_executed;
+  exact "memo-off replays" 65535 off_st.Exhaustive.replays
 
 (* --- and the same bar for the reduction layers: on the same config,
        sleep sets + symmetry must execute >= 3x fewer steps than the
@@ -383,7 +375,14 @@ let test_reduction_speedup () =
   check_bool "sleep pruning observed" true
     (red_st.Exhaustive.sleep_pruned > 0);
   check_bool "orbit collapsing observed" true
-    (red_st.Exhaustive.orbits_collapsed > 0)
+    (red_st.Exhaustive.orbits_collapsed > 0);
+  let exact = Alcotest.(check int) in
+  exact "reduced nodes" 756 red_st.Exhaustive.nodes;
+  exact "reduced steps" 2680 red_st.Exhaustive.steps_executed;
+  exact "reduced replays" 334 red_st.Exhaustive.replays;
+  exact "reduced memo hits" 0 red_st.Exhaustive.memo_hits;
+  exact "reduced sleep-pruned" 820 red_st.Exhaustive.sleep_pruned;
+  exact "reduced orbits" 112 red_st.Exhaustive.orbits_collapsed
 
 let suite =
   [
@@ -400,8 +399,6 @@ let suite =
       test_engines_agree;
     Alcotest.test_case "engines agree on violations" `Quick
       test_engines_agree_on_violation;
-    Alcotest.test_case "parallel sharding agrees" `Quick
-      test_parallel_engine_agrees;
     Alcotest.test_case "counterexamples replay deterministically" `Quick
       test_counterexample_replays;
     Alcotest.test_case "incremental engine >= 3x fewer steps" `Quick

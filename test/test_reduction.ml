@@ -1,11 +1,11 @@
 (* The reduction layers of the exhaustive checker, proven differentially:
    sleep-set partial-order reduction and symmetry reduction must change how
    much work the checker does, and nothing else — same verdict, same exact
-   schedule count, same counterexample as the unreduced engines, at 1 and 4
-   domains. Plus direct soundness checks on the two ingredients: the
-   independence relation (commuting adjacent independent steps preserves
-   final digests) and the orbit accounting (canonical representatives
-   weighted by orbit size partition the full schedule space). *)
+   schedule count, same counterexample as the unreduced search. Plus direct
+   soundness checks on the two ingredients: the independence relation
+   (commuting adjacent independent steps preserves final digests) and the
+   orbit accounting (canonical representatives weighted by orbit size
+   partition the full schedule space). *)
 
 open Simkit
 
@@ -29,13 +29,6 @@ let assert_engines_agree ~label ~build ~pids ~depth ~mode ~prop ~reduce =
         fun () -> Exhaustive.run ~mode ~build ~pids ~depth ~prop () );
       ( "reduced",
         fun () -> Exhaustive.run ~reduce ~mode ~build ~pids ~depth ~prop () );
-      ( "memo x4",
-        fun () ->
-          Exhaustive.run ~domains:4 ~mode ~build ~pids ~depth ~prop () );
-      ( "reduced x4",
-        fun () ->
-          Exhaustive.run ~domains:4 ~reduce ~mode ~build ~pids ~depth ~prop ()
-      );
     ]
 
 let test_differential_safe_agreement () =
@@ -64,7 +57,7 @@ let test_differential_safe_agreement () =
 
 let test_differential_commit_adopt () =
   (* outcome encoded into the decision value (2v + commit-bit) so the
-     property is a pure state function — shareable across domains. *)
+     property is a pure state function, as the memo requires. *)
   let build () =
     let mem = Memory.create () in
     let ca = Bglib.Commit_adopt.create mem ~n:2 in
@@ -180,16 +173,7 @@ let test_differential_violation () =
       ("memo", fun () -> Exhaustive.run ~build ~pids ~depth:6 ~prop ());
       ( "reduced",
         fun () -> Exhaustive.run ~reduce ~build ~pids ~depth:6 ~prop () );
-    ];
-  (* sharded reduced run: any reported counterexample must be genuine *)
-  match
-    Exhaustive.run ~domains:4 ~reduce ~build ~pids ~depth:6 ~prop ()
-  with
-  | Exhaustive.Ok _, _ -> Alcotest.fail "expected a counterexample"
-  | Exhaustive.Counterexample cex, _ ->
-    check_bool "sharded reduced counterexample reproduces the violation"
-      false
-      (Exhaustive.replay_ok ~build ~prop cex)
+    ]
 
 (* --- independence soundness: commuting adjacent independent steps
        preserves the final digest --- *)
@@ -322,6 +306,18 @@ let test_reduction_stats_and_validation () =
     (verdict_str v');
   Alcotest.(check int) "no_reduction prunes nothing" 0
     (st'.Exhaustive.sleep_pruned + st'.Exhaustive.orbits_collapsed);
+  (* ... and never peeks: a process nobody has scheduled is still Fresh *)
+  let unpeeked rt =
+    List.for_all
+      (fun p ->
+        Runtime.sched_count rt p > 0 || Runtime.status rt p = Runtime.Fresh)
+      pids
+  in
+  Alcotest.(check string) "no_reduction never peeks" "Ok 1024"
+    (verdict_str
+       (fst
+          (Exhaustive.run ~reduce:Exhaustive.no_reduction ~build ~pids
+             ~depth:5 ~prop:unpeeked ())));
   let rejects r =
     match Exhaustive.run ~reduce:r ~build ~pids ~depth:2 ~prop () with
     | exception Invalid_argument _ -> true

@@ -334,6 +334,14 @@ let test_server_ping_solve_stats () =
        with
       | Error (Svc.Client.Server (P.Bad_request, _)) -> ()
       | _ -> Alcotest.fail "expected bad_request");
+      (* so is a tree whose schedule count overflows an int (3^40) *)
+      (match
+         Svc.Client.call
+           ~params:(J.Obj [ ("depth", J.Int 40); ("n_s", J.Int 1) ])
+           c P.Modelcheck
+       with
+      | Error (Svc.Client.Server (P.Bad_request, _)) -> ()
+      | _ -> Alcotest.fail "expected bad_request for 3^40 schedules");
       (* and the worker still serves afterwards *)
       (match Svc.Client.call ~params:(J.Obj [ ("depth", J.Int 6) ]) c P.Modelcheck with
       | Ok j ->
