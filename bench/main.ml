@@ -1797,9 +1797,10 @@ let ckpt_bench () =
         credited verdict)
   in
   Fmt.pr "  %-28s %9.3fs@." "monolithic DFS (context)" monolithic;
-  (* the no-checkpoint baseline: the SAME split engine the distributed
-     coordinator runs, minus the journal — so the overhead row below
-     isolates what the checkpoint subsystem itself costs *)
+  (* the no-checkpoint baseline: the SAME split engine Ckpt.Local runs
+     (jobs in DFS order, a private memo each), minus the journal — so the
+     overhead row below isolates what the checkpoint subsystem itself
+     costs *)
   let run_split_plain () =
     let fr = Exhaustive.split ~build ~pids ~depth ~split_depth ~prop () in
     let verdict, _ =

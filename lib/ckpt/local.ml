@@ -18,7 +18,8 @@ let load_record store =
 let ( let* ) = Result.bind
 
 (* The shared engine under [run] and [resume]: split, skip what [pre]
-   already answered, run the rest in DFS order, journal on the clock. *)
+   already answered, run the rest in DFS order up to the least
+   counterexample, journal on the clock. *)
 let continue ~interval_s ~cancel ~store ~sc ~config ~pre () =
   let depth = config.Record.cf_depth in
   let split_depth = config.Record.cf_split_depth in
@@ -53,9 +54,17 @@ let continue ~interval_s ~cancel ~store ~sc ~config ~pre () =
       ref (match pre with None -> [] | Some r -> List.rev r.Record.ck_done)
     in
     let answered = Hashtbl.create (max 16 total) in
-    List.iter
-      (fun d -> Hashtbl.replace answered d.Record.dj_id ())
-      (match pre with None -> [] | Some r -> r.Record.ck_done);
+    (* jobs are numbered in lex order, so none past the least counterexample
+       can change the verdict *)
+    let least_cex = ref max_int in
+    let note d =
+      Hashtbl.replace answered d.Record.dj_id ();
+      match d.Record.dj_verdict with
+      | Exhaustive.Counterexample _ ->
+        least_cex := min !least_cex d.Record.dj_id
+      | Exhaustive.Ok _ -> ()
+    in
+    List.iter note (match pre with None -> [] | Some r -> r.Record.ck_done);
     let save () =
       let record = Record.make ~config ~total ~done_:!done_ in
       match Store.save store (Record.json record) with
@@ -76,6 +85,7 @@ let continue ~interval_s ~cancel ~store ~sc ~config ~pre () =
     in
     let rec jobs_loop = function
       | [] -> Ok ()
+      | sj :: _ when sj.Exhaustive.sj_id > !least_cex -> Ok ()
       | sj :: rest ->
         if Hashtbl.mem answered sj.Exhaustive.sj_id then jobs_loop rest
         else begin
@@ -88,14 +98,15 @@ let continue ~interval_s ~cancel ~store ~sc ~config ~pre () =
               ignore (save ());
               raise Exhaustive.Cancelled
           in
-          done_ :=
+          let d =
             {
               Record.dj_id = sj.Exhaustive.sj_id;
               dj_verdict = verdict;
               dj_stats = stats;
             }
-            :: !done_;
-          Hashtbl.replace answered sj.Exhaustive.sj_id ();
+          in
+          done_ := d :: !done_;
+          note d;
           let* () = maybe_save () in
           jobs_loop rest
         end

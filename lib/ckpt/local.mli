@@ -4,8 +4,11 @@
     is unserializable mid-flight — effect continuations cannot be cloned),
     the checkpointed engine runs the {e partitioned} form of the same
     search: {!Simkit.Exhaustive.split} derives the frontier, each subtree
-    job runs to completion in order, and a {!Record} of answered jobs is
-    written to the {!Store} at start, every [interval_s], and at the end.
+    job runs to completion in order (each with a private memo), and a
+    {!Record} of answered jobs is written to the {!Store} at start, every
+    [interval_s], and at the end. Jobs are numbered in lex order, so the
+    run stops after the first job that answers with a counterexample: no
+    later job can change the verdict, and none is run or recorded.
     By the merge theorem ([merge_verdicts]/[merge_stats] — commutative,
     associative, credited) the folded verdict, schedule count and
     lex-least counterexample equal the monolithic engine's, so a run
@@ -48,10 +51,10 @@ val resume :
   result
 (** Reload the newest intact record from [store], rebuild the scenario
     from its config, re-split (deterministic, so the frontier is
-    identical), skip every recorded job and run the rest. [Error] when the
-    store holds no valid record, names an unknown scenario, or its job
-    total does not match the re-derived frontier (a record from a
-    different engine version). *)
+    identical), skip every recorded job and run the rest up to the least
+    recorded counterexample, if any. [Error] when the store holds no valid
+    record, names an unknown scenario, or its job total does not match the
+    re-derived frontier (a record from a different engine version). *)
 
 val load_record : Store.t -> (int * Record.t, string) result
 (** The newest intact generation parsed as a {!Record} — shared by

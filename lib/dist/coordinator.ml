@@ -29,6 +29,9 @@ type shared = {
   total : int;
   window : int;
   mutable redispatched : int;
+  mutable least_cex : int;
+      (* least job id answered with a counterexample; [total] while none *)
+  mutable cursor : int;  (* least job id not yet answered; only moves on *)
 }
 
 let emit st name fields =
@@ -40,16 +43,27 @@ let locked st f =
   Mutex.lock st.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.mutex) f
 
-let done_ st = Hashtbl.length st.results = st.total
-let unfinished st id = not (Hashtbl.mem st.results id)
+(* Jobs are numbered in lex order, so a job past the least counterexample
+   cannot change the verdict: the run needs exactly the jobs up to it. *)
+let needed st id = id <= st.least_cex && not (Hashtbl.mem st.results id)
+let done_ st = st.cursor > min st.least_cex (st.total - 1)
 let inflight_of st id = Option.value ~default:0 (Hashtbl.find_opt st.inflight id)
+
+let record_result st id jr =
+  Hashtbl.replace st.results id jr;
+  (match jr.jr_verdict with
+  | Exhaustive.Counterexample _ -> st.least_cex <- min st.least_cex id
+  | Exhaustive.Ok _ -> ());
+  while st.cursor < st.total && Hashtbl.mem st.results st.cursor do
+    st.cursor <- st.cursor + 1
+  done
 
 (* Re-issue a job whose dispatch came to nothing (worker died, server-side
    error). Only when no other dispatch is still running it — a surviving
    duplicate may yet answer. *)
 let requeue st ~reason sj =
   let id = sj.Exhaustive.sj_id in
-  if unfinished st id && inflight_of st id = 0 then begin
+  if needed st id && inflight_of st id = 0 then begin
     Queue.push sj st.pending;
     st.redispatched <- st.redispatched + 1;
     emit st Obs.Event.Name.dist_redispatch
@@ -64,13 +78,13 @@ let drop_inflight st id =
   | n -> Hashtbl.replace st.inflight id (n - 1)
 
 (* An idle worker with an empty pending queue duplicates the least-covered
-   unfinished job of another worker — straggler insurance; first result
-   wins. [attempted] bounds it: a worker never steals the same job twice,
-   so total dispatches stay <= jobs * workers. *)
+   needed job of another worker — straggler insurance; first result wins.
+   [attempted] bounds it: a worker never steals the same job twice, so
+   total dispatches stay <= jobs * workers. *)
 let steal_candidate st attempted =
   Hashtbl.fold
     (fun id sj best ->
-      if unfinished st id && not (Hashtbl.mem attempted id) then
+      if needed st id && not (Hashtbl.mem attempted id) then
         match best with
         | Some (_, n) when n <= inflight_of st id -> best
         | _ -> Some (sj, inflight_of st id)
@@ -84,8 +98,9 @@ let rec take_batch st attempted acc =
   else if List.length acc >= st.window then List.rev acc
   else
     match Queue.take_opt st.pending with
-    | Some sj when not (unfinished st sj.Exhaustive.sj_id) ->
-      take_batch st attempted acc (* stale requeue; already answered *)
+    | Some sj when not (needed st sj.Exhaustive.sj_id) ->
+      (* stale requeue, or past the least counterexample *)
+      take_batch st attempted acc
     | Some sj -> take_batch st attempted (sj :: acc)
     | None -> (
       if acc <> [] then List.rev acc
@@ -102,9 +117,10 @@ let rec take_batch st attempted acc =
           Condition.wait st.cond st.mutex;
           take_batch st attempted acc)
 
-let job_params sc ~depth ~reduce sj =
+let job_params sc ~run_id ~depth ~reduce sj =
   J.Obj
     [
+      ("run", J.Str run_id);
       ("scenario", J.Str sc.Mcheck.Scenario.sc_name);
       ("n_s", J.Int sc.Mcheck.Scenario.sc_n_s);
       ("depth", J.Int depth);
@@ -142,8 +158,8 @@ let job_result_of_json j =
 (* One worker thread: connect, then loop pipelined batches until the run
    completes or the connection dies. A dead connection requeues whatever
    it still owed and retires the thread — the jobs live on elsewhere. *)
-let worker_loop st ~sc ~depth ~reduce ~deadline_ms ~retries ~backoff_ms
-    ~accepted ~dead ~journal w addr =
+let worker_loop st ~sc ~run_id ~depth ~reduce ~deadline_ms ~retries
+    ~backoff_ms ~accepted ~dead ~journal w addr =
   let attempted = Hashtbl.create 64 in
   let wname = Printf.sprintf "%d:%s" w addr in
   let die client outstanding why =
@@ -186,8 +202,8 @@ let worker_loop st ~sc ~depth ~reduce ~deadline_ms ~retries ~backoff_ms
             let id = sj.Exhaustive.sj_id in
             drop_inflight st id;
             (match result with
-            | Ok jr when unfinished st id ->
-              Hashtbl.replace st.results id jr;
+            | Ok jr when needed st id ->
+              record_result st id jr;
               accepted.(w) <- accepted.(w) + 1;
               emit st Obs.Event.Name.dist_result
                 [
@@ -202,7 +218,7 @@ let worker_loop st ~sc ~depth ~reduce ~deadline_ms ~retries ~backoff_ms
               (* journal under the same lock that guards [results]: the
                  generation written is a consistent snapshot *)
               journal st ~force:false
-            | Ok _ -> () (* a duplicate lost the race; drop it *)
+            | Ok _ -> () (* a duplicate lost the race, or no longer needed *)
             | Error reason -> requeue st ~reason sj);
             Condition.broadcast st.cond);
         Ok ()
@@ -228,7 +244,7 @@ let worker_loop st ~sc ~depth ~reduce ~deadline_ms ~retries ~backoff_ms
           | sj :: rest -> (
             match
               Svc.Client.send ?deadline_ms
-                ~params:(job_params sc ~depth ~reduce sj)
+                ~params:(job_params sc ~run_id ~depth ~reduce sj)
                 client P.Subtree
             with
             | Ok rid ->
@@ -275,6 +291,13 @@ let worker_loop st ~sc ~depth ~reduce ~deadline_ms ~retries ~backoff_ms
     with e -> die (Some client) outstanding (Printexc.to_string e))
 
 let default_split_depth = Ckpt.Local.default_split_depth
+
+(* Tags every subtree request of one run, so that each worker keeps one
+   memo table for the run ({!Svc.Jobs}). Two runs that drew the same id
+   would share tables only where scenario, n_s, depth and reduce agree
+   too, which is sound: the id scopes the cache, not the verdict. *)
+let fresh_run_id () =
+  Printf.sprintf "%d.%Ld" (Unix.getpid ()) (Obs.Clock.now_ns ())
 
 (* The journaling closure: called with [st.mutex] held after every accepted
    result ([force:false] — interval-gated) and once at completion
@@ -376,16 +399,18 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
           total;
           window = max 1 window;
           redispatched = 0;
+          least_cex = total;
+          cursor = 0;
         }
       in
       (* prefill journaled completions: those ids never reach [pending], so
-         a restarted coordinator redispatches only unfinished subtrees *)
+         a restarted coordinator redispatches only needed subtrees *)
       (match resume with
       | None -> ()
       | Some r ->
         List.iter
           (fun d ->
-            Hashtbl.replace st.results d.Ckpt.Record.dj_id
+            record_result st d.Ckpt.Record.dj_id
               {
                 jr_verdict = d.Ckpt.Record.dj_verdict;
                 jr_stats = d.Ckpt.Record.dj_stats;
@@ -394,7 +419,7 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
       List.iter
         (fun sj ->
           Hashtbl.replace st.jobs sj.Exhaustive.sj_id sj;
-          if unfinished st sj.Exhaustive.sj_id then Queue.push sj st.pending)
+          if needed st sj.Exhaustive.sj_id then Queue.push sj st.pending)
         fr.Exhaustive.fr_jobs;
       emit st Obs.Event.Name.dist_split
         [
@@ -408,13 +433,14 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
       locked st (fun () -> journal st ~force:true);
       let n = List.length workers in
       let accepted = Array.make n 0 and dead = Array.make n false in
+      let run_id = fresh_run_id () in
       let threads =
         List.mapi
           (fun w addr ->
             Thread.create
               (fun () ->
-                worker_loop st ~sc ~depth ~reduce ~deadline_ms ~retries
-                  ~backoff_ms ~accepted ~dead ~journal w addr)
+                worker_loop st ~sc ~run_id ~depth ~reduce ~deadline_ms
+                  ~retries ~backoff_ms ~accepted ~dead ~journal w addr)
               ())
           workers
       in
@@ -424,7 +450,9 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
         Error
           (Printf.sprintf
              "%d of %d subtree jobs unresolved: every worker failed"
-             (st.total - Hashtbl.length st.results)
+             (Hashtbl.fold
+                (fun id _ k -> if needed st id then k + 1 else k)
+                st.jobs 0)
              st.total)
       else begin
         let ids =

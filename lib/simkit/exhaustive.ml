@@ -225,6 +225,13 @@ let compile_reduction ~pids ~depth (r : reduction) =
     in
     go 0
   in
+  (* Sleep masks hold one bit per pid index in an int: past [Sys.int_size]
+     pids, [1 lsl i] wraps onto a lower index's bit and a pid could be
+     taken as asleep, silently pruning a subtree that was never explored. *)
+  if r.sleep && n > Sys.int_size then
+    invalid_arg
+      (Printf.sprintf "Exhaustive: sleep sets hold at most %d pids, got %d"
+         Sys.int_size n);
   let cls = Array.make n (-1) and pos = Array.make n (-1) in
   let size =
     List.mapi
@@ -269,8 +276,8 @@ let compile_reduction ~pids ~depth (r : reduction) =
    frontier node as a self-contained job: the schedule prefix plus exactly
    the context the whole-tree search carries when it enters that node —
    sleep mask, orbit-multiplier product, per-class used counts.
-   [run_subtree] re-enters the search from that context (private memo, same
-   credited-count rules), so
+   [run_subtree] re-enters the search from that context (same credited-count
+   rules), so
 
      split + run_subtree over every job + merge  =  run
 
@@ -312,6 +319,27 @@ type split_result = {
 let whole_tree =
   { sj_id = 0; sj_prefix = []; sj_sleep = []; sj_factor = 1; sj_used = [] }
 
+(* The memo: digest -> complete schedules below, divided by the factor in
+   force when the subtree was entered; under sleep, [masks] holds the sleep
+   mask it was explored under. Two tables keep a plain entry one unboxed
+   int. Entries hold for any node of the same search configuration, so the
+   jobs of one split may share a table: [owner] is the (pids, depth, mode,
+   reduction) of the first job that used it. *)
+type table = {
+  counts : (string, int) Hashtbl.t;
+  masks : (string, int) Hashtbl.t;
+  mutable owner : (Pid.t list * int * mode * reduction) option;
+}
+
+let new_table ~sleep =
+  {
+    counts = Hashtbl.create 4096;
+    masks = Hashtbl.create (if sleep then 4096 else 1);
+    owner = None;
+  }
+
+let create_table () = new_table ~sleep:true
+
 (* ------------------------------------------------------------------ *)
 (* The incremental engine: the one traversal behind [run], [split] and
    [run_subtree].
@@ -323,20 +351,22 @@ let whole_tree =
    enumeration exact while the descent itself costs amortized O(1) steps per
    node, against O(depth) for replay-from-scratch at every node).
 
-   On top, a state-fingerprint memo ({!Runtime.digest}) collapses converging
-   interleavings: when a node's state has been seen before at the same clock,
-   its whole subtree is skipped and the recorded number of complete schedules
-   below it is credited, so reported schedule counts stay exact. Only
-   fully-verified (counterexample-free) subtrees are memoized.
+   On top, a state-fingerprint memo ({!Runtime.digest}, [table]; [None]
+   turns it off) collapses converging interleavings: when a node's state has
+   been seen before at the same clock, its whole subtree is skipped and the
+   recorded number of complete schedules below it is credited, so reported
+   schedule counts stay exact. Only fully-verified (counterexample-free)
+   subtrees are memoized.
 
    [dfs] expands the subtree [root] names: its prefix is replayed without
    property checks (the caller has verified it), then the subtree is
    searched under the root's sleep mask, orbit-multiplier product and
-   per-class used counts. [whole_tree] is the root of the full search. A
+   per-class used counts. A job root is looked up in and stored to the memo
+   like any other node; [whole_tree], the root of the full search, is not. A
    node whose prefix reaches length [frontier] is handed to [emit] as a job
    instead of being expanded. Returns the first counterexample in DFS
    order, complete schedules credited into [acc]. *)
-let dfs rctx ~build ~prop ~mode ~memo ~cancelled ~frontier ~emit acc root =
+let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let every = mode = Every in
   let n = Array.length rctx.r_pids in
   let depth = Array.length rctx.r_pow - 1 in
@@ -350,12 +380,6 @@ let dfs rctx ~build ~prop ~mode ~memo ~cancelled ~frontier ~emit acc root =
     | [] -> Array.make (Array.length rctx.r_size) 0
     | us -> Array.of_list us
   in
-  (* memo: digest -> complete schedules below, divided by the factor in
-     force when the subtree was entered; under sleep, [masks] holds the
-     sleep mask it was explored under. Two tables keep a plain entry one
-     unboxed int. *)
-  let counts = Hashtbl.create (if memo then 4096 else 1) in
-  let masks = Hashtbl.create (if memo && rctx.r_sleep then 4096 else 1) in
   let cur = ref None in
   let destroy_cur () =
     match !cur with
@@ -388,7 +412,43 @@ let dfs rctx ~build ~prop ~mode ~memo ~cancelled ~frontier ~emit acc root =
   in
   let pids_of prefix_rev = List.rev_map (fun i -> rctx.r_pids.(i)) prefix_rev in
   let n_jobs = ref 0 in
-  let rec expand rt prefix_rev d ~z ~factor =
+  (* The node [rt] holds, [d] steps above full depth, entered under sleep
+     mask [z]: credited from the memo when its state was explored before
+     under a sleep mask no larger than [z], else expanded and, once
+     verified, stored. *)
+  let rec visit rt prefix_rev d ~z ~factor =
+    let key, stored =
+      match table with
+      | Some t when d > 0 ->
+        let k = Runtime.digest rt in
+        (Some (t, k), Hashtbl.find_opt t.counts k)
+      | _ -> (None, None)
+    in
+    let zs =
+      match (key, stored) with
+      | Some (t, k), Some _ when rctx.r_sleep -> Hashtbl.find t.masks k
+      | _ -> 0
+    in
+    match stored with
+    | Some raw when zs land lnot z = 0 ->
+      acc.a_memo <- acc.a_memo + 1;
+      acc.a_count <- acc.a_count + (factor * raw);
+      None
+    | _ -> (
+      (* Miss, or the stored exploration slept on steps this node may not
+         skip: (re-)explore under the intersection and tighten the entry. *)
+      let z_explore = match stored with None -> z | Some _ -> zs land z in
+      let count0 = acc.a_count in
+      match expand rt prefix_rev d ~z:z_explore ~factor with
+      | Some cex -> Some cex
+      | None ->
+        (match key with
+        | Some (t, k) ->
+          Hashtbl.replace t.counts k ((acc.a_count - count0) / factor);
+          if rctx.r_sleep then Hashtbl.replace t.masks k z_explore
+        | None -> ());
+        None)
+  and expand rt prefix_rev d ~z ~factor =
     if depth - d = frontier then begin
       emit
         {
@@ -464,48 +524,15 @@ let dfs rctx ~build ~prop ~mode ~memo ~cancelled ~frontier ~emit acc root =
                   !m
                 end
               in
-              let fm = factor * mult in
-              let key =
-                if memo && d > 1 then Some (Runtime.digest rt) else None
+              let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
+              if fresh_member then used.(c) <- used.(c) + 1;
+              let sub =
+                visit rt prefix_rev' (d - 1) ~z:z' ~factor:(factor * mult)
               in
-              let stored =
-                match key with
-                | Some k -> Hashtbl.find_opt counts k
-                | None -> None
-              in
-              let zs =
-                match (key, stored) with
-                | Some k, Some _ when rctx.r_sleep -> Hashtbl.find masks k
-                | _ -> 0
-              in
-              match stored with
-              | Some raw when zs land lnot z' = 0 ->
-                acc.a_memo <- acc.a_memo + 1;
-                acc.a_count <- acc.a_count + (fm * raw);
-                kids false (before lor (1 lsl i)) rest
-              | _ -> (
-                (* Miss, or the stored exploration slept on steps this
-                   node may not skip: (re-)explore under the intersection
-                   and tighten the entry. *)
-                let z_explore =
-                  match stored with None -> z' | Some _ -> zs land z'
-                in
-                let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
-                if fresh_member then used.(c) <- used.(c) + 1;
-                let count0 = acc.a_count in
-                let sub =
-                  expand rt prefix_rev' (d - 1) ~z:z_explore ~factor:fm
-                in
-                if fresh_member then used.(c) <- used.(c) - 1;
-                match sub with
-                | Some cex -> Some cex
-                | None ->
-                  (match key with
-                  | Some k ->
-                    Hashtbl.replace counts k ((acc.a_count - count0) / fm);
-                    if rctx.r_sleep then Hashtbl.replace masks k z_explore
-                  | None -> ());
-                  kids false (before lor (1 lsl i)) rest)
+              if fresh_member then used.(c) <- used.(c) - 1;
+              match sub with
+              | Some cex -> Some cex
+              | None -> kids false (before lor (1 lsl i)) rest
             end
           end
       in
@@ -518,19 +545,19 @@ let dfs rctx ~build ~prop ~mode ~memo ~cancelled ~frontier ~emit acc root =
       let pfx = List.map idx root.sj_prefix in
       List.iter (step rt) pfx;
       let z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 root.sj_sleep in
-      expand rt (List.rev pfx)
-        (depth - List.length pfx)
-        ~z ~factor:root.sj_factor)
+      let d = depth - List.length pfx in
+      if pfx = [] then expand rt [] d ~z ~factor:root.sj_factor
+      else visit rt (List.rev pfx) d ~z ~factor:root.sj_factor)
 
 let never_cancel () = false
 
 (* [dfs] without a frontier, timed and turned into a verdict. *)
-let search ~name rctx ~build ~prop ~mode ~memo ~cancel root =
+let search ~name rctx ~build ~prop ~mode ~table ~cancel root =
   let sp = Obs.Span.start ~name () in
   let acc = fresh_acc () in
   let verdict =
     match
-      dfs rctx ~build ~prop ~mode ~memo ~cancelled:cancel ~frontier:(-1)
+      dfs rctx ~build ~prop ~mode ~table ~cancelled:cancel ~frontier:(-1)
         ~emit:ignore acc root
     with
     | Some cex -> Counterexample cex
@@ -541,7 +568,8 @@ let search ~name rctx ~build ~prop ~mode ~memo ~cancel root =
 let run ?(memo = true) ?(mode = Every) ?(reduce = no_reduction)
     ?(cancel = never_cancel) ~build ~pids ~depth ~prop () =
   let rctx = compile_reduction ~pids ~depth reduce in
-  search ~name:"exhaustive.run" rctx ~build ~prop ~mode ~memo ~cancel
+  let table = if memo then Some (new_table ~sleep:rctx.r_sleep) else None in
+  search ~name:"exhaustive.run" rctx ~build ~prop ~mode ~table ~cancel
     whole_tree
 
 let split ?(mode = Every) ?(reduce = no_reduction) ~build ~pids ~depth
@@ -553,7 +581,7 @@ let split ?(mode = Every) ?(reduce = no_reduction) ~build ~pids ~depth
   let acc = fresh_acc () in
   let jobs = ref [] in
   let cex =
-    dfs rctx ~build ~prop ~mode ~memo:false ~cancelled:never_cancel
+    dfs rctx ~build ~prop ~mode ~table:None ~cancelled:never_cancel
       ~frontier:split_depth
       ~emit:(fun sj -> jobs := sj :: !jobs)
       acc whole_tree
@@ -575,7 +603,7 @@ let merge_frontier ~pids fr results =
     (fun (v, st) (v', st') -> (merge_verdicts ~pids v v', merge_stats st st'))
     (start, fr.fr_stats) results
 
-let run_subtree ?(memo = true) ?(mode = Every) ?(reduce = no_reduction)
+let run_subtree ?(memo = true) ?table ?(mode = Every) ?(reduce = no_reduction)
     ?(cancel = never_cancel) ~build ~pids ~depth ~prop sj =
   let rctx = compile_reduction ~pids ~depth reduce in
   let bad msg = invalid_arg ("Exhaustive.run_subtree: " ^ msg) in
@@ -598,7 +626,18 @@ let run_subtree ?(memo = true) ?(mode = Every) ?(reduce = no_reduction)
     (fun c u ->
       if u < 0 || u > rctx.r_size.(c) then bad "used count exceeds class size")
     sj.sj_used;
-  search ~name:"exhaustive.run_subtree" rctx ~build ~prop ~mode ~memo ~cancel
+  let table =
+    match table with
+    | _ when not memo -> None
+    | None -> Some (new_table ~sleep:rctx.r_sleep)
+    | Some t ->
+      let owner = Some (pids, depth, mode, reduce) in
+      if t.owner = None then t.owner <- owner
+      else if t.owner <> owner then
+        bad "table was filled under another pids, depth, mode or reduction";
+      Some t
+  in
+  search ~name:"exhaustive.run_subtree" rctx ~build ~prop ~mode ~table ~cancel
     sj
 
 (* ------------------------------------------------ subtree wire format *)

@@ -24,7 +24,9 @@
     agreement, commit–adopt, adoption set-agreement) against {e all}
     interleavings rather than sampled ones. Every entry point raises
     [Invalid_argument] before any step when |pids|^depth exceeds
-    [max_int], the largest count a verdict can credit.
+    [max_int], the largest count a verdict can credit, and when sleep
+    reduction is on over more than [Sys.int_size] pids, the widest sleep
+    mask an [int] holds.
 
     Soundness requirements on the inputs (all hold for the usual
     fresh-memory/fresh-algorithm builders):
@@ -165,8 +167,9 @@ val run :
     credited schedule count. It is the same traversal cut at the frontier:
     with the memo off, splitter plus job [nodes], [sleep_pruned] and
     [orbits_collapsed] equal {!run}'s. Jobs replay their prefixes, so steps
-    and builds exceed it, and memo tables are private per job, so with the
-    memo on [memo_hits]/[nodes] differ too. *)
+    and builds exceed it. With the memo on, [memo_hits] and [nodes] differ
+    too, by how much the jobs' memo {!table}s held (a private table per job
+    by default). *)
 
 type subtree = {
   sj_id : int;
@@ -217,8 +220,32 @@ val merge_frontier :
     when the split stopped on a violation) and {!merge_stats} from
     [fr_stats]. *)
 
+type table
+(** A memo table that several {!run_subtree} calls can share. Its entries
+    map a reached state (its {!Runtime.digest}, clock included) to the
+    complete schedules credited below it and, under sleep reduction, the
+    sleep mask it was explored under. Only fully verified subtrees are
+    stored, so an entry holds for that state wherever it is reached in the
+    same search configuration. Hence the jobs of one split may share a
+    table, in any order and on any subset, and a job's root is looked up
+    and stored like any other node: a job whose root state an earlier job
+    has already explored costs only the replay of its prefix.
+
+    Sharing keeps credited counts and the lex-least counterexample as exact
+    as private tables do, in any job order. Only a job's effort counters
+    ([nodes], [steps_executed], [memo_hits], ...) depend on what the table
+    already held. The table records the pids, depth, mode and reduction of
+    the first job it served; handing it a job under any other raises
+    [Invalid_argument]. [build] and [prop] are closures the table cannot
+    compare: callers must key tables by scenario themselves. A table is not
+    thread-safe. *)
+
+val create_table : unit -> table
+(** An empty table, bound to the configuration of its first job. *)
+
 val run_subtree :
   ?memo:bool ->
+  ?table:table ->
   ?mode:mode ->
   ?reduce:reduction ->
   ?cancel:(unit -> bool) ->
@@ -230,11 +257,14 @@ val run_subtree :
   verdict * stats
 (** Run one frontier job to the full [depth] (the same [depth] given to
     {!split}): the prefix is replayed check-free, then the engine expands
-    the subtree under the job's seeded context with a private memo. [Ok n]
-    is the subtree's exact credited schedule count; a counterexample is the
-    full schedule (prefix included) and is the lex-least within the subtree.
-    [?cancel] as in {!run}. Raises [Invalid_argument] on a job inconsistent
-    with [~pids]/[~depth]/[~reduce]. *)
+    the subtree under the job's seeded context. The memo reads and writes
+    [?table] when given, a private table otherwise; [~memo:false] turns it
+    off and ignores [?table]. [Ok n] is the subtree's exact credited
+    schedule count; a counterexample is the full schedule (prefix included)
+    and is the lex-least within the subtree. [?cancel] as in {!run}; a
+    cancelled job leaves only verified entries in [?table]. Raises
+    [Invalid_argument] on a job inconsistent with [~pids]/[~depth]/
+    [~reduce], or on a [?table] bound to another configuration. *)
 
 val schedule_json : Pid.t list -> Obs.Json.t
 val schedule_of_json : Obs.Json.t -> (Pid.t list, string) result

@@ -227,10 +227,27 @@ let modelcheck ~cancel params =
           ~n_s:sc.Mcheck.Scenario.sc_n_s ~reduce ~checkpoint:(dir, false)
           (verdict, stats))
 
+(* The memo table of the distributed run this pool domain served last,
+   under its key (run, scenario, n_s, depth, reduce). Consecutive jobs of
+   one run share it, so states that converge across frontier prefixes are
+   explored once per worker rather than once per job; a job of any other
+   key starts a fresh table. A soft cache: a restarted worker loses speed,
+   never correctness, and it holds at most one run's table per domain. *)
+let run_table = Domain.DLS.new_key (fun () -> None)
+
+let table_for key =
+  match Domain.DLS.get run_table with
+  | Some (k, t) when k = key -> t
+  | _ ->
+    let t = Exhaustive.create_table () in
+    Domain.DLS.set run_table (Some (key, t));
+    t
+
 (* One frontier subtree of a distributed exhaustive search. The coordinator
-   ships the scenario by name plus the engine context ({!Exhaustive.subtree});
-   the verdict travels back with the job id so first-result-wins re-dispatch
-   can drop duplicates. *)
+   ships the scenario by name plus the engine context ({!Exhaustive.subtree})
+   and tags every job of one run with the same "run" id; a request without
+   one gets a private memo. The verdict travels back with the job id so
+   first-result-wins re-dispatch can drop duplicates. *)
 let subtree ~cancel params =
   let depth = pos_param ~default:8 "depth" params in
   let reduce = bool_param ~default:false "reduce" params in
@@ -243,11 +260,24 @@ let subtree ~cancel params =
       | Ok sj -> sj
       | Error msg -> bad "%s" msg)
   in
+  let table =
+    match J.member "run" params with
+    | None -> None
+    | Some (J.Str run) ->
+      Some
+        (table_for
+           ( run,
+             sc.Mcheck.Scenario.sc_name,
+             sc.Mcheck.Scenario.sc_n_s,
+             depth,
+             reduce ))
+    | Some _ -> bad "param \"run\" is not a string"
+  in
   let reduce = Mcheck.Scenario.reduction sc ~reduce in
   match
-    Exhaustive.run_subtree ?reduce ~cancel ~build:sc.Mcheck.Scenario.sc_build
-      ~pids:sc.Mcheck.Scenario.sc_pids ~depth ~prop:sc.Mcheck.Scenario.sc_prop
-      sj
+    Exhaustive.run_subtree ?table ?reduce ~cancel
+      ~build:sc.Mcheck.Scenario.sc_build ~pids:sc.Mcheck.Scenario.sc_pids
+      ~depth ~prop:sc.Mcheck.Scenario.sc_prop sj
   with
   | exception Invalid_argument msg -> bad "%s" msg
   | verdict, stats ->

@@ -31,6 +31,13 @@ val run :
       — the record's config wins). The result then carries a
       ["checkpoint"] field. Verdict and credited count are identical
       across all three paths.
+    - [subtree]: [scenario], [n_s], [depth], [reduce], [job] (one
+      {!Simkit.Exhaustive.subtree}), optional [run] — one frontier job of
+      a distributed check; result [{ "id", "verdict", "schedules" | "cex",
+      "stats" }]. Jobs that carry the same [run] id, scenario, [n_s],
+      [depth] and [reduce] share one memo table per pool domain (the
+      table of the last such key the domain served); without [run] a job
+      gets a private memo. Cancellable between schedules.
     - [fuzz]: [kind], [n], [j], [seed], [budget], [domains] — adversary
       fuzzing; result [{ "found": bool, "fuzz": ..., "witness": ... }].
       Cancellable between trials.

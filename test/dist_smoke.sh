@@ -5,7 +5,9 @@
 # fields against the single-process anchor (plain and --reduce), check the
 # race-false counterexample is the identical lex-least schedule, then
 # kill -9 one worker mid-run and check the re-dispatch path still completes
-# the depth-12 search with the exact credited count.
+# the depth-12 search with the exact credited count. The kill waits for
+# journaled progress rather than a fixed delay, so it lands mid-run however
+# fast the search is, and the step fails unless the dead worker is seen.
 set -eu
 
 WFA=${WFA:-_build/default/bin/wfa.exe}
@@ -85,10 +87,23 @@ echo "  dist:  $DIST_CEX"
 }
 
 echo "dist_smoke: kill -9 a worker mid-run; the survivor absorbs its jobs"
+# interval 0 journals a generation after accepted results (the coordinator
+# spaces them 50 ms apart at least): a second generation means results are
+# flowing, so the run is past its start and not yet done
 "$WFA" modelcheck --depth 12 --n-s 2 --workers "$FLEET" --split-depth 5 \
+  --checkpoint "$D/kill-store" --checkpoint-interval-s 0 \
   --json "$D/kill.json" > "$D/kill.out" &
 RUN=$!
-sleep 0.5
+i=0
+while [ "$(ls "$D/kill-store" 2>/dev/null | grep -c '^gen-')" -lt 2 ]; do
+  i=$((i + 1))
+  if [ "$i" -gt 600 ]; then
+    echo "dist_smoke: no progress generation to kill on" >&2
+    cat "$D/kill.out" >&2
+    exit 1
+  fi
+  sleep 0.01
+done
 kill -9 "$W2" 2>/dev/null || true
 wait "$RUN" || {
   echo "dist_smoke: run did not survive the worker kill" >&2
@@ -104,12 +119,12 @@ grep -q '"schedules": 16777216' "$D/kill.json" || {
   cat "$D/kill.json" >&2
   exit 1
 }
-if grep -q '"workers_dead": 1' "$D/kill.json"; then
-  echo "  re-dispatch path exercised (1 worker dead, count still exact)"
-else
-  # the search won the race against the kill: correct, but log it
-  echo "  note: run finished before the kill landed"
-fi
+grep -q '"workers_dead": 1' "$D/kill.json" || {
+  echo "dist_smoke: the kill did not land mid-run (want workers_dead 1)" >&2
+  cat "$D/kill.json" >&2
+  exit 1
+}
+echo "  re-dispatch path exercised (1 worker dead, count still exact)"
 
 trap - EXIT
 kill "$W1" 2>/dev/null || true

@@ -57,7 +57,42 @@ let dist_run ?(memo = true) ?reduce ?(mode = Exhaustive.Every)
   let verdict, stats = Exhaustive.merge_frontier ~pids fr (order results) in
   (verdict, stats, List.length fr.Exhaustive.fr_jobs)
 
+(* The same pipeline with the jobs run against shared memo tables, in the
+   order a fleet might see them: [order] permutes the jobs, and job k of
+   that order runs on table (k / 4) mod [tables] — dealt in batches of 4,
+   as pipelined workers take them. *)
+let shared_run ?reduce ?(mode = Exhaustive.Every) ~order ~tables ~build ~pids
+    ~depth ~split_depth ~prop () =
+  let fr =
+    Exhaustive.split ~mode ?reduce ~build ~pids ~depth ~split_depth ~prop ()
+  in
+  let ts = Array.init tables (fun _ -> Exhaustive.create_table ()) in
+  let results =
+    List.mapi
+      (fun k sj ->
+        Exhaustive.run_subtree ~table:ts.(k / 4 mod tables) ~mode ?reduce
+          ~build ~pids ~depth ~prop sj)
+      (order fr.Exhaustive.fr_jobs)
+  in
+  Exhaustive.merge_frontier ~pids fr results
+
+let dealings =
+  [
+    ("one table, dfs", 1, Fun.id);
+    ("one table, rev", 1, List.rev);
+    ("one table, shuffle", 1, shuffle 42);
+    ("two tables, batches of 4", 2, Fun.id);
+  ]
+
 (* --- partition invariance: any frontier, any merge order --- *)
+
+let partition_configs =
+  [
+    ("plain", 1, 5, None);
+    ("plain-ns2", 2, 4, None);
+    ("reduced", 2, 5, Some (sa_reduce ~n_s:2));
+    ("sleep-only", 1, 5, Some { Exhaustive.sleep = true; symmetry = [] });
+  ]
 
 let test_partition_matches_run () =
   List.iter
@@ -81,12 +116,114 @@ let test_partition_matches_run () =
                 (verdict_str expected) (verdict_str v))
             [ ("dfs", Fun.id); ("rev", List.rev); ("shuffle", shuffle 42) ])
         [ 1; 2; 3 ])
-    [
-      ("plain", 1, 5, None);
-      ("plain-ns2", 2, 4, None);
-      ("reduced", 2, 5, Some (sa_reduce ~n_s:2));
-      ("sleep-only", 1, 5, Some { Exhaustive.sleep = true; symmetry = [] });
-    ]
+    partition_configs
+
+(* Sharing a memo table across the jobs of one split changes only effort:
+   verdict, exact count and lex-least counterexample stay the single-process
+   engine's in every job order and dealing, safe and violating configs. *)
+let test_shared_table_matches_run () =
+  let configs =
+    List.map
+      (fun (label, n_s, depth, reduce) ->
+        ( label,
+          sa_build ~n_s,
+          Pid.all ~n_c:2 ~n_s,
+          depth,
+          reduce,
+          sa_prop,
+          [ 1; 2; 3 ] ))
+      partition_configs
+    @ List.map
+        (fun (label, reduce) ->
+          ( label,
+            Test_exhaustive.race_build ~n_c:2 ~n_s:1,
+            Pid.all ~n_c:2 ~n_s:1,
+            6,
+            reduce,
+            Test_exhaustive.race_prop_false,
+            [ 1; 2; 3; 4 ] ))
+        [ ("race", None); ("race-reduced", Some (sa_reduce ~n_s:1)) ]
+  in
+  List.iter
+    (fun (label, build, pids, depth, reduce, prop, split_depths) ->
+      let expected, _ = Exhaustive.run ?reduce ~build ~pids ~depth ~prop () in
+      List.iter
+        (fun split_depth ->
+          List.iter
+            (fun (dlabel, tables, order) ->
+              let v, _ =
+                shared_run ?reduce ~order ~tables ~build ~pids ~depth
+                  ~split_depth ~prop ()
+              in
+              check_string
+                (Fmt.str "%s sd=%d %s" label split_depth dlabel)
+                (verdict_str expected) (verdict_str v))
+            dealings)
+        split_depths)
+    configs
+
+(* A table is bound to the configuration of its first job: a job of another
+   depth, reduction or mode is refused before any step. *)
+let test_table_bound_to_config () =
+  let build = sa_build ~n_s:1 in
+  let pids = Pid.all ~n_c:2 ~n_s:1 in
+  let job ~depth =
+    List.hd
+      (Exhaustive.split ~build ~pids ~depth ~split_depth:2 ~prop:sa_prop ())
+        .Exhaustive.fr_jobs
+  in
+  let filled () =
+    let table = Exhaustive.create_table () in
+    ignore
+      (Exhaustive.run_subtree ~table ~build ~pids ~depth:5 ~prop:sa_prop
+         (job ~depth:5));
+    table
+  in
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  check_bool "same config accepted" false
+    (raises (fun () ->
+         Exhaustive.run_subtree ~table:(filled ()) ~build ~pids ~depth:5
+           ~prop:sa_prop (job ~depth:5)));
+  check_bool "other depth refused" true
+    (raises (fun () ->
+         Exhaustive.run_subtree ~table:(filled ()) ~build ~pids ~depth:6
+           ~prop:sa_prop (job ~depth:6)));
+  check_bool "other reduction refused" true
+    (raises (fun () ->
+         Exhaustive.run_subtree ~table:(filled ())
+           ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
+           ~build ~pids ~depth:5 ~prop:sa_prop (job ~depth:5)));
+  check_bool "other mode refused" true
+    (raises (fun () ->
+         Exhaustive.run_subtree ~table:(filled ()) ~mode:Exhaustive.Final
+           ~build ~pids ~depth:5 ~prop:sa_prop (job ~depth:5)))
+
+(* The effort a shared table saves, pinned on the depth-8 anchor: jobs run
+   in DFS order on one table visit about the monolithic run's nodes, where
+   private memos visit nearly ten times as many. *)
+let test_shared_table_effort () =
+  let n_s = 2 and depth = 8 and split_depth = 3 in
+  let build = sa_build ~n_s in
+  let pids = Pid.all ~n_c:2 ~n_s in
+  let prop = sa_prop in
+  let _, mono = Exhaustive.run ~build ~pids ~depth ~prop () in
+  let v, shared =
+    shared_run ~order:Fun.id ~tables:1 ~build ~pids ~depth ~split_depth ~prop
+      ()
+  in
+  let _, private_, _ = dist_run ~build ~pids ~depth ~split_depth ~prop () in
+  check_string "verdict" "Ok 65536" (verdict_str v);
+  Alcotest.(check int) "monolithic nodes" 2280 mono.Exhaustive.nodes;
+  Alcotest.(check int) "monolithic steps" 12420 mono.Exhaustive.steps_executed;
+  Alcotest.(check int) "shared-table nodes" 2304 shared.Exhaustive.nodes;
+  Alcotest.(check int)
+    "shared-table steps" 12672 shared.Exhaustive.steps_executed;
+  Alcotest.(check int) "private-memo nodes" 21668 private_.Exhaustive.nodes;
+  check_bool "shared within 1.05x of monolithic nodes" true
+    (float_of_int shared.Exhaustive.nodes
+    <= 1.05 *. float_of_int mono.Exhaustive.nodes)
 
 (* With the memo off, effort is not path-dependent: the partitioned run is
    the same traversal cut at the frontier, so it visits exactly the nodes
@@ -213,6 +350,56 @@ let test_count_overflow_rejected () =
        (Dist.Coordinator.run ~retries:0 ~scenario:sc ~depth:40
           ~workers:[ Svc.Addr.to_string (Svc.Addr.Tcp ("127.0.0.1", 9)) ]
           ()))
+
+(* --- the early stop: nothing past the least counterexample job --- *)
+
+let journal_ids store =
+  match Ckpt.Local.load_record store with
+  | Error e -> Alcotest.fail e
+  | Ok (_, r) -> List.map (fun d -> d.Ckpt.Record.dj_id) r.Ckpt.Record.ck_done
+
+(* Ckpt.Local runs jobs in lex order and stops at the first that answers
+   with a counterexample: the journal records no job past it, and a resume
+   of that journal runs no job at all. *)
+let test_local_stops_at_counterexample () =
+  let sc =
+    match Mcheck.Scenario.find "race-false" ~n_s:2 with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail e
+  in
+  let depth = 8 in
+  let build = sc.Mcheck.Scenario.sc_build
+  and pids = sc.Mcheck.Scenario.sc_pids
+  and prop = sc.Mcheck.Scenario.sc_prop in
+  let expected, _ = Exhaustive.run ~build ~pids ~depth ~prop () in
+  let total =
+    List.length
+      (Exhaustive.split ~build ~pids ~depth
+         ~split_depth:(Ckpt.Local.default_split_depth ~depth)
+         ~prop ())
+        .Exhaustive.fr_jobs
+  in
+  Test_ckpt.with_store (fun store ->
+      match Ckpt.Local.run ~store ~scenario:sc ~depth () with
+      | Error e -> Alcotest.fail e
+      | Ok (v, st) -> (
+        check_string "verdict" (verdict_str expected) (verdict_str v);
+        let ids = journal_ids store in
+        let cex_id = List.fold_left max (-1) ids in
+        check_bool "the stop skipped jobs" true (cex_id + 1 < total);
+        Alcotest.(check (list int))
+          "journal holds exactly the jobs up to the counterexample's"
+          (List.init (cex_id + 1) Fun.id)
+          ids;
+        match Ckpt.Local.resume ~store () with
+        | Error e -> Alcotest.fail e
+        | Ok (_, v', st') ->
+          check_string "resumed verdict" (verdict_str expected)
+            (verdict_str v');
+          Alcotest.(check int) "resume ran no job" st.Exhaustive.nodes
+            st'.Exhaustive.nodes;
+          Alcotest.(check (list int)) "journal unchanged by resume" ids
+            (journal_ids store)))
 
 (* --- subtree jobs survive the wire format --- *)
 
@@ -377,10 +564,18 @@ let test_coordinator_matches_local () =
         | Error e -> Alcotest.fail e
       in
       let red = Mcheck.Scenario.reduction sc ~reduce in
+      let build = sc.Mcheck.Scenario.sc_build
+      and pids = sc.Mcheck.Scenario.sc_pids
+      and prop = sc.Mcheck.Scenario.sc_prop in
       let expected, _ =
-        Exhaustive.run ?reduce:red ~build:sc.Mcheck.Scenario.sc_build
-          ~pids:sc.Mcheck.Scenario.sc_pids ~depth
-          ~prop:sc.Mcheck.Scenario.sc_prop ()
+        Exhaustive.run ?reduce:red ~build ~pids ~depth ~prop ()
+      in
+      let frontier =
+        List.length
+          (Exhaustive.split ?reduce:red ~build ~pids ~depth
+             ~split_depth:(Dist.Coordinator.default_split_depth ~depth)
+             ~prop ())
+            .Exhaustive.fr_jobs
       in
       List.iter
         (fun n ->
@@ -391,11 +586,15 @@ let test_coordinator_matches_local () =
               with
               | Error e -> Alcotest.failf "%s x%d: %s" name n e
               | Ok r ->
-                check_string
-                  (Printf.sprintf "%s depth %d reduce %b x%d workers" name
-                     depth reduce n)
-                  (verdict_str expected)
-                  (verdict_str r.Dist.Coordinator.r_verdict)))
+                let label =
+                  Printf.sprintf "%s depth %d reduce %b x%d workers" name
+                    depth reduce n
+                in
+                check_string label (verdict_str expected)
+                  (verdict_str r.Dist.Coordinator.r_verdict);
+                (* the early stop skips jobs but does not shrink the run *)
+                Alcotest.(check int) (label ^ ": r_jobs is the frontier")
+                  frontier r.Dist.Coordinator.r_jobs))
         [ 1; 2; 4 ])
     [
       ("safe-agreement", 6, false);
@@ -452,6 +651,12 @@ let suite =
   [
     Alcotest.test_case "partition matches run (all frontiers, orders)" `Quick
       test_partition_matches_run;
+    Alcotest.test_case "shared memo table matches run (orders, dealings)"
+      `Quick test_shared_table_matches_run;
+    Alcotest.test_case "memo table bound to its configuration" `Quick
+      test_table_bound_to_config;
+    Alcotest.test_case "shared memo table effort pinned" `Quick
+      test_shared_table_effort;
     Alcotest.test_case "pruning counters exact without memo" `Quick
       test_partition_pruning_counters_exact;
     Alcotest.test_case "counterexample partition-order-invariant" `Quick
@@ -462,6 +667,8 @@ let suite =
       test_count_overflow_rejected;
     Alcotest.test_case "subtree json roundtrip" `Quick
       test_subtree_json_roundtrip;
+    Alcotest.test_case "Ckpt.Local stops at the least counterexample" `Quick
+      test_local_stops_at_counterexample;
     Alcotest.test_case "coordinator matches local over TCP (1/2/4 workers)"
       `Quick test_coordinator_matches_local;
     Alcotest.test_case "coordinator survives a dead worker" `Quick

@@ -332,6 +332,34 @@ let test_reduction_stats_and_validation () =
          symmetry = [ [ Pid.s 0; Pid.s 1 ]; [ Pid.s 1 ] ];
        })
 
+(* Sleep masks are one int, a bit per pid: a reduced search over more pids
+   than an int has bits is refused before any step, and the widest one
+   accepted still finds the seeded violation the 4-pid search finds. *)
+let test_sleep_mask_width () =
+  let reduced n_s =
+    match Mcheck.Scenario.find "race-false" ~n_s with
+    | Error e -> Alcotest.fail e
+    | Ok sc ->
+      fst
+        (Exhaustive.run
+           ?reduce:(Mcheck.Scenario.reduction sc ~reduce:true)
+           ~build:sc.Mcheck.Scenario.sc_build ~pids:sc.Mcheck.Scenario.sc_pids
+           ~depth:6 ~prop:sc.Mcheck.Scenario.sc_prop ())
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "%d pids: the 4-pid counterexample" Sys.int_size)
+    (verdict_str (reduced 2))
+    (verdict_str (reduced (Sys.int_size - 2)));
+  List.iter
+    (fun n_s ->
+      check_bool
+        (Printf.sprintf "%d pids refused" (n_s + 2))
+        true
+        (match reduced n_s with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Sys.int_size - 1; Sys.int_size ]
+
 let suite =
   [
     Alcotest.test_case "differential: safe agreement" `Quick
@@ -351,4 +379,6 @@ let suite =
       test_orbit_partition;
     Alcotest.test_case "reduction stats and class validation" `Quick
       test_reduction_stats_and_validation;
+    Alcotest.test_case "sleep masks refuse more pids than int bits" `Quick
+      test_sleep_mask_width;
   ]

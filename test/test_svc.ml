@@ -991,6 +991,57 @@ let test_server_scenario_validation () =
         Alcotest.failf "good scenario: %s" (Svc.Client.error_string e));
       Svc.Client.close c)
 
+(* A reduced search over more pids than a sleep mask has bits is a
+   bad_request from every verb that can ask for one — never a verdict. *)
+let test_jobs_refuse_wide_sleep_masks () =
+  let n_s = Sys.int_size in
+  let mc =
+    [
+      ("scenario", J.Str "race-false");
+      ("n_s", J.Int n_s);
+      ("depth", J.Int 6);
+      ("reduce", J.Bool true);
+    ]
+  in
+  let job =
+    J.Obj
+      [
+        ("id", J.Int 0);
+        ("prefix", J.List [ J.Str "p1" ]);
+        ("sleep", J.List []);
+        ("factor", J.Int 1);
+        ("used", J.List [ J.Int 0 ]);
+      ]
+  in
+  let spec =
+    J.Obj
+      [
+        ("v", J.Int 1);
+        ("name", J.Str "wide");
+        ("verb", J.Str "modelcheck");
+        ("params", J.Obj mc);
+        ("expect", J.Obj [ ("outcome", J.Str "violation") ]);
+      ]
+  in
+  let names_sleep msg =
+    let rec go i =
+      i + 5 <= String.length msg && (String.sub msg i 5 = "sleep" || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun (label, verb, params) ->
+      match Svc.Jobs.run verb params with
+      | Error (P.Bad_request, msg) when names_sleep msg -> ()
+      | Error (code, msg) ->
+        Alcotest.failf "%s: %s %s" label (P.err_code_string code) msg
+      | Ok j -> Alcotest.failf "%s: answered %s" label (J.to_string j))
+    [
+      ("modelcheck", P.Modelcheck, J.Obj mc);
+      ("scenario", P.Scenario, spec);
+      ("subtree", P.Subtree, J.Obj (("job", job) :: mc));
+    ]
+
 (* A campaign running over the wire honors per-scenario deadlines: the slow
    row comes back as a timeout (not a fail, not a dead connection), and the
    rows after it still run. *)
@@ -1101,6 +1152,8 @@ let suite =
       `Quick test_client_connect_retry;
     Alcotest.test_case "server: scenario verb validates caller input" `Quick
       test_server_scenario_validation;
+    Alcotest.test_case "verbs refuse sleep masks wider than an int" `Quick
+      test_jobs_refuse_wide_sleep_masks;
     Alcotest.test_case "campaign: per-scenario deadlines over the wire"
       `Quick test_campaign_client_deadlines;
   ]
