@@ -151,11 +151,12 @@ let write_json path json =
     Fmt.epr "wfa: cannot write --json output: %s@." msg;
     exit 2
 
-(* Run one scenario file through the same local path the campaign runner
-   and the server's workers use (Svc.Jobs.run), and reflect the scenario's
-   expectation in the exit code: pass 0, fail/timeout 1, load or
-   unexpected errors 2. The other flags of the host command are ignored —
-   the file is the whole configuration. *)
+(* Run one scenario file in process through the campaign runner
+   (Svc.Campaign.run_local, which executes the file's typed work with
+   Svc.Jobs.run_work, the executor the server's workers use), and reflect
+   the scenario's expectation in the exit code: pass 0, fail/timeout 1,
+   load or unexpected errors 2. The other flags of the host command are
+   ignored — the file is the whole configuration. *)
 let run_scenario_file ~cmd path =
   match Scenario.Spec.load path with
   | Error msg ->

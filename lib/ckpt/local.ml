@@ -140,7 +140,7 @@ let run ?(interval_s = default_interval_s) ?split_depth ?(reduce = false)
   in
   continue ~interval_s ~cancel ~store ~sc ~config ~pre:None ()
 
-let resume ?(interval_s = default_interval_s) ?cancel ~store () =
+let resume ?(interval_s = default_interval_s) ~store () =
   let* gen, r = load_record store in
   let config = r.Record.ck_config in
   let* sc =
@@ -150,6 +150,6 @@ let resume ?(interval_s = default_interval_s) ?cancel ~store () =
   Store.note_resume store ~gen ~total:r.Record.ck_total
     ~done_:(List.length r.Record.ck_done);
   let* verdict, stats =
-    continue ~interval_s ~cancel ~store ~sc ~config ~pre:(Some r) ()
+    continue ~interval_s ~cancel:None ~store ~sc ~config ~pre:(Some r) ()
   in
   Ok (config, verdict, stats)

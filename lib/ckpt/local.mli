@@ -43,7 +43,6 @@ val run :
 
 val resume :
   ?interval_s:float ->
-  ?cancel:(unit -> bool) ->
   store:Store.t ->
   unit ->
   ( Record.config * Simkit.Exhaustive.verdict * Simkit.Exhaustive.stats,

@@ -32,6 +32,8 @@ type shared = {
   mutable least_cex : int;
       (* least job id answered with a counterexample; [total] while none *)
   mutable cursor : int;  (* least job id not yet answered; only moves on *)
+  mutable refused : string option;
+      (* a bad_request ends the run: every worker would refuse that job *)
 }
 
 let emit st name fields =
@@ -94,7 +96,7 @@ let steal_candidate st attempted =
 (* Called with the lock held; returns the next pipelined batch, [] when the
    run is complete (or nothing is left that this worker may take). *)
 let rec take_batch st attempted acc =
-  if done_ st then List.rev acc
+  if done_ st || st.refused <> None then List.rev acc
   else if List.length acc >= st.window then List.rev acc
   else
     match Queue.take_opt st.pending with
@@ -117,16 +119,18 @@ let rec take_batch st attempted acc =
           Condition.wait st.cond st.mutex;
           take_batch st attempted acc)
 
+let run_params sc ~depth ~reduce =
+  [
+    ("scenario", J.Str sc.Mcheck.Scenario.sc_name);
+    ("n_s", J.Int sc.Mcheck.Scenario.sc_n_s);
+    ("depth", J.Int depth);
+    ("reduce", J.Bool reduce);
+  ]
+
 let job_params sc ~run_id ~depth ~reduce sj =
   J.Obj
-    [
-      ("run", J.Str run_id);
-      ("scenario", J.Str sc.Mcheck.Scenario.sc_name);
-      ("n_s", J.Int sc.Mcheck.Scenario.sc_n_s);
-      ("depth", J.Int depth);
-      ("reduce", J.Bool reduce);
-      ("job", Exhaustive.subtree_json sj);
-    ]
+    ((("run", J.Str run_id) :: run_params sc ~depth ~reduce)
+    @ [ ("job", Exhaustive.subtree_json sj) ])
 
 let job_result_of_json j =
   let ( let* ) = Result.bind in
@@ -162,6 +166,7 @@ let worker_loop st ~sc ~run_id ~depth ~reduce ~deadline_ms ~retries
     ~backoff_ms ~accepted ~dead ~journal w addr =
   let attempted = Hashtbl.create 64 in
   let wname = Printf.sprintf "%d:%s" w addr in
+  let refusal msg = Printf.sprintf "refused by worker %s: %s" wname msg in
   let die client outstanding why =
     (match client with Some c -> Svc.Client.close c | None -> ());
     locked st (fun () ->
@@ -219,7 +224,9 @@ let worker_loop st ~sc ~run_id ~depth ~reduce ~deadline_ms ~retries
                  generation written is a consistent snapshot *)
               journal st ~force:false
             | Ok _ -> () (* a duplicate lost the race, or no longer needed *)
-            | Error reason -> requeue st ~reason sj);
+            | Error (`Retry reason) -> requeue st ~reason sj
+            | Error (`Refused why) ->
+              if st.refused = None then st.refused <- Some why);
             Condition.broadcast st.cond);
         Ok ()
     in
@@ -276,10 +283,12 @@ let worker_loop st ~sc ~run_id ~depth ~reduce ~deadline_ms ~retries
                   | Ok json -> (
                     match job_result_of_json json with
                     | Ok jr -> Ok jr
-                    | Error msg -> Error ("bad result: " ^ msg))
+                    | Error msg -> Error (`Retry ("bad result: " ^ msg)))
+                  | Error (Svc.Client.Server (P.Bad_request, msg)) ->
+                    Error (`Refused (refusal msg))
                   | Error (Svc.Client.Server (code, _)) ->
-                    Error (P.err_code_string code)
-                  | Error (Svc.Client.Transport msg) -> Error msg
+                    Error (`Retry (P.err_code_string code))
+                  | Error (Svc.Client.Transport msg) -> Error (`Retry msg)
                 in
                 match settle ~rid result with
                 | Ok () -> drain ()
@@ -346,6 +355,16 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
       cf_split_depth = split_depth;
     }
   in
+  (* workers read the run's params with the modelcheck reader: refuse up
+     front what they would refuse for every job *)
+  let params_error =
+    match
+      Scenario.Spec.work_of_params ~verb:"modelcheck"
+        (J.Obj (run_params sc ~depth ~reduce))
+    with
+    | Ok _ -> None
+    | Error msg -> Some ("workers would refuse this run: " ^ msg)
+  in
   let resume_mismatch =
     match resume with
     | Some r when r.Ckpt.Record.ck_config <> config ->
@@ -359,6 +378,7 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
   else if not (split_depth >= 1 && split_depth < depth) then
     Error
       (Printf.sprintf "split depth %d not in [1, %d)" split_depth depth)
+  else if params_error <> None then Error (Option.get params_error)
   else if resume_mismatch <> None then Error (Option.get resume_mismatch)
   else
     match
@@ -401,6 +421,7 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
           redispatched = 0;
           least_cex = total;
           cursor = 0;
+          refused = None;
         }
       in
       (* prefill journaled completions: those ids never reach [pending], so
@@ -446,7 +467,8 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?(backoff_ms = 50)
       in
       List.iter Thread.join threads;
       locked st (fun () -> journal st ~force:true);
-      if not (done_ st) then
+      if st.refused <> None then Error (Option.get st.refused)
+      else if not (done_ st) then
         Error
           (Printf.sprintf
              "%d of %d subtree jobs unresolved: every worker failed"

@@ -14,12 +14,13 @@
     - a worker connection that fails (connect, send or receive) requeues
       the jobs it still owed and retires; the other workers absorb them;
     - a server-side error reply ([deadline_exceeded], [overloaded], ...)
-      requeues that one job;
+      requeues that one job; a [bad_request] ends the run, since every
+      worker reads params with {!Scenario.Spec.work_of_params};
     - an idle worker with an empty queue {e steals} the least-covered
       in-flight job of another worker — straggler insurance, bounded by
       never stealing the same job twice on the same worker.
 
-    The run fails only when every worker is dead and jobs remain. *)
+    Otherwise the run fails only when every worker is dead with jobs left. *)
 
 type worker_report = {
   wk_addr : string;  (** the address as given ({!Svc.Addr} textual form) *)
@@ -76,6 +77,7 @@ val run :
     config or job total does not match this run's.
 
     [Error] otherwise covers configuration mistakes (no workers, bad
-    address, bad [split_depth]) and total fleet failure with jobs
-    unresolved; a counterexample is not an error but a {!report} whose
-    verdict is [Counterexample]. *)
+    address, bad [split_depth], params the workers' reader refuses), a
+    worker's [bad_request], and total fleet failure with jobs unresolved;
+    a counterexample is not an error but a {!report} whose verdict is
+    [Counterexample]. *)

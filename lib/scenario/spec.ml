@@ -335,6 +335,17 @@ let fuzz_of_json path kvs =
   in
   Ok (Fuzz { fz_kind; fz_n; fz_j; fz_seed; fz_budget; fz_domains })
 
+let work_of_kvs ~verb_path path ~verb kvs =
+  match verb with
+  | "solve" -> solve_of_json path kvs
+  | "modelcheck" -> modelcheck_of_json path kvs
+  | "fuzz" -> fuzz_of_json path kvs
+  | s -> fail verb_path "unknown verb %S (solve|modelcheck|fuzz)" s
+
+let work_of_params ?(path = "params") ~verb params =
+  let* kvs = obj path params in
+  work_of_kvs ~verb_path:"verb" path ~verb kvs
+
 let expect_of_json path ~verb v =
   let* kvs = obj path v in
   let* () = reject_unknown path ~known:[ "outcome"; "kind"; "code" ] kvs in
@@ -468,11 +479,7 @@ let of_json ?(path = "$") j =
   let* verb = req path kvs "verb" (str (sub "verb")) in
   let* params = req path kvs "params" (obj (sub "params")) in
   let* sp_work =
-    match verb with
-    | "solve" -> solve_of_json (sub "params") params
-    | "modelcheck" -> modelcheck_of_json (sub "params") params
-    | "fuzz" -> fuzz_of_json (sub "params") params
-    | s -> fail (sub "verb") "unknown verb %S (solve|modelcheck|fuzz)" s
+    work_of_kvs ~verb_path:(sub "verb") (sub "params") ~verb params
   in
   let* sp_deadline_ms =
     field kvs "deadline_ms" ~default:None (fun v ->

@@ -111,10 +111,14 @@ val to_json : t -> Obs.Json.t
 val to_string : t -> string
 (** {!Obs.Json.to_string_pretty} of {!to_json} — the canonical bytes. *)
 
-val params_json : t -> Obs.Json.t
-(** The params object for this scenario's service verb — what a client
-    sends with a [solve] / [modelcheck] / [fuzz] request, and what the
-    server-side [scenario] verb re-dispatches internally. *)
+val work_of_params :
+  ?path:string -> verb:string -> Obs.Json.t -> (work, string) result
+(** The reader {!of_json} applies to a file's [params]: [verb] is
+    ["solve"], ["modelcheck"] or ["fuzz"], and [params] must be that
+    verb's params object, with the same defaults, bounds and refusal of
+    unknown fields. The server reads the params of every work request
+    with it. [path] (default ["params"]) prefixes error locations:
+    [params.depth: 65 out of range [1, 64]]. *)
 
 val of_json : ?path:string -> Obs.Json.t -> (t, string) result
 (** Full validation: names resolved against {!Build} and

@@ -144,14 +144,8 @@ let run_local ?default_deadline_ms ~name specs =
             in
             fun () -> Obs.Clock.now_ns () > limit
         in
-        let verb =
-          match sp.Spec.sp_work with
-          | Spec.Solve _ -> P.Solve
-          | Spec.Modelcheck _ -> P.Modelcheck
-          | Spec.Fuzz _ -> P.Fuzz
-        in
         let result =
-          match Jobs.run ~cancel verb (Spec.params_json sp) with
+          match Jobs.run_work ~cancel sp.Spec.sp_work with
           | Ok j -> Ok j
           | Error (code, msg) -> Error (P.err_code_string code, msg)
         in

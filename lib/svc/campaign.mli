@@ -8,7 +8,7 @@
     [deadline_ms], so a slow scenario comes back [deadline_exceeded] and
     is reported as a {e timeout}, not a wrong answer, and backpressure
     ([overloaded]) surfaces per scenario rather than wedging the run.
-    {!run_local} executes the same specs in-process through {!Jobs.run} —
+    {!run_local} executes the same specs in-process through {!Jobs.run_work} —
     the identical code path the server's workers use — for quickstarts
     and tests that do not want a server.
 
@@ -57,7 +57,7 @@ val run_local :
   name:string ->
   Scenario.Spec.t list ->
   summary
-(** Sequential in-process execution through {!Jobs.run}, deadlines
+(** Sequential in-process execution through {!Jobs.run_work}, deadlines
     enforced with the same cooperative-cancellation hooks the pool uses. *)
 
 val record : summary -> Obs.Bench_record.t

@@ -1,13 +1,16 @@
 #!/bin/sh
 # CI smoke test for durable checkpoint/resume (DESIGN.md §8): run the
-# depth-10 safe-agreement check under --checkpoint, SIGKILL it mid-run —
-# once as the single-process checkpointed engine, once as the distributed
-# coordinator over a live 2-worker TCP fleet — then `wfa resume` each store
-# and diff the mirrored --json result fields against an uninterrupted run.
-# Interval 0 journals a generation after every subtree job, so the kill
-# always lands on a store with recorded progress; the field diff proves the
-# verdict, credited count and pruning counters are byte-identical to a run
-# that was never interrupted.
+# safe-agreement check under --checkpoint, SIGKILL it mid-run — once as the
+# single-process checkpointed engine at depth 10, once as the distributed
+# coordinator over a live 2-worker TCP fleet at depth 12 with split depth 5
+# (a fleet finishes depth 10 faster than the coordinator's 50 ms journal
+# spacing) — then `wfa resume` each store and diff the mirrored --json
+# result fields against an uninterrupted run of the same depth. Interval 0
+# journals a generation after every subtree job, so the kill always lands
+# on a store with recorded progress, and a run that finishes before the
+# kill fails the step; the field diff proves the verdict, credited count
+# and pruning counters are byte-identical to a run that was never
+# interrupted.
 set -eu
 
 WFA=${WFA:-_build/default/bin/wfa.exe}
@@ -29,24 +32,31 @@ fields() {
   grep -E '^  "(verdict|schedules|sleep_pruned|orbits_collapsed)"' "$1"
 }
 
-echo "ckpt_smoke: uninterrupted depth-10 reference"
-"$WFA" modelcheck --depth 10 --n-s 2 --json "$D/ref.json" > /dev/null
-fields "$D/ref.json" > "$D/ref.fields"
-grep -q '"schedules": 1048576' "$D/ref.fields" || {
-  echo "ckpt_smoke: reference lost the 4^10 count" >&2
-  exit 1
+reference() { # $1 = depth, $2 = its 4^depth schedule count
+  echo "ckpt_smoke: uninterrupted depth-$1 reference"
+  "$WFA" modelcheck --depth "$1" --n-s 2 --json "$D/ref$1.json" > /dev/null
+  fields "$D/ref$1.json" > "$D/ref$1.fields"
+  grep -q "\"schedules\": $2" "$D/ref$1.fields" || {
+    echo "ckpt_smoke: depth-$1 reference lost the 4^$1 count" >&2
+    exit 1
+  }
 }
+reference 10 1048576
+reference 12 16777216
 
 # Start a checkpointed run, kill -9 it once the store holds at least two
 # generations (i.e. the initial snapshot plus recorded progress), resume,
 # and require the resumed result to match the reference field-for-field.
-# $1 = store dir, $2 = tag, $3... = extra modelcheck/resume flags
+# $1 = store dir, $2 = tag, $3 = depth, $4 = split depth,
+# $5... = extra modelcheck/resume flags
 kill_and_resume() {
   STORE=$1
   TAG=$2
-  shift 2
+  DEPTH=$3
+  SPLIT=$4
+  shift 4
   # shellcheck disable=SC2086
-  "$WFA" modelcheck --depth 10 --n-s 2 --split-depth 4 \
+  "$WFA" modelcheck --depth "$DEPTH" --n-s 2 --split-depth "$SPLIT" \
     --checkpoint "$STORE" --checkpoint-interval-s 0 "$@" \
     --json "$D/$TAG-never.json" > "$D/$TAG-run.out" 2>&1 &
   RUN=$!
@@ -63,9 +73,8 @@ kill_and_resume() {
   kill -9 "$RUN" 2>/dev/null || true
   wait "$RUN" 2>/dev/null || true
   if [ -f "$D/$TAG-never.json" ]; then
-    # the search won the race against the kill: resume still has to
-    # reproduce the result from the store, but log the weaker run
-    echo "  note: $TAG finished before the kill landed"
+    echo "ckpt_smoke: $TAG finished before the kill landed" >&2
+    exit 1
   fi
   # shellcheck disable=SC2086
   "$WFA" resume "$STORE" "$@" --json "$D/$TAG-resumed.json" \
@@ -75,14 +84,14 @@ kill_and_resume() {
     exit 1
   }
   fields "$D/$TAG-resumed.json" > "$D/$TAG-resumed.fields"
-  diff -u "$D/ref.fields" "$D/$TAG-resumed.fields" || {
+  diff -u "$D/ref$DEPTH.fields" "$D/$TAG-resumed.fields" || {
     echo "ckpt_smoke: $TAG: resumed result differs from uninterrupted" >&2
     exit 1
   }
 }
 
 echo "ckpt_smoke: single-process SIGKILL mid-run, resume == uninterrupted"
-kill_and_resume "$D/local-store" local
+kill_and_resume "$D/local-store" local 10 4
 
 echo "ckpt_smoke: booting a 2-worker fleet for the coordinator variant"
 "$WFA" serve --listen tcp:127.0.0.1:0 --workers 1 > "$D/w1.log" &
@@ -108,7 +117,7 @@ A2=$(bound_addr "$D/w2.log")
 echo "ckpt_smoke: workers at $A1 and $A2"
 
 echo "ckpt_smoke: coordinator SIGKILL mid-run, resume on the same fleet"
-kill_and_resume "$D/dist-store" dist --workers "$A1,$A2"
+kill_and_resume "$D/dist-store" dist 12 5 --workers "$A1,$A2"
 
 trap - EXIT
 kill "$W1" "$W2" 2>/dev/null || true

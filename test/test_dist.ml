@@ -647,6 +647,33 @@ let test_coordinator_survives_dead_worker () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "all-dead fleet reported success"
 
+(* a run its workers would refuse ends in Error instead of requeueing the
+   same job forever: up front when the coordinator's reading of the params
+   already refuses them, on the first bad_request when only a worker does *)
+let test_coordinator_refused_run () =
+  let find ~n_s =
+    match Mcheck.Scenario.find "safe-agreement" ~n_s with
+    | Ok sc -> sc
+    | Error e -> Alcotest.fail e
+  in
+  with_tcp_workers 1 (fun servers ->
+      let refused label sc ~needle =
+        match
+          Dist.Coordinator.run ~scenario:sc ~depth:3
+            ~workers:(List.map snd servers) ()
+        with
+        | Ok _ -> Alcotest.failf "%s: refused run reported success" label
+        | Error e ->
+          check_bool (label ^ ": " ^ e) true (Test_svc.contains e needle)
+      in
+      refused "n_s 65 is out of the workers' range" (find ~n_s:65)
+        ~needle:"workers would refuse this run: params.n_s: 65 out of range";
+      (* version skew: the worker builds the scenario at n_s 1, so the jobs
+         whose prefix names s1 are refused *)
+      refused "a worker's bad_request ends the run"
+        { (find ~n_s:2) with Mcheck.Scenario.sc_n_s = 1 }
+        ~needle:"job pid not in pids")
+
 let suite =
   [
     Alcotest.test_case "partition matches run (all frontiers, orders)" `Quick
@@ -673,6 +700,8 @@ let suite =
       `Quick test_coordinator_matches_local;
     Alcotest.test_case "coordinator survives a dead worker" `Quick
       test_coordinator_survives_dead_worker;
+    Alcotest.test_case "coordinator ends a run its workers refuse" `Quick
+      test_coordinator_refused_run;
     QCheck_alcotest.to_alcotest prop_merge_stats_monoid;
     QCheck_alcotest.to_alcotest prop_merge_verdicts_monoid;
     QCheck_alcotest.to_alcotest prop_partition_counts;

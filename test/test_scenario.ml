@@ -436,7 +436,8 @@ let with_server ~workers f =
       in
       Fun.protect ~finally:(fun () -> Svc.Client.close c) (fun () -> f c))
 
-(* wall_s is the only nondeterministic field in a modelcheck result *)
+(* wall_s is the only nondeterministic field in a modelcheck, solve or
+   fuzz result *)
 let rec scrub = function
   | J.Obj kvs ->
     J.Obj
@@ -448,25 +449,22 @@ let rec scrub = function
 
 let test_differential ~workers () =
   with_server ~workers (fun c ->
-      List.iter
-        (fun (scen, expect) ->
-          let params =
-            J.Obj
-              [
-                ("scenario", J.Str scen); ("n_s", J.Int 1);
-                ("depth", J.Int 8); ("reduce", J.Bool false);
-              ]
-          in
+      List.iteri
+        (fun i (verb, params, expect) ->
+          let params = J.Obj params in
+          let name = Printf.sprintf "diff/%s-%d" (P.verb_string verb) i in
+          let label = Printf.sprintf "%s @ %d workers" name workers in
           let direct =
-            match Svc.Client.call ~params c P.Modelcheck with
+            match Svc.Client.call ~params c verb with
             | Ok j -> j
-            | Error e -> Alcotest.failf "direct: %s" (Svc.Client.error_string e)
+            | Error e ->
+              Alcotest.failf "%s direct: %s" label (Svc.Client.error_string e)
           in
           let spec =
             J.Obj
               [
-                ("v", J.Int 1); ("name", J.Str ("diff/" ^ scen));
-                ("verb", J.Str "modelcheck"); ("params", params);
+                ("v", J.Int 1); ("name", J.Str name);
+                ("verb", J.Str (P.verb_string verb)); ("params", params);
                 ("expect", J.Obj [ ("outcome", J.Str expect) ]);
               ]
           in
@@ -474,22 +472,47 @@ let test_differential ~workers () =
             match Svc.Client.call ~params:spec c P.Scenario with
             | Ok j -> j
             | Error e ->
-              Alcotest.failf "scenario: %s" (Svc.Client.error_string e)
+              Alcotest.failf "%s scenario: %s" label
+                (Svc.Client.error_string e)
           in
           check_bool "echoes name" true
-            (J.member "scenario" wrapped = Some (J.Str ("diff/" ^ scen)));
+            (J.member "scenario" wrapped = Some (J.Str name));
           check_bool "echoes verb" true
-            (J.member "verb" wrapped = Some (J.Str "modelcheck"));
+            (J.member "verb" wrapped = Some (J.Str (P.verb_string verb)));
           match J.member "result" wrapped with
           | None -> Alcotest.fail "no result member"
           | Some inner ->
-            (* field-for-field: same verdict, same credited schedule count,
-               same stats — the data form runs the identical engine *)
-            check_string
-              (Printf.sprintf "%s @ %d workers" scen workers)
+            (* field-for-field: same verdict, same counts, same stats — the
+               data form runs the identical engine *)
+            check_string label
               (J.to_string (scrub direct))
               (J.to_string (scrub inner)))
-        [ ("safe-agreement", "safe"); ("race-false", "violation") ])
+        [
+          ( P.Modelcheck,
+            [
+              ("scenario", J.Str "safe-agreement"); ("n_s", J.Int 1);
+              ("depth", J.Int 8); ("reduce", J.Bool false);
+            ],
+            "safe" );
+          ( P.Modelcheck,
+            [
+              ("scenario", J.Str "race-false"); ("n_s", J.Int 1);
+              ("depth", J.Int 8); ("reduce", J.Bool false);
+            ],
+            "violation" );
+          ( P.Solve,
+            [
+              ("task", J.Str "consensus"); ("fd", J.Str "omega");
+              ("n", J.Int 3); ("seed", J.Int 2);
+            ],
+            "solves" );
+          ( P.Fuzz,
+            [
+              ("kind", J.Str "strong-renaming"); ("n", J.Int 4);
+              ("j", J.Int 3); ("budget", J.Int 500);
+            ],
+            "violation" );
+        ])
 
 (* the distributed leg: the same data-form scenarios, resolved through the
    registry exactly as the server resolves them, fanned out over a 2-worker

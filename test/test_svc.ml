@@ -1042,6 +1042,109 @@ let test_jobs_refuse_wide_sleep_masks () =
       ("subtree", P.Subtree, J.Obj (("job", job) :: mc));
     ]
 
+(* Work params arrive in two shapes, a native verb's params and a scenario
+   file's [params]; both go through one reader, so each shape refuses what
+   the other refuses: unknown fields and out-of-range values are a
+   bad_request naming the field, never a silent default. *)
+let as_scenario verb params =
+  J.Obj
+    [
+      ("v", J.Int 1);
+      ("name", J.Str "t");
+      ("verb", J.Str (P.verb_string verb));
+      ("params", params);
+      ("expect", J.Obj [ ("outcome", J.Str "violation") ]);
+    ]
+
+let expect_bad_request ~label ~names verb params =
+  match Svc.Jobs.run verb params with
+  | Error (P.Bad_request, msg) ->
+    if not (contains msg names) then
+      Alcotest.failf "%s: %S does not name %S" label msg names
+  | Error (code, msg) ->
+    Alcotest.failf "%s: %s %s" label (P.err_code_string code) msg
+  | Ok j -> Alcotest.failf "%s: answered %s" label (J.to_string j)
+
+let test_native_params_strict () =
+  let job =
+    J.Obj
+      [
+        ("id", J.Int 0);
+        ("prefix", J.List [ J.Str "p1" ]);
+        ("sleep", J.List []);
+        ("factor", J.Int 1);
+        ("used", J.List []);
+      ]
+  in
+  List.iter
+    (fun (label, names, verb, params) ->
+      expect_bad_request ~label ~names verb (J.Obj params))
+    [
+      ("typo", "depht", P.Modelcheck, [ ("depht", J.Int 4) ]);
+      ("depth bound", "params.depth", P.Modelcheck, [ ("depth", J.Int 65) ]);
+      ("n_s bound", "params.n_s", P.Modelcheck, [ ("n_s", J.Int 65) ]);
+      ("n bound", "params.n", P.Solve, [ ("n", J.Int 2000) ]);
+      ("domains bound", "params.domains", P.Fuzz, [ ("domains", J.Int 257) ]);
+      ( "subtree typo", "depht", P.Subtree,
+        [ ("job", job); ("run", J.Str "r"); ("depht", J.Int 4) ] );
+    ];
+  (* the same job with only its own params runs *)
+  match
+    Svc.Jobs.run P.Subtree (J.Obj [ ("job", job); ("depth", J.Int 4) ])
+  with
+  | Ok j ->
+    check_bool "subtree ok" true (J.member "verdict" j = Some (J.Str "ok"))
+  | Error (code, msg) ->
+    Alcotest.failf "subtree: %s %s" (P.err_code_string code) msg
+
+(* The pooled modelcheck verb has no checkpoint params: a client that can
+   reach a worker cannot make it create directories or write journals. *)
+let test_modelcheck_refuses_checkpoint_dir () =
+  let tmp =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "wfa-jobs-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir tmp 0o700;
+  Fun.protect
+    ~finally:(fun () -> try Unix.rmdir tmp with Unix.Unix_error _ -> ())
+    (fun () ->
+      expect_bad_request ~label:"checkpoint_dir" ~names:"checkpoint_dir"
+        P.Modelcheck
+        (J.Obj
+           [
+             ("checkpoint_dir", J.Str (Filename.concat tmp "x/y"));
+             ("depth", J.Int 4);
+           ]);
+      check_bool "no directory created" false
+        (Sys.file_exists (Filename.concat tmp "x")))
+
+(* Arguments a constructor refuses before the first step are the caller's
+   fault: bad_request through the native verb and through a scenario, with
+   the constructor's own message. *)
+let test_constructor_refusals_are_bad_requests () =
+  List.iter
+    (fun (verb, params) ->
+      let label = P.verb_string verb ^ " " ^ J.to_string (J.Obj params) in
+      expect_bad_request ~label ~names:".make: " verb (J.Obj params);
+      expect_bad_request ~label:("scenario " ^ label) ~names:".make: "
+        P.Scenario
+        (as_scenario verb (J.Obj params)))
+    [
+      ( P.Solve,
+        [ ("task", J.Str "renaming"); ("j", J.Int 10); ("n", J.Int 3) ] );
+      ( P.Solve,
+        [
+          ("task", J.Str "renaming"); ("j", J.Int 3); ("n", J.Int 3);
+          ("l", J.Int 2);
+        ] );
+      (P.Solve, [ ("task", J.Str "wsb"); ("j", J.Int 10); ("n", J.Int 3) ]);
+      (P.Solve, [ ("task", J.Str "wsb"); ("j", J.Int 1); ("n", J.Int 3) ]);
+      ( P.Fuzz,
+        [ ("kind", J.Str "strong-renaming"); ("n", J.Int 3); ("j", J.Int 10) ]
+      );
+      (P.Fuzz, [ ("kind", J.Str "consensus-reduction"); ("n", J.Int 1) ]);
+    ]
+
 (* A campaign running over the wire honors per-scenario deadlines: the slow
    row comes back as a timeout (not a fail, not a dead connection), and the
    rows after it still run. *)
@@ -1154,6 +1257,12 @@ let suite =
       test_server_scenario_validation;
     Alcotest.test_case "verbs refuse sleep masks wider than an int" `Quick
       test_jobs_refuse_wide_sleep_masks;
+    Alcotest.test_case "native verbs and subtree read params like scenarios"
+      `Quick test_native_params_strict;
+    Alcotest.test_case "modelcheck refuses checkpoint params" `Quick
+      test_modelcheck_refuses_checkpoint_dir;
+    Alcotest.test_case "constructor refusals are bad requests" `Quick
+      test_constructor_refusals_are_bad_requests;
     Alcotest.test_case "campaign: per-scenario deadlines over the wire"
       `Quick test_campaign_client_deadlines;
   ]
