@@ -204,6 +204,9 @@ let solve scenario_file task_kind fd_kind policy n k j l seed budget crashes
     json =
   match scenario_file with
   | Some path -> run_scenario_file ~cmd:"solve" path
+  | None when task_kind = `Consensus && k <> 1 ->
+    Fmt.epr "wfa solve: consensus needs -k 1, got %d (use --task ksa)@." k;
+    2
   | None ->
   let task = Scenario.Build.task task_kind ~n ~k ~j ~l in
   let algo = Scenario.Build.algo task_kind task ~k in
@@ -370,6 +373,12 @@ let finish_check ~scenario ~depth ~n_s ~reduce ~json ~engine ~dist_fields
     verdict stats =
   Fmt.pr "engine: %s@." engine;
   Fmt.pr "stats:  %a@." Exhaustive.pp_stats stats;
+  let cex_field =
+    match verdict with
+    | Exhaustive.Ok _ -> []
+    | Exhaustive.Counterexample cex ->
+      [ ("cex", Exhaustive.schedule_json cex) ]
+  in
   Option.iter
     (fun path ->
       write_json path
@@ -395,7 +404,7 @@ let finish_check ~scenario ~depth ~n_s ~reduce ~json ~engine ~dist_fields
                 Obs.Json.Int stats.Exhaustive.orbits_collapsed );
               ("stats", Exhaustive.stats_json stats);
             ]
-           @ dist_fields)))
+           @ cex_field @ dist_fields)))
     json;
   match verdict with
   | Exhaustive.Ok n ->

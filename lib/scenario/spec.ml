@@ -257,6 +257,13 @@ let solve_of_json path kvs =
   let* sv_k =
     field kvs "k" ~default:1 (int_in (sub "k") ~min:1 ~max:max_procs)
   in
+  (* consensus is 1-set agreement: any other k would size the detector for
+     a task the algorithm does not solve *)
+  let* () =
+    if sv_task = `Consensus && sv_k <> 1 then
+      fail (sub "k") "consensus needs k = 1, got %d (use task \"ksa\")" sv_k
+    else Ok ()
+  in
   let* sv_j =
     field kvs "j" ~default:3 (int_in (sub "j") ~min:1 ~max:max_procs)
   in

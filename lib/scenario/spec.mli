@@ -17,7 +17,8 @@
 
     [params] by verb (defaults applied at parse; optional fields omitted on
     print when at their default):
-    - [solve]: [task], [fd], [policy], [n], [k], [j], [l]?, [crashes]?
+    - [solve]: [task], [fd], [policy], [n], [k] (1 for [consensus]), [j],
+      [l]?, [crashes]?
       ([[i, t], ...] — crash S-process [i] at time [t]), [seed], [budget]
     - [modelcheck]: [scenario], [n_s], [depth], [reduce]
     - [fuzz]: [kind], [n], [j], [seed], [budget], [domains]

@@ -195,7 +195,15 @@ exception Cancelled
      context peeks every pid after every step and replay — digests compared
      within one search's memo are taken at uniform peek points. The trivial
      context never peeks, so an unreduced search sees the digests of plain
-     execution. *)
+     execution.
+
+   - Probes: a null move changes only the clock, its process's sched
+     counter, the step total and the trace, so the state a probe reads on
+     the parent's runtime is the child's state, digest included. A reducing
+     context peeked every pid at the parent and a null move starts no code,
+     so the peek after a real step would change nothing there. A probed
+     child's property and digest are therefore what its turn would read;
+     only the reading is early, while the memo lookup stays at its turn. *)
 
 type reduction = { sleep : bool; symmetry : Pid.t list list }
 
@@ -344,19 +352,27 @@ let create_table () = new_table ~sleep:true
 (* The incremental engine: the one traversal behind [run], [split] and
    [run_subtree].
 
-   One live runtime is kept per DFS path: descending into the first child of
-   a node is a single [Runtime.step]; only when the DFS moves to a sibling is
-   the runtime rebuilt and the prefix replayed (runtimes hold effect
-   continuations, so they cannot be cloned — replay-on-backtrack keeps the
-   enumeration exact while the descent itself costs amortized O(1) steps per
-   node, against O(depth) for replay-from-scratch at every node).
+   One live runtime is kept per DFS path: descending into a node's child is
+   a single [Runtime.step]. Before its children are walked, every child
+   whose move is null (a decided or finished process, a crashed S-process)
+   is probed on the node's runtime: the move is taken, the child's property
+   and digest are read, and the move is taken back
+   ([Runtime.with_null_step]). A probed child is then credited without a
+   runtime when it is a leaf, a memo hit at its turn, a frontier job or a
+   prefix violation. A child that must be expanded takes the node's runtime
+   if no earlier child has, and otherwise the runtime is rebuilt and the
+   prefix replayed (runtimes hold effect continuations, so they cannot be
+   cloned — replay keeps the enumeration exact while the descent itself
+   costs amortized O(1) steps per node, against O(depth) for
+   replay-from-scratch at every node).
 
    On top, a state-fingerprint memo ({!Runtime.digest}, [table]; [None]
    turns it off) collapses converging interleavings: when a node's state has
    been seen before at the same clock, its whole subtree is skipped and the
    recorded number of complete schedules below it is credited, so reported
    schedule counts stay exact. Only fully-verified (counterexample-free)
-   subtrees are memoized.
+   subtrees are memoized. A probed child is looked up at its own turn, not
+   when probed, so the memo fills and hits exactly as without probing.
 
    [dfs] expands the subtree [root] names: its prefix is replayed without
    property checks (the caller has verified it), then the subtree is
@@ -368,6 +384,7 @@ let create_table () = new_table ~sleep:true
    order, complete schedules credited into [acc]. *)
 let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let every = mode = Every in
+  let memo = Option.is_some table in
   let n = Array.length rctx.r_pids in
   let depth = Array.length rctx.r_pow - 1 in
   let all = List.init n Fun.id in
@@ -410,23 +427,31 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
     peek_all rt;
     rt
   in
+  (* What the search reads of the state a node [d] steps above full depth
+     holds: [ok] is the property where the mode checks it there (every
+     child in [Every] mode, leaves in [Final] mode; [true] elsewhere), and
+     [key] the digest the memo looks the node up by ([""] with the memo off
+     and at leaves). *)
+  let read rt d =
+    let ok = if every || d = 0 then prop rt else true in
+    let key = if ok && memo && d > 0 then Runtime.digest rt else "" in
+    (ok, key)
+  in
   let pids_of prefix_rev = List.rev_map (fun i -> rctx.r_pids.(i)) prefix_rev in
   let n_jobs = ref 0 in
-  (* The node [rt] holds, [d] steps above full depth, entered under sleep
-     mask [z]: credited from the memo when its state was explored before
-     under a sleep mask no larger than [z], else expanded and, once
-     verified, stored. *)
-  let rec visit rt prefix_rev d ~z ~factor =
-    let key, stored =
+  (* The node [d] steps above full depth, entered under sleep mask [z], read
+     as [ok] and [key]; [get ()] gives a runtime at it. Credited from the
+     memo when its state was explored before under a sleep mask no larger
+     than [z], else expanded and, once verified, stored. *)
+  let rec visit get ~ok ~key prefix_rev d ~z ~factor =
+    let stored =
       match table with
-      | Some t when d > 0 ->
-        let k = Runtime.digest rt in
-        (Some (t, k), Hashtbl.find_opt t.counts k)
-      | _ -> (None, None)
+      | Some t when d > 0 -> Hashtbl.find_opt t.counts key
+      | _ -> None
     in
     let zs =
-      match (key, stored) with
-      | Some (t, k), Some _ when rctx.r_sleep -> Hashtbl.find t.masks k
+      match (table, stored) with
+      | Some t, Some _ when rctx.r_sleep -> Hashtbl.find t.masks key
       | _ -> 0
     in
     match stored with
@@ -439,16 +464,16 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
          skip: (re-)explore under the intersection and tighten the entry. *)
       let z_explore = match stored with None -> z | Some _ -> zs land z in
       let count0 = acc.a_count in
-      match expand rt prefix_rev d ~z:z_explore ~factor with
+      match expand get ~ok prefix_rev d ~z:z_explore ~factor with
       | Some cex -> Some cex
       | None ->
-        (match key with
-        | Some (t, k) ->
-          Hashtbl.replace t.counts k ((acc.a_count - count0) / factor);
-          if rctx.r_sleep then Hashtbl.replace t.masks k z_explore
-        | None -> ());
+        (match table with
+        | Some t when d > 0 ->
+          Hashtbl.replace t.counts key ((acc.a_count - count0) / factor);
+          if rctx.r_sleep then Hashtbl.replace t.masks key z_explore
+        | _ -> ());
         None)
-  and expand rt prefix_rev d ~z ~factor =
+  and expand get ~ok prefix_rev d ~z ~factor =
     if depth - d = frontier then begin
       emit
         {
@@ -467,49 +492,79 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
     end
     else if d = 0 then begin
       acc.a_count <- acc.a_count + factor;
-      if (not every) && prefix_rev <> [] && not (prop rt) then
-        Some (pids_of prefix_rev)
-      else None
+      if ok then None else Some (pids_of prefix_rev)
     end
     else begin
+      let rt = get () in
       (* Footprints of everyone's next step at this node: stable below it,
          valid after replays (which reconstruct this very state). *)
       let fp =
         if rctx.r_sleep then Array.map (Runtime.footprint rt) rctx.r_pids
         else [||]
       in
-      let rec kids live before = function
+      (* the orbit multiplier; 0 marks a non-canonical class member *)
+      let mult i =
+        let c = rctx.r_cls.(i) in
+        if c < 0 then 1
+        else
+          let j = rctx.r_pos.(i) and u = used.(c) in
+          if j < u then 1 else if j = u then rctx.r_size.(c) - u else 0
+      in
+      let asleep i = rctx.r_sleep && z land (1 lsl i) <> 0 in
+      (* Probe the children whose null move [rt] can take back while it
+         still sits here; the walk below credits them at their turn. *)
+      let probes =
+        Array.init n (fun i ->
+            if mult i = 0 || asleep i then None
+            else
+              Runtime.with_null_step rt rctx.r_pids.(i) (fun () ->
+                  acc.a_steps <- acc.a_steps + 1;
+                  read rt (d - 1)))
+      in
+      (* [rt] stays at this node until a child that must be expanded takes
+         it; a later such child replays the prefix. *)
+      let live = ref true in
+      let take i =
+        let rt =
+          if !live then begin
+            live := false;
+            rt
+          end
+          else replay prefix_rev
+        in
+        step rt i;
+        rt
+      in
+      let rec kids before = function
         | [] -> None
         | i :: rest ->
           if cancelled () then raise Cancelled;
-          let c = rctx.r_cls.(i) in
-          (* the orbit multiplier; 0 marks a non-canonical class member *)
-          let mult =
-            if c < 0 then 1
-            else
-              let j = rctx.r_pos.(i) and u = used.(c) in
-              if j < u then 1 else if j = u then rctx.r_size.(c) - u else 0
-          in
+          let mult = mult i in
           if mult = 0 then begin
             (* Non-canonical fresh class member: its subtree is a renaming
                of the canonical representative's, already counted in that
                child's multiplier. *)
             acc.a_orbits <- acc.a_orbits + 1;
-            kids live before rest
+            kids before rest
           end
-          else if rctx.r_sleep && z land (1 lsl i) <> 0 then begin
+          else if asleep i then begin
             (* Sleep-pruned: every continuation is trace-equivalent to a
                lex-smaller explored schedule; credit the whole subtree. *)
             acc.a_sleep <- acc.a_sleep + 1;
             acc.a_count <- acc.a_count + (factor * mult * rctx.r_pow.(d - 1));
-            kids live before rest
+            kids before rest
           end
           else begin
-            let rt = if live then rt else replay prefix_rev in
-            step rt i;
+            let get', (ok', key') =
+              match probes.(i) with
+              | Some seen -> ((fun () -> take i), seen)
+              | None ->
+                let crt = take i in
+                ((fun () -> crt), read crt (d - 1))
+            in
             acc.a_nodes <- acc.a_nodes + 1;
             let prefix_rev' = i :: prefix_rev in
-            if every && not (prop rt) then Some (pids_of prefix_rev')
+            if every && not ok' then Some (pids_of prefix_rev')
             else begin
               let z' =
                 if not rctx.r_sleep then 0
@@ -524,19 +579,21 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
                   !m
                 end
               in
+              let c = rctx.r_cls.(i) in
               let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
               if fresh_member then used.(c) <- used.(c) + 1;
               let sub =
-                visit rt prefix_rev' (d - 1) ~z:z' ~factor:(factor * mult)
+                visit get' ~ok:ok' ~key:key' prefix_rev' (d - 1) ~z:z'
+                  ~factor:(factor * mult)
               in
               if fresh_member then used.(c) <- used.(c) - 1;
               match sub with
               | Some cex -> Some cex
-              | None -> kids false (before lor (1 lsl i)) rest
+              | None -> kids (before lor (1 lsl i)) rest
             end
           end
       in
-      kids true 0 all
+      kids 0 all
     end
   in
   Fun.protect ~finally:destroy_cur (fun () ->
@@ -546,8 +603,11 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
       List.iter (step rt) pfx;
       let z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 root.sj_sleep in
       let d = depth - List.length pfx in
-      if pfx = [] then expand rt [] d ~z ~factor:root.sj_factor
-      else visit rt (List.rev pfx) d ~z ~factor:root.sj_factor)
+      let get () = rt in
+      if pfx = [] then expand get ~ok:true [] d ~z ~factor:root.sj_factor
+      else
+        let key = if memo then Runtime.digest rt else "" in
+        visit get ~ok:true ~key (List.rev pfx) d ~z ~factor:root.sj_factor)
 
 let never_cancel () = false
 

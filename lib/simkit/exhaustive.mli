@@ -10,9 +10,13 @@
     One incremental DFS does all the searching: {!run} runs it from the
     root, {!split} runs it to a shallow frontier and emits the nodes there
     as jobs, and {!run_subtree} runs it below one such job. One live
-    runtime is kept per DFS path, so descending costs one step per node;
-    the runtime is rebuilt and the prefix replayed only when the search
-    moves to a sibling branch (effect continuations cannot be cloned). A
+    runtime is kept per DFS path, so descending costs one step per node. A
+    child whose move is null (its process has decided, finished or
+    crashed) is read on its parent's runtime and the move taken back
+    ({!Runtime.with_null_step}), so a leaf, a memo hit, a frontier job or a
+    violation there needs no runtime of its own. The runtime is rebuilt and
+    the prefix replayed only when a child that must be expanded finds the
+    live runtime moved on (effect continuations cannot be cloned). A
     state-fingerprint memo ({!Runtime.digest}) prunes converging
     interleavings while keeping the reported schedule count exact, and
     optional reduction layers prune further on the same terms. {!stats}
@@ -33,7 +37,10 @@
     - [build] must be deterministic and return independent runtimes;
     - with the memo enabled, [prop] must be a function of the reached state
       as captured by {!Runtime.digest} (memory, statuses, decisions, per
-      process observations) — not of absolute event times or the trace. *)
+      process observations) — not of absolute event times or the trace;
+    - [prop] may be evaluated on a child before that child's turn in DFS
+      order (on its parent's runtime, with the child's null move taken and
+      then taken back), so it must have no side effects that matter. *)
 
 type verdict =
   | Ok of int  (** number of complete schedules accounted for *)
@@ -45,8 +52,12 @@ type mode =
 
 type stats = {
   nodes : int;  (** DFS nodes visited (memo-skipped subtrees excluded) *)
-  steps_executed : int;  (** total {!Runtime.step} calls, replays included *)
-  replays : int;  (** rebuild-and-replay events (backtracks / baseline runs) *)
+  steps_executed : int;
+      (** total {!Runtime.step} calls: replays and the null moves taken and
+          taken back to read a child on its parent's runtime included *)
+  replays : int;
+      (** rebuild-and-replay events (a child to expand whose parent's
+          runtime has moved on / baseline runs) *)
   runtimes_built : int;  (** calls to [build] *)
   memo_hits : int;  (** subtrees skipped via the state-fingerprint memo *)
   sleep_pruned : int;

@@ -305,6 +305,40 @@ let step t pid =
   end;
   t.now <- t.now + 1
 
+(* A null step changes only the clock, the process's sched counter,
+   [steps_total] and the trace, so restoring those four takes it back
+   exactly. Refused where that does not hold: a Fresh process's step starts
+   its code, a live process's parked operation executes, and an obs hook
+   has already been told. *)
+let with_null_step t pid f =
+  let p = proc t pid in
+  let null =
+    match (p.status, pid) with
+    | Fresh, _ -> false
+    | Done, _ -> true
+    | Runnable, Pid.S i -> Failure.crashed t.cfg.pattern ~time:t.now i
+    | Runnable, Pid.C _ -> false
+  in
+  if (not null) || Option.is_some t.obs then None
+  else begin
+    let now = t.now and total = t.steps_total and scheds = p.scheds in
+    let len = Trace.length t.tr in
+    let undo () =
+      t.now <- now;
+      t.steps_total <- total;
+      p.scheds <- scheds;
+      Trace.truncate t.tr len
+    in
+    step t pid;
+    match f () with
+    | v ->
+      undo ();
+      Some v
+    | exception e ->
+      undo ();
+      raise e
+  end
+
 let destroy t =
   let kill p =
     match p.pending with

@@ -108,6 +108,19 @@ val step : t -> Pid.t -> unit
 (** Execute one step of the given process (null if crashed / done) and
     advance time. *)
 
+val with_null_step : t -> Pid.t -> (unit -> 'a) -> 'a option
+(** [with_null_step t pid f] takes [pid]'s next step, runs [f] on the state
+    it reaches, then takes the step back: [Some (f ())]. It applies only
+    when that step executes nothing — [pid] is [Done], or is an S-process
+    crashed by [time t] — so the step changes only {!time}, [pid]'s
+    {!sched_count}, {!steps_total} and the trace, and those four are
+    restored even if [f] raises. Inside [f] the runtime is exactly the one
+    [step t pid] reaches ({!digest} included). Returns [None] and leaves
+    [t] untouched for a [Fresh] process (starting its code cannot be
+    undone), for a live process with a parked operation (the step would
+    execute it), and on a runtime created with [?obs] (the hook would
+    already have been told). [f] must leave [t] as it found it. *)
+
 (** {1 Step footprints}
 
     The shared-state face of a process's {e next} step, knowable without

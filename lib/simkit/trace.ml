@@ -46,6 +46,11 @@ let fold t ~init f =
 let entries t = List.init t.len (fun i -> t.buf.(i))
 let length t = t.len
 
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Trace.truncate";
+  Array.fill t.buf n (t.len - n) dummy;
+  t.len <- n
+
 let steps_of t pid =
   List.rev
     (fold t ~init:[] (fun acc e -> if Pid.equal e.pid pid then e :: acc else acc))

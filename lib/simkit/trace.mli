@@ -20,6 +20,10 @@ val entries : t -> entry list
 
 val length : t -> int
 
+val truncate : t -> int -> unit
+(** [truncate t n] drops every entry past the first [n]. Raises
+    [Invalid_argument] unless [0 <= n <= length t]. *)
+
 val get : t -> int -> entry
 (** [get t i] is the [i]-th entry in chronological order, O(1). *)
 

@@ -80,8 +80,12 @@ let scenario_of (m : Spec.modelcheck) =
 
 let verdict_fields = function
   | Exhaustive.Ok n -> [ ("verdict", J.Str "ok"); ("schedules", J.Int n) ]
-  | Exhaustive.Counterexample _ ->
-    [ ("verdict", J.Str "counterexample"); ("schedules", J.Null) ]
+  | Exhaustive.Counterexample cex ->
+    [
+      ("verdict", J.Str "counterexample");
+      ("schedules", J.Null);
+      ("cex", Exhaustive.schedule_json cex);
+    ]
 
 let modelcheck ~cancel (m : Spec.modelcheck) =
   let sc = scenario_of m in
@@ -166,10 +170,6 @@ let subtree ~cancel params =
   in
   J.Obj
     ((("id", J.Int sj.Exhaustive.sj_id) :: verdict_fields verdict)
-    @ (match verdict with
-      | Exhaustive.Ok _ -> []
-      | Exhaustive.Counterexample cex ->
-        [ ("cex", Exhaustive.schedule_json cex) ])
     @ [ ("stats", Exhaustive.stats_json stats) ])
 
 let fuzz ~cancel (f : Spec.fuzz) =

@@ -34,18 +34,20 @@ val run :
       cancellable at every scheduling step.
     - [modelcheck]: one exhaustive check of a {!Mcheck.Scenario}; result
       [{ "scenario", "depth", "n_s", "reduce", "verdict": "ok" |
-      "counterexample", "schedules", "stats" }]. Cancellable between
-      schedules.
+      "counterexample", "schedules", "cex"?, "stats" }]; [cex], present
+      with a counterexample, is its schedule
+      ({!Simkit.Exhaustive.schedule_json}). Cancellable between schedules.
     - [fuzz]: adversary fuzzing; result
       [{ "found": bool, "fuzz": ..., "witness": ... }]. Cancellable
       between trials.
     - [subtree]: [modelcheck] params plus [job] (one
       {!Simkit.Exhaustive.subtree}) and an optional [run] string — one
       frontier job of a distributed check; result [{ "id", "verdict",
-      "schedules" | "cex", "stats" }]. Jobs that carry the same [run] id,
-      scenario, [n_s], [depth] and [reduce] share one memo table per pool
-      domain (the table of the last such key the domain served); without
-      [run] a job gets a private memo. Cancellable between schedules.
+      "schedules", "cex"?, "stats" }] as for [modelcheck]. Jobs that carry
+      the same [run] id, scenario, [n_s], [depth] and [reduce] share one
+      memo table per pool domain (the table of the last such key the
+      domain served); without [run] a job gets a private memo.
+      Cancellable between schedules.
     - [scenario]: params are one {!Scenario.Spec} object, validated
       server-side (errors carry the JSON path; unknown names list the
       valid ones); result

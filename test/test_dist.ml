@@ -216,10 +216,10 @@ let test_shared_table_effort () =
   let _, private_, _ = dist_run ~build ~pids ~depth ~split_depth ~prop () in
   check_string "verdict" "Ok 65536" (verdict_str v);
   Alcotest.(check int) "monolithic nodes" 2280 mono.Exhaustive.nodes;
-  Alcotest.(check int) "monolithic steps" 12420 mono.Exhaustive.steps_executed;
+  Alcotest.(check int) "monolithic steps" 10005 mono.Exhaustive.steps_executed;
   Alcotest.(check int) "shared-table nodes" 2304 shared.Exhaustive.nodes;
   Alcotest.(check int)
-    "shared-table steps" 12672 shared.Exhaustive.steps_executed;
+    "shared-table steps" 10224 shared.Exhaustive.steps_executed;
   Alcotest.(check int) "private-memo nodes" 21668 private_.Exhaustive.nodes;
   check_bool "shared within 1.05x of monolithic nodes" true
     (float_of_int shared.Exhaustive.nodes
@@ -263,34 +263,40 @@ let test_partition_pruning_counters_exact () =
 
 (* --- lex-least counterexample selection is partition-order-invariant --- *)
 
+(* In both modes: in [Final] the splitter credits the frontier children
+   whose move is null without giving them a runtime, and reads nothing
+   there. *)
 let test_counterexample_partition_invariant () =
   let build = Test_exhaustive.race_build ~n_c:2 ~n_s:1 in
   let pids = Pid.all ~n_c:2 ~n_s:1 in
   let depth = 6 in
   let prop = Test_exhaustive.race_prop_false in
   List.iter
-    (fun (label, reduce) ->
-      let expected, _ = Exhaustive.run ?reduce ~build ~pids ~depth ~prop () in
+    (fun (mlabel, mode) ->
+      let expected, _ =
+        Exhaustive.run_replay ~mode ~build ~pids ~depth ~prop ()
+      in
       (match expected with
       | Exhaustive.Counterexample _ -> ()
       | Exhaustive.Ok _ -> Alcotest.fail "expected a counterexample");
       List.iter
-        (fun split_depth ->
+        (fun (label, reduce) ->
           List.iter
-            (fun (olabel, order) ->
-              let v, _, _ =
-                dist_run ?reduce ~order ~build ~pids ~depth ~split_depth ~prop
-                  ()
-              in
-              check_string
-                (Fmt.str "%s sd=%d order=%s" label split_depth olabel)
-                (verdict_str expected) (verdict_str v))
-            [ ("dfs", Fun.id); ("rev", List.rev); ("shuffle", shuffle 7) ])
-        [ 1; 2; 3; 4 ])
-    [
-      ("plain", None);
-      ("reduced", Some (sa_reduce ~n_s:1));
-    ]
+            (fun split_depth ->
+              List.iter
+                (fun (olabel, order) ->
+                  let v, _, _ =
+                    dist_run ?reduce ~mode ~order ~build ~pids ~depth
+                      ~split_depth ~prop ()
+                  in
+                  check_string
+                    (Fmt.str "%s %s sd=%d order=%s" label mlabel split_depth
+                       olabel)
+                    (verdict_str expected) (verdict_str v))
+                [ ("dfs", Fun.id); ("rev", List.rev); ("shuffle", shuffle 7) ])
+            [ 1; 2; 3; 4 ])
+        [ ("plain", None); ("reduced", Some (sa_reduce ~n_s:1)) ])
+    [ ("every", Exhaustive.Every); ("final", Exhaustive.Final) ]
 
 (* a violation shallower than the frontier stops the split itself *)
 let test_prefix_violation_stops_split () =

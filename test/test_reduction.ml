@@ -80,50 +80,48 @@ let test_differential_commit_adopt () =
     ~depth:7 ~mode:Exhaustive.Final ~prop
     ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
 
+let trivial_nsa_build ?obs ~pattern () =
+  let mem = Memory.create () in
+  let input_regs = Memory.alloc mem 2 in
+  let ctx = { Efd.Algorithm.mem; n_c = 2; n_s = 2; input_regs } in
+  let inst = (Efd.Trivial_nsa.make ()).Efd.Algorithm.make ctx in
+  let c_code i () =
+    Runtime.Op.write input_regs.(i) (Value.int (1 + i));
+    inst.Efd.Algorithm.c_run i (Value.int (1 + i))
+  in
+  let s_code i () = inst.Efd.Algorithm.s_run i in
+  Runtime.create ?obs
+    {
+      Runtime.n_c = 2;
+      n_s = 2;
+      memory = mem;
+      pattern;
+      history = History.trivial;
+      record_trace = false;
+    }
+    ~c_code ~s_code
+
+let trivial_nsa_prop rt =
+  List.for_all
+    (fun i ->
+      match Runtime.decision rt i with
+      | None -> true
+      | Some v -> Value.to_int v = 1 || Value.to_int v = 2)
+    [ 0; 1 ]
+
 let test_differential_trivial_nsa () =
-  let build () =
-    let mem = Memory.create () in
-    let input_regs = Memory.alloc mem 2 in
-    let ctx = { Efd.Algorithm.mem; n_c = 2; n_s = 2; input_regs } in
-    let inst = (Efd.Trivial_nsa.make ()).Efd.Algorithm.make ctx in
-    let c_code i () =
-      Runtime.Op.write input_regs.(i) (Value.int (1 + i));
-      inst.Efd.Algorithm.c_run i (Value.int (1 + i))
-    in
-    let s_code i () = inst.Efd.Algorithm.s_run i in
-    Runtime.create
-      {
-        Runtime.n_c = 2;
-        n_s = 2;
-        memory = mem;
-        pattern = Failure.failure_free 2;
-        history = History.trivial;
-        record_trace = false;
-      }
-      ~c_code ~s_code
-  in
-  let prop rt =
-    List.for_all
-      (fun i ->
-        match Runtime.decision rt i with
-        | None -> true
-        | Some v -> Value.to_int v = 1 || Value.to_int v = 2)
-      [ 0; 1 ]
-  in
-  assert_engines_agree ~label:"trivial-nsa" ~build
-    ~pids:(Pid.all ~n_c:2 ~n_s:2) ~depth:6 ~mode:Exhaustive.Every ~prop
+  assert_engines_agree ~label:"trivial-nsa"
+    ~build:(trivial_nsa_build ~pattern:(Failure.failure_free 2))
+    ~pids:(Pid.all ~n_c:2 ~n_s:2) ~depth:6 ~mode:Exhaustive.Every
+    ~prop:trivial_nsa_prop
     ~reduce:{ Exhaustive.sleep = true; symmetry = s_class 2 }
 
-let test_differential_ct_consensus () =
-  (* FD queries and S-code that distinguishes indices: no symmetry class
-     applies and queries are never commuted ([F_timedep]) — the battery
-     checks sleep pruning stays sound in the presence of advice. *)
-  let pattern = Failure.failure_free 2 in
+let ct_consensus_build ?obs ~pattern () =
   let history =
     Fdlib.Fd.draw (Fdlib.Classic.eventually_strong ~max_stab:4 ()) pattern
       ~seed:1
   in
-  let build () =
+  fun () ->
     let mem = Memory.create () in
     let input_regs = Memory.alloc mem 2 in
     let ctx = { Efd.Algorithm.mem; n_c = 2; n_s = 2; input_regs } in
@@ -133,7 +131,7 @@ let test_differential_ct_consensus () =
       inst.Efd.Algorithm.c_run i (Value.int (10 + i))
     in
     let s_code i () = inst.Efd.Algorithm.s_run i in
-    Runtime.create
+    Runtime.create ?obs
       {
         Runtime.n_c = 2;
         n_s = 2;
@@ -143,15 +141,80 @@ let test_differential_ct_consensus () =
         record_trace = false;
       }
       ~c_code ~s_code
-  in
-  let prop rt =
-    match (Runtime.decision rt 0, Runtime.decision rt 1) with
-    | Some a, Some b -> Value.equal a b
-    | _ -> true
-  in
-  assert_engines_agree ~label:"ct-consensus" ~build
-    ~pids:(Pid.all ~n_c:2 ~n_s:2) ~depth:5 ~mode:Exhaustive.Every ~prop
+
+let agreement_prop rt =
+  match (Runtime.decision rt 0, Runtime.decision rt 1) with
+  | Some a, Some b -> Value.equal a b
+  | _ -> true
+
+let test_differential_ct_consensus () =
+  (* FD queries and S-code that distinguishes indices: no symmetry class
+     applies and queries are never commuted ([F_timedep]) — the battery
+     checks sleep pruning stays sound in the presence of advice. *)
+  assert_engines_agree ~label:"ct-consensus"
+    ~build:(ct_consensus_build ~pattern:(Failure.failure_free 2) ())
+    ~pids:(Pid.all ~n_c:2 ~n_s:2) ~depth:5 ~mode:Exhaustive.Every
+    ~prop:agreement_prop
     ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
+
+(* q2 crashes at time 2, inside the depth: from there on each of its moves
+   is null, taken on the node's runtime and taken back by the engines, with
+   its operation parked when it had started and refused while it is Fresh.
+   The crash breaks the S-processes' symmetry, so only sleep sets reduce.
+
+   A runtime built with an obs hook refuses every null move, so the same
+   search on hooked runtimes is the search without probes. Probing may move
+   steps, replays and builds only: verdicts, nodes, memo hits, sleep-pruned
+   and orbits must match it exactly, which a probe that left the live
+   runtime changed would break. *)
+let test_differential_crash () =
+  let pattern = Failure.pattern ~n_s:2 [ (1, 2) ] in
+  let pids = Pid.all ~n_c:2 ~n_s:2 in
+  let reduce = { Exhaustive.sleep = true; symmetry = [] } in
+  let hook =
+    {
+      Runtime.on_sched = (fun _ ~time:_ -> ());
+      on_event = (fun _ ~time:_ _ -> ());
+    }
+  in
+  let effort (v, st) =
+    Fmt.str "%s nodes %d hits %d sleep %d orbits %d" (verdict_str v)
+      st.Exhaustive.nodes st.Exhaustive.memo_hits st.Exhaustive.sleep_pruned
+      st.Exhaustive.orbits_collapsed
+  in
+  List.iter
+    (fun (label, build, depth, prop) ->
+      List.iter
+        (fun mode ->
+          assert_engines_agree ~label ~build:(build None) ~pids ~depth ~mode
+            ~prop ~reduce;
+          List.iter
+            (fun (variant, reduce) ->
+              let run obs =
+                Exhaustive.run ?reduce ~mode ~build:(build obs) ~pids ~depth
+                  ~prop ()
+              in
+              let probed = run None and unprobed = run (Some hook) in
+              Alcotest.(check string)
+                (label ^ " " ^ variant ^ ": same search without probes")
+                (effort unprobed) (effort probed);
+              check_bool
+                (label ^ " " ^ variant ^ ": probes save replays")
+                true
+                ((snd probed).Exhaustive.replays
+                < (snd unprobed).Exhaustive.replays))
+            [ ("memo", None); ("reduced", Some reduce) ])
+        [ Exhaustive.Every; Exhaustive.Final ])
+    [
+      ( "trivial-nsa, q2 crashes",
+        (fun obs -> trivial_nsa_build ?obs ~pattern),
+        6,
+        trivial_nsa_prop );
+      ( "ct-consensus, q2 crashes",
+        (fun obs -> ct_consensus_build ?obs ~pattern ()),
+        5,
+        agreement_prop );
+    ]
 
 let test_differential_violation () =
   (* Seeded violation: the race config under the deliberately false claim.
@@ -370,6 +433,8 @@ let suite =
       test_differential_trivial_nsa;
     Alcotest.test_case "differential: CT consensus (FD advice)" `Quick
       test_differential_ct_consensus;
+    Alcotest.test_case "differential: a crash inside the depth" `Quick
+      test_differential_crash;
     Alcotest.test_case "differential: seeded violation, same cex" `Quick
       test_differential_violation;
     QCheck_alcotest.to_alcotest prop_independent_swap;

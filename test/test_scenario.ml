@@ -200,7 +200,8 @@ let solve_gen =
     [ Scenario.Build.Fair; Scenario.Build.Kconc 2; Scenario.Build.Uniform 3 ]
   >>= fun sv_policy ->
   int_range 1 16 >>= fun sv_n ->
-  int_range 1 4 >>= fun sv_k ->
+  (* consensus is 1-set agreement: Spec refuses any other k for it *)
+  (if sv_task = `Consensus then return 1 else int_range 1 4) >>= fun sv_k ->
   int_range 1 8 >>= fun sv_j ->
   opt (int_range 1 32) >>= fun sv_l ->
   list_size (int_range 0 3)

@@ -349,6 +349,90 @@ let test_trace_recording () =
   | _ -> Alcotest.fail "unexpected event sequence");
   Runtime.destroy rt
 
+(* --- Null moves taken back --- *)
+
+(* p1 writes and decides; q1 writes once, then crashes at time 3 with its
+   next write parked; p2 is peeked onto a parked write; q2 is Fresh. *)
+let null_move_runtime ?obs () =
+  let mem = Memory.create () in
+  let r = Memory.alloc1 mem () in
+  let c_code i () =
+    Runtime.Op.write r (Value.int i);
+    Runtime.Op.decide (Value.int i)
+  in
+  let s_code _ () =
+    let rec loop n =
+      Runtime.Op.write r (Value.int (100 + n));
+      loop (n + 1)
+    in
+    loop 0
+  in
+  let pattern = Failure.pattern ~n_s:2 [ (0, 3) ] in
+  let rt =
+    Runtime.create ?obs (mk_config ~pattern ~trace:true mem) ~c_code ~s_code
+  in
+  List.iter (Runtime.step rt) [ Pid.c 0; Pid.c 0; Pid.s 0 ];
+  Runtime.peek rt (Pid.c 1);
+  rt
+
+let observe rt pid =
+  ( Runtime.digest rt,
+    Runtime.time rt,
+    Runtime.sched_count rt pid,
+    Runtime.steps_total rt,
+    Trace.length (Runtime.trace rt) )
+
+let test_null_move_taken_back () =
+  List.iter
+    (fun pid ->
+      let name = Pid.to_string pid in
+      let rt = null_move_runtime () in
+      let before = observe rt pid in
+      (* the state inside is exactly the one a real step reaches *)
+      let twin = null_move_runtime () in
+      Runtime.step twin pid;
+      (match Runtime.with_null_step rt pid (fun () -> observe rt pid) with
+      | Some inside ->
+        check_bool (name ^ ": inside is the stepped state") true
+          (inside = observe twin pid)
+      | None -> Alcotest.failf "%s: null move refused" name);
+      check_bool (name ^ ": taken back") true (observe rt pid = before);
+      (* and taken back when the body raises *)
+      (match Runtime.with_null_step rt pid (fun () -> raise Exit) with
+      | exception Exit -> ()
+      | _ -> Alcotest.failf "%s: exception swallowed" name);
+      check_bool (name ^ ": taken back after a raise") true
+        (observe rt pid = before);
+      Runtime.destroy rt;
+      Runtime.destroy twin)
+    [ Pid.c 0 (* decided *); Pid.s 0 (* crashed, write parked *) ]
+
+let test_null_move_refused () =
+  let refused rt pid label =
+    let before = observe rt pid in
+    check_bool (label ^ ": refused") true
+      (Runtime.with_null_step rt pid (fun () -> ()) = None);
+    check_bool (label ^ ": untouched") true (observe rt pid = before)
+  in
+  let rt = null_move_runtime () in
+  refused rt (Pid.s 1) "Fresh q2";
+  check_bool "q2 still Fresh" true
+    (Runtime.status rt (Pid.s 1) = Runtime.Fresh);
+  refused rt (Pid.c 1) "p2 with a parked write";
+  Runtime.destroy rt;
+  let told = ref 0 in
+  let obs =
+    {
+      Runtime.on_sched = (fun _ ~time:_ -> incr told);
+      on_event = (fun _ ~time:_ _ -> incr told);
+    }
+  in
+  let rt = null_move_runtime ~obs () in
+  let told_before = !told in
+  refused rt (Pid.c 0) "decided p1 under an obs hook";
+  check_int "hook not told" told_before !told;
+  Runtime.destroy rt
+
 (* --- Schedule --- *)
 
 let counter_codes mem n =
@@ -747,6 +831,8 @@ let suite =
       test_participating_requires_op;
     Alcotest.test_case "state digest convergence" `Quick test_digest_convergence;
     Alcotest.test_case "trace recording" `Quick test_trace_recording;
+    Alcotest.test_case "null move taken back" `Quick test_null_move_taken_back;
+    Alcotest.test_case "null move refused" `Quick test_null_move_refused;
     Alcotest.test_case "round robin fair" `Quick test_round_robin_fair;
     Alcotest.test_case "shuffled rounds fair" `Quick test_shuffled_rounds_fair;
     Alcotest.test_case "explicit schedule stops" `Quick test_explicit_schedule_stops;

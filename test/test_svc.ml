@@ -1145,6 +1145,88 @@ let test_constructor_refusals_are_bad_requests () =
       (P.Fuzz, [ ("kind", J.Str "consensus-reduction"); ("n", J.Int 1) ]);
     ]
 
+(* Consensus is 1-set agreement: a solve asking for it with any other k is
+   a bad_request naming params.k, through the native verb and a scenario,
+   whatever the detector, instead of an internal error (vector) or a
+   silent 1-set agreement run (omega). k = 1 still solves. *)
+let test_consensus_refuses_k () =
+  List.iter
+    (fun params ->
+      let label = "solve " ^ J.to_string (J.Obj params) in
+      expect_bad_request ~label ~names:"params.k" P.Solve (J.Obj params);
+      expect_bad_request ~label:("scenario " ^ label) ~names:"params.k"
+        P.Scenario
+        (as_scenario P.Solve (J.Obj params)))
+    [
+      [ ("k", J.Int 5) ];
+      [ ("task", J.Str "consensus"); ("k", J.Int 2); ("fd", J.Str "vector") ];
+      [ ("task", J.Str "consensus"); ("k", J.Int 2); ("fd", J.Str "omega") ];
+    ];
+  match
+    Svc.Jobs.run P.Solve
+      (J.Obj
+         [ ("task", J.Str "consensus"); ("k", J.Int 1); ("fd", J.Str "omega") ])
+  with
+  | Ok j ->
+    check_bool "k = 1 solves" true (J.member "ok" j = Some (J.Bool true))
+  | Error (code, msg) ->
+    Alcotest.failf "k = 1: %s %s" (P.err_code_string code) msg
+
+(* A model check that finds a violation answers with its schedule, through
+   the native verb and a scenario: race-false's [cex] is the engine's
+   lex-least counterexample, and replaying it violates the property. *)
+let test_modelcheck_carries_cex () =
+  let depth = 6 and n_s = 2 in
+  let sc = Result.get_ok (Mcheck.Scenario.find "race-false" ~n_s) in
+  let build = sc.Mcheck.Scenario.sc_build
+  and prop = sc.Mcheck.Scenario.sc_prop in
+  let expected =
+    match
+      Simkit.Exhaustive.run ~build ~pids:sc.Mcheck.Scenario.sc_pids ~depth
+        ~prop ()
+    with
+    | Simkit.Exhaustive.Counterexample cex, _ -> cex
+    | Simkit.Exhaustive.Ok _, _ -> Alcotest.fail "race-false holds"
+  in
+  let params =
+    J.Obj
+      [
+        ("scenario", J.Str "race-false"); ("n_s", J.Int n_s);
+        ("depth", J.Int depth);
+      ]
+  in
+  let cex_of label result =
+    match J.member "cex" result with
+    | None -> Alcotest.failf "%s: no cex in %s" label (J.to_string result)
+    | Some j -> (
+      match Simkit.Exhaustive.schedule_of_json j with
+      | Ok s -> s
+      | Error msg -> Alcotest.failf "%s: %s" label msg)
+  in
+  let run verb params =
+    match Svc.Jobs.run verb params with
+    | Ok j -> j
+    | Error (code, msg) ->
+      Alcotest.failf "%s: %s %s" (P.verb_string verb) (P.err_code_string code)
+        msg
+  in
+  let native = run P.Modelcheck params in
+  let via_scenario =
+    let reply = run P.Scenario (as_scenario P.Modelcheck params) in
+    match J.member "result" reply with
+    | Some r -> r
+    | None -> Alcotest.fail "scenario: no result"
+  in
+  List.iter
+    (fun (label, result) ->
+      let cex = cex_of label result in
+      check_bool (label ^ ": engine's counterexample") true (cex = expected);
+      check_bool (label ^ ": replay rejects it") false
+        (Simkit.Exhaustive.replay_ok ~build ~prop cex))
+    [ ("modelcheck", native); ("scenario", via_scenario) ];
+  let safe = run P.Modelcheck (J.Obj [ ("depth", J.Int 4) ]) in
+  check_bool "a safe check has no cex" true (J.member "cex" safe = None)
+
 (* A campaign running over the wire honors per-scenario deadlines: the slow
    row comes back as a timeout (not a fail, not a dead connection), and the
    rows after it still run. *)
@@ -1263,6 +1345,10 @@ let suite =
       test_modelcheck_refuses_checkpoint_dir;
     Alcotest.test_case "constructor refusals are bad requests" `Quick
       test_constructor_refusals_are_bad_requests;
+    Alcotest.test_case "solve: consensus refuses k other than 1" `Quick
+      test_consensus_refuses_k;
+    Alcotest.test_case "modelcheck results carry their counterexample"
+      `Quick test_modelcheck_carries_cex;
     Alcotest.test_case "campaign: per-scenario deadlines over the wire"
       `Quick test_campaign_client_deadlines;
   ]
