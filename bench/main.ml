@@ -1746,7 +1746,7 @@ let ckpt_bench () =
     | Stdlib.Ok sc -> sc
     | Stdlib.Error e -> failwith e
   in
-  let split_depth = Ckpt.Local.default_split_depth ~depth in
+  let split_depth = Ckpt.Ledger.default_split_depth ~depth in
   let build = sc.Mcheck.Scenario.sc_build in
   let pids = sc.Mcheck.Scenario.sc_pids in
   let prop = sc.Mcheck.Scenario.sc_prop in
@@ -1871,8 +1871,11 @@ let ckpt_bench () =
   in
   let first_leg = Obs.Span.elapsed_s first_leg in
   let resume_leg = Obs.Span.start () in
-  (match Ckpt.Local.resume ~store () with
-  | Stdlib.Ok (_, verdict, _) -> credited verdict
+  (match
+     Result.bind (Ckpt.Local.load_record store) (fun (_, resume) ->
+         Ckpt.Local.run ~resume ~store ~scenario:sc ~depth ())
+   with
+  | Stdlib.Ok (verdict, _) -> credited verdict
   | Stdlib.Error e -> failwith e);
   let resume_leg = Obs.Span.elapsed_s resume_leg in
   rm_store store;

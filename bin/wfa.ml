@@ -373,12 +373,6 @@ let finish_check ~scenario ~depth ~n_s ~reduce ~json ~engine ~dist_fields
     verdict stats =
   Fmt.pr "engine: %s@." engine;
   Fmt.pr "stats:  %a@." Exhaustive.pp_stats stats;
-  let cex_field =
-    match verdict with
-    | Exhaustive.Ok _ -> []
-    | Exhaustive.Counterexample cex ->
-      [ ("cex", Exhaustive.schedule_json cex) ]
-  in
   Option.iter
     (fun path ->
       write_json path
@@ -388,23 +382,17 @@ let finish_check ~scenario ~depth ~n_s ~reduce ~json ~engine ~dist_fields
               ("depth", Obs.Json.Int depth);
               ("n_s", Obs.Json.Int n_s);
               ("reduce", Obs.Json.Bool reduce);
-              ( "verdict",
-                Obs.Json.Str
-                  (match verdict with
-                  | Exhaustive.Ok _ -> "ok"
-                  | Exhaustive.Counterexample _ -> "counterexample") );
-              ( "schedules",
-                match verdict with
-                | Exhaustive.Ok n -> Obs.Json.Int n
-                | Exhaustive.Counterexample _ -> Obs.Json.Null );
-              (* mirrored at top level so local and distributed runs
-                 diff field-for-field without digging into stats *)
-              ("sleep_pruned", Obs.Json.Int stats.Exhaustive.sleep_pruned);
-              ( "orbits_collapsed",
-                Obs.Json.Int stats.Exhaustive.orbits_collapsed );
-              ("stats", Exhaustive.stats_json stats);
             ]
-           @ cex_field @ dist_fields)))
+           @ Exhaustive.verdict_fields verdict
+           @ [
+               (* mirrored at top level so local and distributed runs
+                  diff field-for-field without digging into stats *)
+               ("sleep_pruned", Obs.Json.Int stats.Exhaustive.sleep_pruned);
+               ( "orbits_collapsed",
+                 Obs.Json.Int stats.Exhaustive.orbits_collapsed );
+               ("stats", Exhaustive.stats_json stats);
+             ]
+           @ dist_fields)))
     json;
   match verdict with
   | Exhaustive.Ok n ->
@@ -531,62 +519,60 @@ let modelcheck scenario_file depth n_s reduce scenario workers split_depth
 let resume dir workers checkpoint_interval_s json =
   (* pick the run back up from its journal: the record's config decides
      scenario/depth/reduce/split-depth, the caller only decides the fleet *)
-  match Ckpt.Store.create dir with
+  let ( let* ) = Result.bind in
+  let loaded =
+    let* store = Ckpt.Store.create dir in
+    let* gen, r = Ckpt.Local.load_record store in
+    let cfg = r.Ckpt.Record.ck_config in
+    let* sc =
+      Mcheck.Scenario.find cfg.Ckpt.Record.cf_scenario
+        ~n_s:cfg.Ckpt.Record.cf_n_s
+    in
+    Ok (store, gen, r, sc)
+  in
+  match loaded with
   | Error msg ->
     Fmt.epr "wfa resume: %s@." msg;
     2
-  | Ok store -> (
-    match Ckpt.Local.load_record store with
-    | Error msg ->
-      Fmt.epr "wfa resume: %s@." msg;
-      2
-    | Ok (gen, r) -> (
-      let cfg = r.Ckpt.Record.ck_config in
-      let total = r.Ckpt.Record.ck_total in
-      let done_n = List.length r.Ckpt.Record.ck_done in
-      Fmt.pr "resume: generation %d, %d/%d subtree jobs already done@." gen
-        done_n total;
-      let finish =
-        finish_check ~scenario:cfg.Ckpt.Record.cf_scenario
-          ~depth:cfg.Ckpt.Record.cf_depth ~n_s:cfg.Ckpt.Record.cf_n_s
-          ~reduce:cfg.Ckpt.Record.cf_reduce ~json
-      in
-      match workers with
-      | [] -> (
-        match
-          Ckpt.Local.resume ~interval_s:checkpoint_interval_s ~store ()
-        with
-        | Error msg ->
-          Fmt.epr "wfa resume: %s@." msg;
-          2
-        | Ok (_, verdict, stats) ->
-          finish ~engine:"checkpointed"
-            ~dist_fields:[ ckpt_field ~dir ~resumed:true ]
-            verdict stats)
-      | workers -> (
-        match
-          Mcheck.Scenario.find cfg.Ckpt.Record.cf_scenario
-            ~n_s:cfg.Ckpt.Record.cf_n_s
-        with
-        | Error msg ->
-          Fmt.epr "wfa resume: %s@." msg;
-          2
-        | Ok sc -> (
-          Ckpt.Store.note_resume store ~gen ~total ~done_:done_n;
-          match
-            Dist.Coordinator.run ~split_depth:cfg.Ckpt.Record.cf_split_depth
-              ~reduce:cfg.Ckpt.Record.cf_reduce
-              ~checkpoint:(store, checkpoint_interval_s) ~resume:r
-              ~scenario:sc ~depth:cfg.Ckpt.Record.cf_depth ~workers ()
-          with
-          | Error msg ->
-            Fmt.epr "wfa resume: %s@." msg;
-            2
-          | Ok rep ->
-            let dist_fields = dist_report ~workers rep in
-            finish ~engine:"distributed"
-              ~dist_fields:(dist_fields @ [ ckpt_field ~dir ~resumed:true ])
-              rep.Dist.Coordinator.r_verdict rep.Dist.Coordinator.r_stats))))
+  | Ok (store, gen, r, sc) -> (
+    let cfg = r.Ckpt.Record.ck_config in
+    let total = r.Ckpt.Record.ck_total in
+    let done_n = List.length r.Ckpt.Record.ck_done in
+    Fmt.pr "resume: generation %d, %d/%d subtree jobs already done@." gen
+      done_n total;
+    Ckpt.Store.note_resume store ~gen ~total ~done_:done_n;
+    let split_depth = cfg.Ckpt.Record.cf_split_depth
+    and reduce = cfg.Ckpt.Record.cf_reduce
+    and depth = cfg.Ckpt.Record.cf_depth in
+    let finish =
+      finish_check ~scenario:cfg.Ckpt.Record.cf_scenario ~depth
+        ~n_s:cfg.Ckpt.Record.cf_n_s ~reduce ~json
+    in
+    let resumed = ckpt_field ~dir ~resumed:true in
+    match workers with
+    | [] -> (
+      match
+        Ckpt.Local.run ~interval_s:checkpoint_interval_s ~split_depth ~reduce
+          ~resume:r ~store ~scenario:sc ~depth ()
+      with
+      | Error msg ->
+        Fmt.epr "wfa resume: %s@." msg;
+        2
+      | Ok (verdict, stats) ->
+        finish ~engine:"checkpointed" ~dist_fields:[ resumed ] verdict stats)
+    | workers -> (
+      match
+        Dist.Coordinator.run ~split_depth ~reduce
+          ~checkpoint:(store, checkpoint_interval_s) ~resume:r ~scenario:sc
+          ~depth ~workers ()
+      with
+      | Error msg ->
+        Fmt.epr "wfa resume: %s@." msg;
+        2
+      | Ok rep ->
+        finish ~engine:"distributed"
+          ~dist_fields:(dist_report ~workers rep @ [ resumed ])
+          rep.Dist.Coordinator.r_verdict rep.Dist.Coordinator.r_stats))
 
 (* A fast, machine-readable slice of the bench suite (the full tables live
    in bench/main.exe --record): an E1-style batch, an E5-style batch and a
@@ -996,9 +982,10 @@ let modelcheck_cmd =
 
 let resume_cmd =
   let doc =
-    "Resume a checkpointed model-check from its journal directory; the \
-     record's config (scenario, depth, reduction, split depth) wins, only \
-     the fleet is the caller's choice."
+    "Resume a checkpointed model-check from its journal directory, in \
+     process or over a fleet, whichever of the two wrote it; the record's \
+     config (scenario, depth, reduction, split depth) wins, only the fleet \
+     is the caller's choice."
   in
   Cmd.v
     (Cmd.info "resume" ~doc)

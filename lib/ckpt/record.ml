@@ -52,14 +52,7 @@ let config_json c =
    wire result read identically *)
 let done_json d =
   J.Obj
-    ([ ("id", J.Int d.dj_id) ]
-    @ (match d.dj_verdict with
-      | Exhaustive.Ok n -> [ ("verdict", J.Str "ok"); ("schedules", J.Int n) ]
-      | Exhaustive.Counterexample cex ->
-        [
-          ("verdict", J.Str "counterexample");
-          ("cex", Exhaustive.schedule_json cex);
-        ])
+    ((("id", J.Int d.dj_id) :: Exhaustive.verdict_fields d.dj_verdict)
     @ [ ("stats", Exhaustive.stats_json d.dj_stats) ])
 
 let json r =
@@ -112,20 +105,7 @@ let config_of_json j =
 
 let done_of_json j =
   let* id = int_field "id" j in
-  let* verdict =
-    match J.member "verdict" j with
-    | Some (J.Str "ok") ->
-      let* n = int_field "schedules" j in
-      Ok (Exhaustive.Ok n)
-    | Some (J.Str "counterexample") -> (
-      match J.member "cex" j with
-      | Some c -> (
-        match Exhaustive.schedule_of_json c with
-        | Ok cex -> Ok (Exhaustive.Counterexample cex)
-        | Error _ as e -> e)
-      | None -> Error "missing field \"cex\"")
-    | _ -> Error "missing or unknown field \"verdict\""
-  in
+  let* verdict = Exhaustive.verdict_of_json j in
   let* stats =
     match J.member "stats" j with
     | Some s -> Exhaustive.stats_of_json s

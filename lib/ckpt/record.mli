@@ -39,6 +39,10 @@ val make : config:config -> total:int -> done_:done_job list -> t
     first-result-wins rule). Raises [Invalid_argument] on an id outside
     [0, total). *)
 
+val done_of_json : Obs.Json.t -> (done_job, string) result
+(** One answered job, [{id, verdict, schedules, cex, stats}] — the shape of
+    a [subtree] reply too, which the coordinator reads with this. *)
+
 val json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 (** [of_json ∘ json = Ok] (the qcheck battery pins this through the store

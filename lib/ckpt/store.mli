@@ -48,8 +48,9 @@ val dir : t -> string
 val save : t -> Obs.Json.t -> (int, string) result
 (** Durably write a new generation holding the value; returns its number
     (one more than the newest generation present at {!create} time or
-    written since). [Error] reports I/O failure (disk full, permissions);
-    the store's existing generations are untouched in that case. *)
+    written since). [Error] reports I/O failure (disk full, permissions),
+    also as a [ckpt.save.error] event; the store's existing generations
+    are untouched in that case. *)
 
 val load : t -> (int * Obs.Json.t) option
 (** The newest intact generation and its number. [None] when the store

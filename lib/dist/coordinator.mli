@@ -1,22 +1,31 @@
 (** Distributed exhaustive model checking: frontier-split search fanned
     out over a fleet of job servers (DESIGN.md §6).
 
-    The coordinator runs {!Simkit.Exhaustive.split} locally — a shallow
-    exploration to [split_depth] that credits everything it prunes above
-    the frontier — and ships each emitted subtree to a worker as a
-    [subtree] request ({!Svc.Protocol}), pipelined over one connection
-    per worker. Results are merged with the commutative, associative
+    The coordinator is the fleet executor of a {!Ckpt.Ledger}: the ledger
+    runs {!Simkit.Exhaustive.split} locally — a shallow exploration to
+    [split_depth] that credits everything it prunes above the frontier —
+    and the coordinator ships each job it hands out to a worker as a
+    [subtree] request ({!Svc.Protocol}), pipelined 4 deep over one
+    connection per worker, from one thread per worker. Results are merged
+    with the commutative, associative
     {!Simkit.Exhaustive.merge_verdicts}/[merge_stats], so the distributed
     verdict, schedule count and (lex-least) counterexample are {e exactly}
     those of the single-process run, whatever the arrival order.
 
-    Fault handling, all first-result-wins by job id:
-    - a worker connection that fails (connect, send or receive) requeues
+    Fault handling, all first-result-wins by job id (the ledger's rules):
+    - a worker connection that fails (connect, send or receive) hands back
       the jobs it still owed and retires; the other workers absorb them;
-    - a server-side error reply ([deadline_exceeded], [overloaded], ...)
-      requeues that one job; a [bad_request] ends the run, since every
-      worker reads params with {!Scenario.Spec.work_of_params};
-    - an idle worker with an empty queue {e steals} the least-covered
+    - an [overloaded] or [shutting_down] reply says nothing about the job:
+      it is requeued, uncounted;
+    - an [internal], [oversized] or [deadline_exceeded] reply, or a result
+      that does not parse, is a counted failure of the job: it is retried
+      elsewhere — a worker does not retake a job it failed while some live
+      worker has not failed it — and a job that has failed
+      {!Ckpt.Ledger.max_failures} times ends the run with an [Error] on
+      its next failure, once no live worker is left to try it afresh;
+    - a [bad_request] ends the run, since every worker reads params with
+      {!Scenario.Spec.work_of_params};
+    - an idle worker with no job to take {e steals} the least-covered
       in-flight job of another worker — straggler insurance, bounded by
       never stealing the same job twice on the same worker.
 
@@ -40,17 +49,13 @@ type report = {
 }
 
 val default_split_depth : depth:int -> int
-(** [max 1 (min 3 (depth - 1))] — deep enough to out-number a small fleet
-    in jobs, shallow enough that the local split is negligible work. *)
+(** {!Ckpt.Ledger.default_split_depth}. *)
 
 val run :
   ?sink:Obs.Sink.t ->
   ?split_depth:int ->
   ?reduce:bool ->
   ?retries:int ->
-  ?backoff_ms:int ->
-  ?deadline_ms:int ->
-  ?window:int ->
   ?checkpoint:Ckpt.Store.t * float ->
   ?resume:Ckpt.Record.t ->
   scenario:Mcheck.Scenario.t ->
@@ -60,24 +65,26 @@ val run :
   (report, string) result
 (** Check [scenario] to [depth] over [workers] (each an {!Svc.Addr} in
     textual form). [reduce] enables the scenario's sleep+symmetry
-    reduction on splitter and workers alike. [retries]/[backoff_ms]
-    (defaults 5/50) are per-worker {!Svc.Client.connect} patience;
-    [deadline_ms] rides on every subtree request; [window] (default 4)
-    is the per-connection pipelining depth. [sink] receives the [dist.*]
-    events ({!Obs.Event.Name}).
+    reduction on splitter and workers alike. [retries] (default 5) is
+    per-worker {!Svc.Client.connect} patience. Subtree requests carry no
+    deadline of their own; a worker's default deadline applies. [sink]
+    receives the [dist.*] events ({!Obs.Event.Name}).
 
-    [checkpoint] [(store, interval_s)] journals job completions: a
-    {!Ckpt.Record} generation is written before the first dispatch, then
-    after accepted results at most every [interval_s] seconds, then at
-    completion — all under the coordinator lock, so every generation is a
-    consistent snapshot. Workers stay stateless. [resume] seeds the result
-    table from a previously journaled record (loaded via
-    {!Ckpt.Local.load_record}): only unfinished subtrees are redispatched,
-    against the same fleet or a different one. [Error] when the record's
-    config or job total does not match this run's.
+    [checkpoint] [(store, interval_s)] journals job completions through
+    {!Ckpt.Ledger.journal}: a {!Ckpt.Record} generation is written before
+    the first dispatch, then after accepted results at most every
+    [interval_s] seconds (never closer than 50 ms, since saves hold the
+    lock every worker thread needs), then at completion — all under the
+    coordinator lock, so every generation is a consistent snapshot.
+    Workers stay stateless. [resume] seeds the ledger from a previously
+    journaled record (read with {!Ckpt.Local.load_record}): only
+    unfinished subtrees are redispatched, against the same fleet or a
+    different one. [Error] when the record's config or job total does not
+    match this run's.
 
     [Error] otherwise covers configuration mistakes (no workers, bad
     address, bad [split_depth], params the workers' reader refuses), a
-    worker's [bad_request], and total fleet failure with jobs unresolved;
-    a counterexample is not an error but a {!report} whose verdict is
-    [Counterexample]. *)
+    store that cannot take the first generation (nothing is dispatched),
+    a worker's [bad_request], a job past its failure bound, and total
+    fleet failure with jobs unresolved; a counterexample is not an error
+    but a {!report} whose verdict is [Counterexample]. *)

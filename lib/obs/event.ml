@@ -32,6 +32,7 @@ module Name = struct
   let dist_worker_dead = "dist.worker.dead"
   let dist_done = "dist.done"
   let ckpt_save = "ckpt.save"
+  let ckpt_save_error = "ckpt.save.error"
   let ckpt_load = "ckpt.load"
   let ckpt_rollback = "ckpt.rollback"
   let ckpt_resume = "ckpt.resume"

@@ -113,6 +113,10 @@ module Name : sig
   val ckpt_save : string
   (** A generation was durably written (fields: gen, bytes, codec). *)
 
+  val ckpt_save_error : string
+  (** A generation could not be written; the older ones are untouched
+      (fields: gen, error). *)
+
   val ckpt_load : string
   (** A generation was loaded and validated (fields: gen, bytes). *)
 

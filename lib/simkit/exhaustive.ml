@@ -719,6 +719,28 @@ let schedule_of_json j =
     go [] xs
   | _ -> Stdlib.Error "schedule is not a list"
 
+let verdict_fields = function
+  | Ok n -> [ ("verdict", Obs.Json.Str "ok"); ("schedules", Obs.Json.Int n) ]
+  | Counterexample cex ->
+    [
+      ("verdict", Obs.Json.Str "counterexample");
+      ("schedules", Obs.Json.Null);
+      ("cex", schedule_json cex);
+    ]
+
+let verdict_of_json j =
+  match Obs.Json.member "verdict" j with
+  | Some (Obs.Json.Str "ok") -> (
+    match Option.bind (Obs.Json.member "schedules" j) Obs.Json.to_int_opt with
+    | Some n -> Stdlib.Ok (Ok n)
+    | None -> Stdlib.Error "field \"schedules\" is missing or not an integer")
+  | Some (Obs.Json.Str "counterexample") -> (
+    match Obs.Json.member "cex" j with
+    | Some c ->
+      Stdlib.Result.map (fun cex -> Counterexample cex) (schedule_of_json c)
+    | None -> Stdlib.Error "missing field \"cex\"")
+  | _ -> Stdlib.Error "missing or unknown field \"verdict\""
+
 let subtree_json sj =
   Obs.Json.Obj
     [

@@ -282,6 +282,17 @@ val schedule_of_json : Obs.Json.t -> (Pid.t list, string) result
 (** A schedule (or counterexample) on the wire: a list of
     {!Pid.to_string} names ([p1], [q2], ...). *)
 
+val verdict_fields : verdict -> (string * Obs.Json.t) list
+(** A verdict as the fields of an enclosing object: [verdict] (["ok"] or
+    ["counterexample"]), [schedules] (the credited count, [null] for a
+    counterexample) and, for a counterexample, [cex] ({!schedule_json}).
+    Every result that carries a verdict writes it this way: [modelcheck]
+    and [subtree] replies, checkpoint records and [wfa modelcheck --json]. *)
+
+val verdict_of_json : Obs.Json.t -> (verdict, string) result
+(** Reads {!verdict_fields} back out of the enclosing object. A
+    counterexample needs no [schedules] field. *)
+
 val subtree_json : subtree -> Obs.Json.t
 val subtree_of_json : Obs.Json.t -> (subtree, string) result
 (** Wire format for the [subtree] service verb: pids as {!Pid.to_string}

@@ -78,15 +78,6 @@ let scenario_of (m : Spec.modelcheck) =
       sc
     | Error msg -> raise (Bad msg))
 
-let verdict_fields = function
-  | Exhaustive.Ok n -> [ ("verdict", J.Str "ok"); ("schedules", J.Int n) ]
-  | Exhaustive.Counterexample cex ->
-    [
-      ("verdict", J.Str "counterexample");
-      ("schedules", J.Null);
-      ("cex", Exhaustive.schedule_json cex);
-    ]
-
 let modelcheck ~cancel (m : Spec.modelcheck) =
   let sc = scenario_of m in
   let red = Mcheck.Scenario.reduction sc ~reduce:m.mc_reduce in
@@ -103,7 +94,7 @@ let modelcheck ~cancel (m : Spec.modelcheck) =
        ("n_s", J.Int sc.Mcheck.Scenario.sc_n_s);
        ("reduce", J.Bool (red <> None));
      ]
-    @ verdict_fields verdict
+    @ Exhaustive.verdict_fields verdict
     @ [ ("stats", Exhaustive.stats_json stats) ])
 
 (* The memo table of the distributed run this pool domain served last,
@@ -169,7 +160,7 @@ let subtree ~cancel params =
           ~depth:m.mc_depth ~prop:sc.Mcheck.Scenario.sc_prop sj)
   in
   J.Obj
-    ((("id", J.Int sj.Exhaustive.sj_id) :: verdict_fields verdict)
+    ((("id", J.Int sj.Exhaustive.sj_id) :: Exhaustive.verdict_fields verdict)
     @ [ ("stats", Exhaustive.stats_json stats) ])
 
 let fuzz ~cancel (f : Spec.fuzz) =

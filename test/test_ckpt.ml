@@ -254,6 +254,50 @@ let test_record_validation () =
       | j -> j);
   reject "not an object" (fun _ -> J.Str "nope")
 
+(* Journals written before every verdict carried [schedules] hold a
+   counterexample entry without it: such a record still loads. *)
+let test_record_without_cex_schedules () =
+  let entry id verdict =
+    J.Obj
+      ((("id", J.Int id) :: verdict)
+      @ [ ("stats", Exhaustive.stats_json Exhaustive.zero_stats) ])
+  in
+  let cex = [ Pid.c 0; Pid.s 0; Pid.c 1 ] in
+  let json =
+    J.Obj
+      [
+        ("v", J.Int 1);
+        ( "config",
+          J.Obj
+            [
+              ("scenario", J.Str "race-false");
+              ("n_s", J.Int 1);
+              ("depth", J.Int 6);
+              ("reduce", J.Bool false);
+              ("split_depth", J.Int 3);
+            ] );
+        ("total", J.Int 27);
+        ( "done",
+          J.List
+            [
+              entry 0 [ ("verdict", J.Str "ok"); ("schedules", J.Int 27) ];
+              entry 1
+                [
+                  ("verdict", J.Str "counterexample");
+                  ("cex", Exhaustive.schedule_json cex);
+                ];
+            ] );
+      ]
+  in
+  match Ckpt.Record.of_json json with
+  | Error msg -> Alcotest.failf "of_json: %s" msg
+  | Ok r ->
+    check_bool "both entries, verdicts intact" true
+      (List.map
+         (fun d -> (d.Ckpt.Record.dj_id, d.Ckpt.Record.dj_verdict))
+         r.Ckpt.Record.ck_done
+      = [ (0, Exhaustive.Ok 27); (1, Exhaustive.Counterexample cex) ])
+
 let suite =
   [
     roundtrip_test Ckpt.Store.Json "store round-trip (json codec)";
@@ -267,4 +311,6 @@ let suite =
     Alcotest.test_case "empty store and stray files" `Quick
       test_empty_and_garbage;
     Alcotest.test_case "record validation" `Quick test_record_validation;
+    Alcotest.test_case "counterexample entry without schedules loads" `Quick
+      test_record_without_cex_schedules;
   ]

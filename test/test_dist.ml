@@ -381,7 +381,7 @@ let test_local_stops_at_counterexample () =
   let total =
     List.length
       (Exhaustive.split ~build ~pids ~depth
-         ~split_depth:(Ckpt.Local.default_split_depth ~depth)
+         ~split_depth:(Ckpt.Ledger.default_split_depth ~depth)
          ~prop ())
         .Exhaustive.fr_jobs
   in
@@ -397,9 +397,12 @@ let test_local_stops_at_counterexample () =
           "journal holds exactly the jobs up to the counterexample's"
           (List.init (cex_id + 1) Fun.id)
           ids;
-        match Ckpt.Local.resume ~store () with
+        match
+          Result.bind (Ckpt.Local.load_record store) (fun (_, resume) ->
+              Ckpt.Local.run ~resume ~store ~scenario:sc ~depth ())
+        with
         | Error e -> Alcotest.fail e
-        | Ok (_, v', st') ->
+        | Ok (v', st') ->
           check_string "resumed verdict" (verdict_str expected)
             (verdict_str v');
           Alcotest.(check int) "resume ran no job" st.Exhaustive.nodes
@@ -430,7 +433,20 @@ let test_subtree_json_roundtrip () =
           check_bool
             (Fmt.str "job %d roundtrips" sj.Exhaustive.sj_id)
             true (sj = sj')))
-    fr.Exhaustive.fr_jobs
+    fr.Exhaustive.fr_jobs;
+  (* a job's answer travels as the verdict's fields *)
+  List.iter
+    (fun v ->
+      let s = Obs.Json.to_string (Obs.Json.Obj (Exhaustive.verdict_fields v)) in
+      match Result.bind (Obs.Json.of_string s) Exhaustive.verdict_of_json with
+      | Error e -> Alcotest.failf "verdict_of_json: %s" e
+      | Ok v' ->
+        check_string ("verdict roundtrips: " ^ s) (verdict_str v)
+          (verdict_str v'))
+    [
+      Exhaustive.Ok 65536;
+      Exhaustive.Counterexample [ Pid.c 0; Pid.s 1; Pid.c 1 ];
+    ]
 
 (* --- qcheck laws for the merge monoids --- *)
 
@@ -538,18 +554,19 @@ let prop_partition_counts =
 
 (* --- end-to-end: the coordinator over real in-process TCP workers --- *)
 
-let start_tcp_worker () =
+let start_tcp_worker ?(max_reply = Svc.Frame.max_wire_len) () =
   let cfg =
     {
       (Svc.Server.default_config ~listen:(Svc.Addr.Tcp ("127.0.0.1", 0))) with
       Svc.Server.workers = 1;
+      max_reply;
     }
   in
   let t = Svc.Server.start cfg in
   (t, Svc.Addr.to_string (Svc.Server.listen_addr t))
 
-let with_tcp_workers n f =
-  let servers = List.init n (fun _ -> start_tcp_worker ()) in
+let with_tcp_workers ?max_reply n f =
+  let servers = List.init n (fun _ -> start_tcp_worker ?max_reply ()) in
   Fun.protect
     ~finally:(fun () ->
       List.iter
@@ -680,6 +697,119 @@ let test_coordinator_refused_run () =
         { (find ~n_s:2) with Mcheck.Scenario.sc_n_s = 1 }
         ~needle:"job pid not in pids")
 
+(* [f ()] on a thread, failing the test if it has not returned within
+   [seconds]: a coordinator that keeps requeueing must fail the suite, not
+   hang it (closing the workers afterwards ends the run) *)
+let within ~seconds f =
+  let result = Atomic.make None in
+  let t = Thread.create (fun () -> Atomic.set result (Some (f ()))) () in
+  let rec wait left =
+    match Atomic.get result with
+    | Some r ->
+      Thread.join t;
+      r
+    | None when left <= 0. ->
+      Alcotest.failf "still running after %.0f s" seconds
+    | None ->
+      Thread.delay 0.02;
+      wait (left -. 0.02)
+  in
+  wait seconds
+
+let find_sc name ~n_s =
+  match Mcheck.Scenario.find name ~n_s with
+  | Ok sc -> sc
+  | Error e -> Alcotest.fail e
+
+(* a worker whose every subtree reply exceeds its max_reply answers
+   [oversized] to every job: alone, it ends the run once a job has failed
+   past the bound *)
+let test_coordinator_gives_up_on_failing_job () =
+  let sc = find_sc "safe-agreement" ~n_s:2 in
+  with_tcp_workers ~max_reply:256 1 (fun servers ->
+      match
+        within ~seconds:30. (fun () ->
+            Dist.Coordinator.run ~scenario:sc ~depth:6
+              ~workers:(List.map snd servers) ())
+      with
+      | Ok _ -> Alcotest.fail "a worker that only fails reported success"
+      | Error e ->
+        check_bool ("names the error: " ^ e) true
+          (Test_svc.contains e "oversized");
+        check_bool ("names the count: " ^ e) true
+          (Test_svc.contains e
+             (Printf.sprintf "failed %d times" (Ckpt.Ledger.max_failures + 1))))
+
+(* next to a healthy worker, the failing one gets each job at most once:
+   retried elsewhere, every job lands on the healthy worker *)
+let test_coordinator_retries_elsewhere () =
+  List.iter
+    (fun name ->
+      let sc = find_sc name ~n_s:2 in
+      let expected, _ =
+        Exhaustive.run ~build:sc.Mcheck.Scenario.sc_build
+          ~pids:sc.Mcheck.Scenario.sc_pids ~depth:8
+          ~prop:sc.Mcheck.Scenario.sc_prop ()
+      in
+      with_tcp_workers ~max_reply:256 1 (fun bad ->
+          with_tcp_workers 1 (fun good ->
+              match
+                within ~seconds:60. (fun () ->
+                    Dist.Coordinator.run ~scenario:sc ~depth:8
+                      ~workers:(List.map snd (bad @ good))
+                      ())
+              with
+              | Error e -> Alcotest.failf "%s: %s" name e
+              | Ok r ->
+                check_string (name ^ " verdict") (verdict_str expected)
+                  (verdict_str r.Dist.Coordinator.r_verdict);
+                let failing = List.hd r.Dist.Coordinator.r_workers in
+                Alcotest.(check int)
+                  (name ^ ": accepted from the failing worker")
+                  0 failing.Dist.Coordinator.wk_jobs)))
+    [ "safe-agreement"; "race-false" ]
+
+(* a store that cannot take the first generation stops both executors before
+   any job runs *)
+let test_unwritable_store_refused () =
+  let sc = find_sc "safe-agreement" ~n_s:2 in
+  let depth = 6 in
+  let builds = ref 0 in
+  let counting =
+    {
+      sc with
+      Mcheck.Scenario.sc_build =
+        (fun () ->
+          incr builds;
+          sc.Mcheck.Scenario.sc_build ());
+    }
+  in
+  ignore
+    (Exhaustive.split ~build:counting.Mcheck.Scenario.sc_build
+       ~pids:sc.Mcheck.Scenario.sc_pids ~depth
+       ~split_depth:(Ckpt.Ledger.default_split_depth ~depth)
+       ~prop:sc.Mcheck.Scenario.sc_prop ());
+  let split_builds = !builds in
+  Test_ckpt.with_store (fun store ->
+      Test_ckpt.rm_rf (Ckpt.Store.dir store);
+      builds := 0;
+      check_bool "Ckpt.Local: Error" true
+        (Result.is_error (Ckpt.Local.run ~store ~scenario:counting ~depth ()));
+      Alcotest.(check int)
+        "Ckpt.Local ran the split alone" split_builds !builds;
+      let dispatched = ref 0 in
+      let sink =
+        Obs.Sink.of_fn (fun ev ->
+            if ev.Obs.Event.name = Obs.Event.Name.dist_dispatch then
+              incr dispatched)
+      in
+      with_tcp_workers 1 (fun servers ->
+          check_bool "coordinator: Error" true
+            (Result.is_error
+               (Dist.Coordinator.run ~sink ~checkpoint:(store, 0.) ~scenario:sc
+                  ~depth ~workers:(List.map snd servers) ())));
+      Alcotest.(check int) "coordinator dispatched nothing" 0 !dispatched)
+
 let suite =
   [
     Alcotest.test_case "partition matches run (all frontiers, orders)" `Quick
@@ -708,6 +838,12 @@ let suite =
       test_coordinator_survives_dead_worker;
     Alcotest.test_case "coordinator ends a run its workers refuse" `Quick
       test_coordinator_refused_run;
+    Alcotest.test_case "coordinator gives up on a job that always fails"
+      `Quick test_coordinator_gives_up_on_failing_job;
+    Alcotest.test_case "coordinator retries a failed job elsewhere" `Quick
+      test_coordinator_retries_elsewhere;
+    Alcotest.test_case "unwritable store refused by both executors" `Quick
+      test_unwritable_store_refused;
     QCheck_alcotest.to_alcotest prop_merge_stats_monoid;
     QCheck_alcotest.to_alcotest prop_merge_verdicts_monoid;
     QCheck_alcotest.to_alcotest prop_partition_counts;

@@ -26,4 +26,5 @@ let () =
       ("scenario", Test_scenario.suite);
       ("dist", Test_dist.suite);
       ("ckpt", Test_ckpt.suite);
+      ("ledger", Test_ledger.suite);
     ]
