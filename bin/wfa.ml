@@ -966,7 +966,8 @@ let modelcheck_cmd =
                  & info [ "scenario" ] ~docv:"NAME"
                      ~doc:"Scenario to check: safe-agreement | race-false \
                            (a seeded violation, for testing the \
-                           counterexample path).")
+                           counterexample path) | read-collision (a \
+                           violation only an exact memo key finds).")
           $ Arg.(value & opt (list string) []
                  & info [ "workers" ] ~docv:"ADDR,..."
                      ~doc:"Distribute over these wfa serve workers \

@@ -33,6 +33,14 @@ val race_false : n_s:int -> t
     scenario: every engine and worker count must report the identical
     lex-least counterexample. *)
 
+val read_collision : n_s:int -> t
+(** The memo's negative control: p1 reads one register and decides
+    whether it read [Int 35553], while p2 writes [Int 21395], then
+    [Int 35553]; the property is that p1 never decides [true]. Two states
+    that differ only in which of the two ints p1 read must key apart, so
+    every engine must report {!Simkit.Exhaustive.run_replay}'s
+    counterexample [p2,p2,p1,p1]. *)
+
 val names : string list
 (** The names {!find} accepts, in display order. *)
 

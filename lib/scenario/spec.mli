@@ -48,8 +48,8 @@
     fields are rejected (a typo must fail loudly, not silently fall back to
     a default), and every error carries the JSON path of the offending
     field plus the list of valid alternatives where one exists —
-    [$.params.scenario: unknown scenario "typo" (safe-agreement|race-false)]
-    is one-line diagnosable. *)
+    [$.params.scenario: unknown scenario "typo"
+    (safe-agreement|race-false|read-collision)] is one-line diagnosable. *)
 
 type expect =
   | Safe

@@ -327,15 +327,18 @@ type split_result = {
 let whole_tree =
   { sj_id = 0; sj_prefix = []; sj_sleep = []; sj_factor = 1; sj_used = [] }
 
-(* The memo: digest -> complete schedules below, divided by the factor in
-   force when the subtree was entered; under sleep, [masks] holds the sleep
-   mask it was explored under. Two tables keep a plain entry one unboxed
-   int. Entries hold for any node of the same search configuration, so the
-   jobs of one split may share a table: [owner] is the (pids, depth, mode,
-   reduction) of the first job that used it. *)
+(* The memo: state key -> complete schedules below, divided by the factor
+   in force when the subtree was entered; under sleep, [masks] holds the
+   sleep mask it was explored under. Two tables keep a plain entry one
+   unboxed int. The keys are written in [keys], the context every runtime
+   the table's searches build is attached to, so keys of different
+   runtimes compare. Entries hold for any node of the same search
+   configuration, so the jobs of one split may share a table: [owner] is
+   the (pids, depth, mode, reduction) of the first job that used it. *)
 type table = {
   counts : (string, int) Hashtbl.t;
   masks : (string, int) Hashtbl.t;
+  keys : Keys.t;
   mutable owner : (Pid.t list * int * mode * reduction) option;
 }
 
@@ -343,6 +346,7 @@ let new_table ~sleep =
   {
     counts = Hashtbl.create 4096;
     masks = Hashtbl.create (if sleep then 4096 else 1);
+    keys = Keys.create ();
     owner = None;
   }
 
@@ -366,13 +370,15 @@ let create_table () = new_table ~sleep:true
    costs amortized O(1) steps per node, against O(depth) for
    replay-from-scratch at every node).
 
-   On top, a state-fingerprint memo ({!Runtime.digest}, [table]; [None]
-   turns it off) collapses converging interleavings: when a node's state has
-   been seen before at the same clock, its whole subtree is skipped and the
-   recorded number of complete schedules below it is credited, so reported
-   schedule counts stay exact. Only fully-verified (counterexample-free)
-   subtrees are memoized. A probed child is looked up at its own turn, not
-   when probed, so the memo fills and hits exactly as without probing.
+   On top, a memo over exact state keys ({!Runtime.digest} in the table's
+   key context, which [build_fresh] attaches to every runtime it builds;
+   [table] = [None] turns it off) collapses converging interleavings: when
+   a node's state has been seen before at the same clock, its whole
+   subtree is skipped and the recorded number of complete schedules below
+   it is credited, so reported schedule counts stay exact. Only
+   fully-verified (counterexample-free) subtrees are memoized. A probed
+   child is looked up at its own turn, not when probed, so the memo fills
+   and hits exactly as without probing.
 
    [dfs] expands the subtree [root] names: its prefix is replayed without
    property checks (the caller has verified it), then the subtree is
@@ -412,6 +418,7 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
     acc.a_built <- acc.a_built + 1;
     let rt = build () in
     cur := Some rt;
+    (match table with Some t -> Runtime.attach rt t.keys | None -> ());
     rt
   in
   let step rt i =

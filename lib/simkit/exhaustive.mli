@@ -16,8 +16,8 @@
     ({!Runtime.with_null_step}), so a leaf, a memo hit, a frontier job or a
     violation there needs no runtime of its own. The runtime is rebuilt and
     the prefix replayed only when a child that must be expanded finds the
-    live runtime moved on (effect continuations cannot be cloned). A
-    state-fingerprint memo ({!Runtime.digest}) prunes converging
+    live runtime moved on (effect continuations cannot be cloned). A memo
+    over exact state keys ({!Runtime.digest}) prunes converging
     interleavings while keeping the reported schedule count exact, and
     optional reduction layers prune further on the same terms. {!stats}
     makes the saved work observable. More cores are used by running
@@ -34,7 +34,9 @@
 
     Soundness requirements on the inputs (all hold for the usual
     fresh-memory/fresh-algorithm builders):
-    - [build] must be deterministic and return independent runtimes;
+    - [build] must be deterministic and return independent runtimes on
+      which no operation has executed yet: with the memo on, the engine
+      attaches its table's key context ({!Runtime.attach}) to each one;
     - with the memo enabled, [prop] must be a function of the reached state
       as captured by {!Runtime.digest} (memory, statuses, decisions, per
       process observations) — not of absolute event times or the trace;
@@ -59,7 +61,7 @@ type stats = {
       (** rebuild-and-replay events (a child to expand whose parent's
           runtime has moved on / baseline runs) *)
   runtimes_built : int;  (** calls to [build] *)
-  memo_hits : int;  (** subtrees skipped via the state-fingerprint memo *)
+  memo_hits : int;  (** subtrees skipped via the state-key memo *)
   sleep_pruned : int;
       (** subtrees skipped (and credited) by sleep-set partial-order
           reduction; [0] unless {!run} is given [~reduce] with [sleep] *)
@@ -156,7 +158,7 @@ val run :
     moment it returns [true] the run raises {!Cancelled} instead of
     returning — the hook the service layer uses for per-request deadlines.
     A counterexample is the lex-least violating schedule (DFS order).
-    [?memo] (default [true]) enables the state-fingerprint memo. [?reduce]
+    [?memo] (default [true]) enables the state-key memo. [?reduce]
     (default {!no_reduction}) enables the reduction layers above; reduction
     forces every process to its first suspension point eagerly
     ({!Runtime.peek}), so [prop] must additionally not distinguish a
@@ -233,14 +235,17 @@ val merge_frontier :
 
 type table
 (** A memo table that several {!run_subtree} calls can share. Its entries
-    map a reached state (its {!Runtime.digest}, clock included) to the
-    complete schedules credited below it and, under sleep reduction, the
-    sleep mask it was explored under. Only fully verified subtrees are
-    stored, so an entry holds for that state wherever it is reached in the
-    same search configuration. Hence the jobs of one split may share a
-    table, in any order and on any subset, and a job's root is looked up
-    and stored like any other node: a job whose root state an earlier job
-    has already explored costs only the replay of its prefix.
+    map a reached state (its exact {!Runtime.digest}, clock included) to
+    the complete schedules credited below it and, under sleep reduction,
+    the sleep mask it was explored under. The table owns the key context
+    ({!Keys.t}) those keys are written in, and attaches it to every
+    runtime its searches build before the first step, so the runtimes of
+    all the jobs it serves key in one set of ids. Only fully verified
+    subtrees are stored, so an entry holds for that state wherever it is
+    reached in the same search configuration. Hence the jobs of one split
+    may share a table, in any order and on any subset, and a job's root is
+    looked up and stored like any other node: a job whose root state an
+    earlier job has already explored costs only the replay of its prefix.
 
     Sharing keeps credited counts and the lex-least counterexample as exact
     as private tables do, in any job order. Only a job's effort counters
@@ -248,8 +253,8 @@ type table
     already held. The table records the pids, depth, mode and reduction of
     the first job it served; handing it a job under any other raises
     [Invalid_argument]. [build] and [prop] are closures the table cannot
-    compare: callers must key tables by scenario themselves. A table is not
-    thread-safe. *)
+    compare: callers must key tables by scenario themselves. A table, its
+    key context included, is not thread-safe: one domain at a time. *)
 
 val create_table : unit -> table
 (** An empty table, bound to the configuration of its first job. *)

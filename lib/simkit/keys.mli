@@ -1,0 +1,44 @@
+(** Key context: what makes {!Runtime.digest} exact.
+
+    A context interns the values a run observes into dense ids and names
+    each process's observation history by a node of a hash-consed trie: a
+    history is the sequence of its process's executed operations with
+    their results, and one (parent node, operation, value id) edge leads to
+    exactly one child. Equal histories therefore get equal nodes, and
+    different ones different nodes, with no hash standing in for either.
+    Ids and nodes mean something only within the context that made them,
+    so runtimes whose keys are compared must share one context
+    ({!Runtime.attach}).
+
+    Creating a context allocates one small record; its tables are made on
+    first use. A context is not thread-safe: the runtimes attached to it
+    must run on one domain at a time. *)
+
+type t
+
+val create : unit -> t
+
+val root : int
+(** The node of the empty history, the same in every context. *)
+
+val intern : t -> Value.t -> int
+(** The value's id: ids are dense from 0, and two values get one id iff
+    they are {!Value.equal}. *)
+
+val child : t -> int -> op:int -> vid:int -> int
+(** [child k node ~op ~vid]: the node one edge below [node]. [op] encodes
+    the operation (its kind and register), [vid] its value id. *)
+
+(** {1 Building a key}
+
+    One key at a time, in the context's own scratch buffer:
+    {!start}, then {!add} each number, then {!finish}. *)
+
+val start : t -> unit
+
+val add : t -> int -> unit
+(** Append a non-negative number as an LEB128 varint, so the finished key
+    decodes to exactly the sequence of numbers added. *)
+
+val finish : t -> string
+(** The key built since {!start}. *)

@@ -38,18 +38,7 @@ let write mem r v =
 
 let read_many mem rs = Array.map (read mem) rs
 
-let contents mem = Array.sub mem.cells 0 mem.used
-
 (* Register footprints stay tiny (one register, or one snapshot's worth), so
    quadratic disjointness is cheaper than building any set structure. *)
 let overlaps a b =
   Array.exists (fun r -> Array.exists (fun r' -> r = r') b) a
-
-let hash mem =
-  (* FNV-1a over the per-cell value hashes; cheap enough to recompute per
-     checker node (memories stay small in exhaustively-checked systems). *)
-  let h = ref 0x811c9dc5 in
-  for i = 0 to mem.used - 1 do
-    h := (!h * 0x01000193) lxor Value.hash mem.cells.(i) land max_int
-  done;
-  !h

@@ -27,16 +27,7 @@ val write : t -> reg -> Value.t -> unit
 
 val read_many : t -> reg array -> Value.t array
 
-val contents : t -> Value.t array
-(** Copy of the allocated cells, in register order — a structural snapshot of
-    the whole memory for state digests and debugging. *)
-
 val overlaps : reg array -> reg array -> bool
 (** Do two register footprints share a register? Linear scan — footprints
     are at most one snapshot wide. Used by the exhaustive checker's
     independence relation ({!Runtime.footprint}). *)
-
-val hash : t -> int
-(** Cheap content hash (FNV-1a over per-cell {!Value.hash}es). Two memories
-    with equal {!contents} hash equal; collisions are possible, so use
-    {!contents} where exactness matters. *)

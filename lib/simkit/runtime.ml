@@ -40,7 +40,7 @@ type pstate = {
   mutable scheds : int;
   mutable first_step : int option;
   mutable decide_at : int option;
-  mutable obs_hash : int;
+  mutable node : int;  (* history node in the attached key context *)
 }
 
 type config = {
@@ -103,6 +103,10 @@ type t = {
   mutable steps_total : int;
   tr : Trace.t;
   obs : obs option;
+  mutable keys : Keys.t option;
+  mutable mem_ids : int array;
+      (* under [keys]: the value id of each register's content, filled on
+         first use and kept current by every write *)
 }
 
 let create ?obs cfg ~c_code ~s_code =
@@ -119,7 +123,7 @@ let create ?obs cfg ~c_code ~s_code =
       scheds = 0;
       first_step = None;
       decide_at = None;
-      obs_hash = 0x811c9dc5;
+      node = Keys.root;
     }
   in
   {
@@ -130,6 +134,8 @@ let create ?obs cfg ~c_code ~s_code =
     steps_total = 0;
     tr = Trace.create ~enabled:cfg.record_trace;
     obs;
+    keys = None;
+    mem_ids = [||];
   }
 
 let proc t = function
@@ -178,14 +184,54 @@ let record t p ev =
   | None -> ()
   | Some o -> o.on_event p.pid ~time:t.now ev
 
-(* Per-process observation hash: folds in each executed operation together
-   with its result. Process code is deterministic and interacts with the
-   world only through its effects, so two processes of the same code with
-   equal observation hashes are (modulo hash collisions) in the same local
-   state — the basis of {!digest}. *)
-let obs p tag x =
-  p.obs_hash <- (((p.obs_hash * 0x01000193) lxor tag) * 0x01000193) lxor x
-                land max_int
+(* The exact state key, kept up by [execute] on a runtime with a context
+   attached and by nothing on one without. A process's history node grows
+   one trie edge per executed operation: (kind and register, value id),
+   the value being what was read, written, queried or decided. A snapshot
+   adds one edge per register it reads, and an empty snapshot one edge of
+   its own, so that every executed operation moves the node. Process code
+   is deterministic and reaches the world only through its effects, so a
+   process's history node fixes its local state: which operation it issues
+   next, its step count, whether it participates, its decision (a decide
+   is an edge) and whether it has returned. *)
+
+let k_read = 1
+and k_write = 2
+and k_snapshot = 3
+and k_query = 4
+and k_decide = 5
+and k_yield = 6
+and k_empty_snapshot = 7
+
+let edge_op kind r = kind + (8 * r)
+
+(* Register value ids for a memory that grew (or was never read) since
+   they were last taken: new cells hold what they were allocated with. *)
+let sync_mem t ks =
+  let mem = t.cfg.memory in
+  let have = Array.length t.mem_ids and n = Memory.size mem in
+  if n > have then begin
+    let ids = Array.make n 0 in
+    Array.blit t.mem_ids 0 ids 0 have;
+    for r = have to n - 1 do
+      ids.(r) <- Keys.intern ks (Memory.read mem r)
+    done;
+    t.mem_ids <- ids
+  end
+
+let mem_id t ks r =
+  if r >= Array.length t.mem_ids then sync_mem t ks;
+  t.mem_ids.(r)
+
+let extend ks p kind r vid =
+  p.node <- Keys.child ks p.node ~op:(edge_op kind r) ~vid
+
+let attach t ks =
+  let ran p = p.steps > 0 in
+  if Array.exists ran t.c_procs || Array.exists ran t.s_procs then
+    invalid_arg "Runtime.attach: an operation has already executed";
+  t.keys <- Some ks;
+  t.mem_ids <- [||]
 
 (* Execute the pending operation of [p] at the current time, then resume the
    code until its next suspension point. One call = one (non-null) step. *)
@@ -199,17 +245,32 @@ let execute t (p : pstate) (op : pending) : unit =
   match op with
   | K_read (r, k) ->
     let v = Memory.read t.cfg.memory r in
-    obs p 1 ((r * 0x01000193) lxor Value.hash v);
+    (match t.keys with
+    | Some ks -> extend ks p k_read r (mem_id t ks r)
+    | None -> ());
     record t p (Trace.Read (r, v));
     Effect.Deep.continue k v
   | K_write (r, v, k) ->
     Memory.write t.cfg.memory r v;
-    obs p 2 ((r * 0x01000193) lxor Value.hash v);
+    (match t.keys with
+    | Some ks ->
+      let vid = Keys.intern ks v in
+      if r >= Array.length t.mem_ids then sync_mem t ks;
+      t.mem_ids.(r) <- vid;
+      extend ks p k_write r vid
+    | None -> ());
     record t p (Trace.Write (r, v));
     Effect.Deep.continue k ()
   | K_snapshot (rs, k) ->
     let vs = Memory.read_many t.cfg.memory rs in
-    Array.iteri (fun i r -> obs p 3 ((r * 0x01000193) lxor Value.hash vs.(i))) rs;
+    (match t.keys with
+    | Some ks ->
+      if Array.length rs = 0 then extend ks p k_empty_snapshot 0 0
+      else
+        for i = 0 to Array.length rs - 1 do
+          extend ks p k_snapshot rs.(i) (mem_id t ks rs.(i))
+        done
+    | None -> ());
     record t p (Trace.Snapshot rs);
     Effect.Deep.continue k vs
   | K_query k ->
@@ -217,17 +278,21 @@ let execute t (p : pstate) (op : pending) : unit =
     | Pid.C _ -> raise (Forbidden_query p.pid)
     | Pid.S i ->
       let v = History.get t.cfg.history ~q:i ~time:t.now in
-      obs p 4 (Value.hash v);
+      (match t.keys with
+      | Some ks -> extend ks p k_query 0 (Keys.intern ks v)
+      | None -> ());
       record t p (Trace.Query v);
       Effect.Deep.continue k v)
   | K_decide (v, k) ->
     p.decided <- Some v;
     p.decide_at <- Some t.now;
-    obs p 5 (Value.hash v);
+    (match t.keys with
+    | Some ks -> extend ks p k_decide 0 (Keys.intern ks v)
+    | None -> ());
     record t p (Trace.Decide v);
     Effect.Deep.discontinue k Halted
   | K_yield k ->
-    obs p 6 0;
+    (match t.keys with Some ks -> extend ks p k_yield 0 0 | None -> ());
     Effect.Deep.continue k ()
 
 (* ------------------------------------------------------------------ *)
@@ -386,23 +451,30 @@ let decide_time t i = t.c_procs.(i).decide_at
 let trace t = t.tr
 let steps_total t = t.steps_total
 
+(* The clock, every register's value id, and per process its status, sched
+   count and history node: what determines the future, and the present as
+   the checker reads it. Absolute event times and the trace are left out,
+   so that interleavings converging on one state key equal. *)
+let add_procs ks ps =
+  for i = 0 to Array.length ps - 1 do
+    let p = ps.(i) in
+    let status = match p.status with Fresh -> 0 | Runnable -> 1 | Done -> 2 in
+    Keys.add ks ((3 * p.scheds) + status);
+    Keys.add ks p.node
+  done
+
 let digest t =
-  (* Captures everything that determines future behaviour and the usual
-     checker-visible present: the clock, exact memory contents, and for every
-     process its status, step/sched counters, decision and observation hash.
-     Deliberately excludes absolute event times (first_step, decide_at) and
-     the trace, so that converging interleavings digest equal. *)
-  let psum p =
-    ( (match p.status with Fresh -> 0 | Runnable -> 1 | Done -> 2),
-      p.steps,
-      p.scheds,
-      p.obs_hash,
-      p.decided )
-  in
-  let repr =
-    ( t.now,
-      Memory.contents t.cfg.memory,
-      Array.map psum t.c_procs,
-      Array.map psum t.s_procs )
-  in
-  Digest.string (Marshal.to_string repr [])
+  match t.keys with
+  | None -> invalid_arg "Runtime.digest: no key context attached"
+  | Some ks ->
+    sync_mem t ks;
+    Keys.start ks;
+    Keys.add ks t.now;
+    let ids = t.mem_ids in
+    Keys.add ks (Array.length ids);
+    for r = 0 to Array.length ids - 1 do
+      Keys.add ks ids.(r)
+    done;
+    add_procs ks t.c_procs;
+    add_procs ks t.s_procs;
+    Keys.finish ks

@@ -146,7 +146,7 @@ val footprint : t -> Pid.t -> footprint
     first suspension point (the behaviour-neutral prefix of its first
     {!step}: pure local computation only, no operation executes and
     {!participating}/{!steps_taken} are unchanged — but {!status} moves off
-    [Fresh], so callers hashing states with {!digest} must call it at
+    [Fresh], so callers keying states with {!digest} must call it at
     consistent points; see {!peek}). *)
 
 val peek : t -> Pid.t -> unit
@@ -206,12 +206,29 @@ val steps_total : t -> int
 (** Total number of {!step} calls on this runtime (incl. null steps) — the
     work counter used by the exhaustive checker's statistics. *)
 
+(** {1 Exact state keys} *)
+
+val attach : t -> Keys.t -> unit
+(** [attach t keys]: from now on [t] keeps its state key in [keys], and
+    {!digest} reads it. Each executed operation then extends its process's
+    history node and, on a write, the register's value id; a runtime with
+    no context attached does none of this work. Attaching again replaces
+    the context. Raises [Invalid_argument] once any operation has executed
+    on [t] (peeks and null steps do not count): the history before it
+    would be missing from the key. After attaching, the memory must change
+    only through [t]'s own steps. *)
+
 val digest : t -> string
-(** Cheap state fingerprint: a digest of (time, memory contents, and per
-    process its status, counters, decision and the running hash of its
-    executed operations with their results). Process code is deterministic,
-    so two runtimes of the same configuration with equal digests behave
-    identically under any common schedule suffix (modulo hash collisions,
-    which are negligible). Absolute event times ({!first_step_time},
-    {!decide_time}) and the trace are {e not} captured: runs that converge to
-    the same state through different interleavings digest equal. *)
+(** The exact state key over the attached context: the clock, the value
+    id of every register, and per process its status, sched count and
+    history node (its executed operations with their results). Process
+    code is deterministic, so two runtimes of the same builder whose keys
+    are equal are in the same state, up to absolute event times
+    ({!first_step_time}, {!decide_time}) and the trace, which are left out
+    so that interleavings converging on one state key equal; they behave
+    identically under any common schedule suffix. The key is exact: no
+    hash stands in for any part of the state, so equal keys never come
+    from different states (different histories that happen to reach one
+    local state do key differently). Keys compare only between runtimes
+    attached to one context, whose ids they are written in. Raises
+    [Invalid_argument] on a runtime with no context attached. *)

@@ -91,15 +91,26 @@ let rec compare a b =
 
 let equal a b = compare a b = 0
 
+(* Full-width mixing over OCaml's 63-bit ints: xor-shifts and odd
+   multipliers are each invertible, so [mix] is a bijection and no two
+   [Int]s share a hash ([Hashtbl.hash] keeps 30 bits, and so
+   [Hashtbl.hash 21395 = Hashtbl.hash 35553]). *)
+let mix h =
+  let h = (h lxor (h lsr 32)) * 0x5851f42d4c957f2d in
+  let h = (h lxor (h lsr 29)) * 0x14057b7ef767814f in
+  h lxor (h lsr 32)
+
+let combine acc h = mix ((acc * 0x100000001b3) lxor h)
+
 let rec hash v =
   match v with
   | Unit -> 17
   | Bool b -> if b then 31 else 37
-  | Int i -> Hashtbl.hash i
-  | Str s -> Hashtbl.hash s
-  | Pair (a, b) -> (hash a * 65599) + hash b
-  | List l -> List.fold_left (fun acc x -> (acc * 131) + hash x) 41 l
-  | Vec a -> Array.fold_left (fun acc x -> (acc * 131) + hash x) 43 a
+  | Int i -> mix i
+  | Str s -> mix (Hashtbl.hash s)
+  | Pair (a, b) -> combine (combine 4 (hash a)) (hash b)
+  | List l -> List.fold_left (fun acc x -> combine acc (hash x)) 5 l
+  | Vec a -> Array.fold_left (fun acc x -> combine acc (hash x)) 6 a
 
 let rec pp ppf = function
   | Unit -> Fmt.string ppf "()"

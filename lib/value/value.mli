@@ -53,6 +53,9 @@ val compare : t -> t -> int
 (** Total order: structural, with a fixed order on constructors. *)
 
 val hash : t -> int
+(** Structural hash over the full width of [int]: {!equal} values hash
+    equal, and distinct [Int]s never collide. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -4,7 +4,8 @@
 # safe-agreement check through the coordinator and diff the mirrored result
 # fields against the single-process anchor (plain and --reduce), check the
 # depth-10 race-false counterexample is one lex-least schedule locally,
-# under --reduce and on the fleet, then
+# under --reduce and on the fleet, check the read-collision control finds
+# p2,p2,p1,p1 on the same three paths, then
 # kill -9 one worker mid-run and check the re-dispatch path still completes
 # the depth-12 search with the exact credited count. The kill waits for
 # journaled progress rather than a fixed delay, so it lands mid-run however
@@ -102,6 +103,36 @@ echo "  fleet:  $DIST_CEX"
   echo "dist_smoke: counterexamples differ" >&2
   exit 1
 }
+
+echo "dist_smoke: read-collision at depth 6: local, --reduce and fleet find p2,p2,p1,p1"
+# The memo's negative control: p1 reads Int 21395 or Int 35553, which a
+# 30-bit value hash cannot tell apart. Every path must report the
+# violation that run_replay finds, not credit it from the other read.
+RC="--scenario read-collision --depth 6"
+rc_cex() { # $1 = tag, then extra flags
+  tag=$1
+  shift
+  # shellcheck disable=SC2086
+  if "$WFA" modelcheck $RC "$@" --json "$D/rc-$tag.json" > /dev/null; then
+    echo "dist_smoke: read-collision $tag found no violation" >&2
+    exit 1
+  fi
+  sed -n '/^  "cex": \[/,/^  \]/p' "$D/rc-$tag.json" | tr -d ' \n' \
+    | sed 's/,$//'
+}
+RC_WANT='"cex":["p2","p2","p1","p1"]'
+for tag in local reduce dist; do
+  case $tag in
+    local) GOT=$(rc_cex local) ;;
+    reduce) GOT=$(rc_cex reduce --reduce) ;;
+    dist) GOT=$(rc_cex dist --workers "$FLEET") ;;
+  esac
+  echo "  $tag: $GOT"
+  [ "$GOT" = "$RC_WANT" ] || {
+    echo "dist_smoke: read-collision $tag: want $RC_WANT" >&2
+    exit 1
+  }
+done
 
 echo "dist_smoke: kill -9 a worker mid-run; the survivor absorbs its jobs"
 # interval 0 journals a generation after accepted results (the coordinator

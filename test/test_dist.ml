@@ -810,6 +810,68 @@ let test_unwritable_store_refused () =
                   ~depth ~workers:(List.map snd servers) ())));
       Alcotest.(check int) "coordinator dispatched nothing" 0 !dispatched)
 
+(* --- the memo's negative control: read-collision --- *)
+
+(* p1 reads one register and decides whether it read [Int 35553]; p2
+   writes [Int 21395], then [Int 35553]. A memo that names p1's local state
+   by a hash of the values it read, under which these two ints collide,
+   credits p2,p2,p1 from the already explored p2,p1,p2 and answers [Ok]. The
+   exact key tells the two apart on every engine. *)
+let collision_cex = "Counterexample [p2 p2 p1 p1]"
+
+let test_read_collision_engines () =
+  let sc = find_sc "read-collision" ~n_s:1 in
+  let build = sc.Mcheck.Scenario.sc_build
+  and pids = sc.Mcheck.Scenario.sc_pids
+  and prop = sc.Mcheck.Scenario.sc_prop
+  and reduce = Mcheck.Scenario.reduction sc ~reduce:true in
+  List.iter
+    (fun depth ->
+      let check what v =
+        check_string (Printf.sprintf "depth %d: %s" depth what) collision_cex
+          (verdict_str v)
+      in
+      check "run_replay"
+        (fst (Exhaustive.run_replay ~build ~pids ~depth ~prop ()));
+      check "run" (fst (Exhaustive.run ~build ~pids ~depth ~prop ()));
+      check "run ~reduce"
+        (fst (Exhaustive.run ?reduce ~build ~pids ~depth ~prop ()));
+      check "run ~memo:false"
+        (fst (Exhaustive.run ~memo:false ~build ~pids ~depth ~prop ()));
+      List.iter
+        (fun split_depth ->
+          List.iter
+            (fun (what, reduce) ->
+              check
+                (Printf.sprintf "split %d%s + one shared table" split_depth
+                   what)
+                (fst
+                   (shared_run ?reduce ~order:Fun.id ~tables:1 ~build ~pids
+                      ~depth ~split_depth ~prop ())))
+            [ ("", None); (" reduced", reduce) ])
+        [ 1; 2; 3 ])
+    [ 4; 5; 6; 7; 8 ]
+
+let test_read_collision_fleet () =
+  let sc = find_sc "read-collision" ~n_s:1 in
+  with_tcp_workers 2 (fun servers ->
+      let workers = List.map snd servers in
+      List.iter
+        (fun depth ->
+          List.iter
+            (fun reduce ->
+              match
+                Dist.Coordinator.run ~reduce ~scenario:sc ~depth ~workers ()
+              with
+              | Error e -> Alcotest.failf "depth %d: %s" depth e
+              | Ok r ->
+                check_string
+                  (Printf.sprintf "depth %d reduce %b, 2 workers" depth reduce)
+                  collision_cex
+                  (verdict_str r.Dist.Coordinator.r_verdict))
+            [ false; true ])
+        [ 4; 5; 6; 7; 8 ])
+
 let suite =
   [
     Alcotest.test_case "partition matches run (all frontiers, orders)" `Quick
@@ -844,6 +906,10 @@ let suite =
       test_coordinator_retries_elsewhere;
     Alcotest.test_case "unwritable store refused by both executors" `Quick
       test_unwritable_store_refused;
+    Alcotest.test_case "read-collision control on every engine" `Quick
+      test_read_collision_engines;
+    Alcotest.test_case "read-collision control over a 2-worker fleet" `Quick
+      test_read_collision_fleet;
     QCheck_alcotest.to_alcotest prop_merge_stats_monoid;
     QCheck_alcotest.to_alcotest prop_merge_verdicts_monoid;
     QCheck_alcotest.to_alcotest prop_partition_counts;

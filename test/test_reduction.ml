@@ -251,8 +251,11 @@ let indep_build ~n_c ~n_s () =
   in
   mk_ns ~n_c ~n_s mem c_code
 
-let run_digest build sched =
+(* Keys compare within one context: the runtimes a test compares share
+   [keys]. *)
+let run_digest keys build sched =
   let rt = build () in
+  Runtime.attach rt keys;
   List.iter (Runtime.step rt) sched;
   let d = Runtime.digest rt in
   Runtime.destroy rt;
@@ -287,7 +290,9 @@ let prop_independent_swap =
       let indep = Runtime.independent rt p q in
       Runtime.destroy rt;
       if not indep then QCheck.assume_fail ()
-      else run_digest build sched = run_digest build (swap_at at sched))
+      else
+        let keys = Keys.create () in
+        run_digest keys build sched = run_digest keys build (swap_at at sched))
 
 let test_dependent_swap_differs () =
   (* Negative control: two writes to the same register are dependent, and
@@ -299,9 +304,10 @@ let test_dependent_swap_differs () =
   check_bool "a pid is never independent of itself" false
     (Runtime.independent rt (Pid.c 0) (Pid.c 0));
   Runtime.destroy rt;
+  let keys = Keys.create () in
   check_bool "dependent swap reaches a different state" false
-    (run_digest build [ Pid.c 0; Pid.c 1 ]
-    = run_digest build [ Pid.c 1; Pid.c 0 ])
+    (run_digest keys build [ Pid.c 0; Pid.c 1 ]
+    = run_digest keys build [ Pid.c 1; Pid.c 0 ])
 
 (* --- orbit accounting: canonical representatives weighted by orbit size
        partition the full schedule space --- *)
@@ -423,6 +429,155 @@ let test_sleep_mask_width () =
         | _ -> false))
     [ Sys.int_size - 1; Sys.int_size ]
 
+(* --- random programs: the memo under sleep sets --- *)
+
+(* A random small program: 2-3 C-processes and 1-2 S-processes, each
+   running 1-3 reads or writes over 2 registers with constants from
+   {21395, 35553, 1} (the first two collide under a 30-bit hash). A
+   C-process then decides the last value it read (unit if none); the
+   property forbids one C-process one decision. Different processes touch
+   the registers in different orders, so under sleep sets one state is
+   reached with different masks and the memo hits across them, which the
+   fixed scenarios never do. *)
+type rop = Rd of int | Wr of int * int
+
+type program = {
+  n_c : int;
+  n_s : int;
+  code : rop list array;  (* C-processes, then S-processes *)
+  depth : int;
+  forbid : int * Value.t;  (* p_i must not decide v *)
+}
+
+let consts = [| 21395; 35553; 1 |]
+
+let gen_program =
+  let open QCheck.Gen in
+  let* n_c = int_range 2 3 in
+  let* n_s = int_range 1 2 in
+  let rop =
+    let* r = int_bound 1 in
+    let* w = bool in
+    if w then map (fun c -> Wr (r, consts.(c))) (int_bound 2) else return (Rd r)
+  in
+  let* code = array_repeat (n_c + n_s) (list_size (int_range 1 3) rop) in
+  let* depth = int_range 4 7 in
+  let* i = int_bound (n_c - 1) in
+  let* v = oneofl (Value.unit :: Array.to_list (Array.map Value.int consts)) in
+  return { n_c; n_s; code; depth; forbid = (i, v) }
+
+let print_program p =
+  let rop = function
+    | Rd r -> Printf.sprintf "read r%d" r
+    | Wr (r, c) -> Printf.sprintf "write r%d %d" r c
+  in
+  Printf.sprintf "%s; depth %d; p%d must not decide %s"
+    (String.concat "; "
+       (Array.to_list
+          (Array.mapi
+             (fun j ops ->
+               Printf.sprintf "%s: %s"
+                 (Pid.to_string
+                    (if j < p.n_c then Pid.c j else Pid.s (j - p.n_c)))
+                 (String.concat ", " (List.map rop ops)))
+             p.code)))
+    p.depth (fst p.forbid + 1)
+    (Value.to_string (snd p.forbid))
+
+let program_build p () =
+  let mem = Memory.create () in
+  let regs = Memory.alloc mem 2 in
+  let run ops =
+    List.fold_left
+      (fun last op ->
+        match op with
+        | Rd r -> Runtime.Op.read regs.(r)
+        | Wr (r, c) ->
+          Runtime.Op.write regs.(r) (Value.int c);
+          last)
+      Value.unit ops
+  in
+  Runtime.create
+    {
+      Runtime.n_c = p.n_c;
+      n_s = p.n_s;
+      memory = mem;
+      pattern = Failure.failure_free p.n_s;
+      history = History.trivial;
+      record_trace = false;
+    }
+    ~c_code:(fun i () -> Runtime.Op.decide (run p.code.(i)))
+    ~s_code:(fun i () -> ignore (run p.code.(p.n_c + i)))
+
+let program_prop p rt =
+  let i, v = p.forbid in
+  match Runtime.decision rt i with
+  | Some d -> not (Value.equal d v)
+  | None -> true
+
+(* Deeper programs of five processes take run_replay seconds: the depth
+   drawn is lowered until the tree holds at most 5^6 schedules. *)
+let program_depth p =
+  let pids = p.n_c + p.n_s in
+  let rec schedules d = if d = 0 then 1 else pids * schedules (d - 1) in
+  let rec fit d = if d > 4 && schedules d > 15625 then fit (d - 1) else d in
+  fit p.depth
+
+let sleep_only = { Exhaustive.sleep = true; symmetry = [] }
+
+(* split at depth 2, every job on one shared table, in DFS order *)
+let split_shared ?reduce ~build ~pids ~depth ~prop () =
+  Test_dist.shared_run ?reduce ~order:Fun.id ~tables:1 ~build ~pids ~depth
+    ~split_depth:2 ~prop ()
+
+let prop_programs_agree =
+  QCheck.Test.make
+    ~name:"random programs: every engine matches run_replay" ~count:200
+    (QCheck.make ~print:print_program gen_program)
+    (fun p ->
+      let build = program_build p and prop = program_prop p in
+      let pids = Pid.all ~n_c:p.n_c ~n_s:p.n_s and depth = program_depth p in
+      let want =
+        verdict_str
+          (fst (Exhaustive.run_replay ~build ~pids ~depth ~prop ()))
+      in
+      List.for_all
+        (fun (what, (v, _)) ->
+          verdict_str v = want
+          || QCheck.Test.fail_reportf "%s: %s, run_replay: %s" what
+               (verdict_str v) want)
+        [
+          ("memo", Exhaustive.run ~build ~pids ~depth ~prop ());
+          ( "reduced",
+            Exhaustive.run ~reduce:sleep_only ~build ~pids ~depth ~prop () );
+          ("split + shared table", split_shared ~build ~pids ~depth ~prop ());
+          ( "reduced split + shared table",
+            split_shared ~reduce:sleep_only ~build ~pids ~depth ~prop () );
+        ])
+
+(* The battery above is what covers the sleep x memo rule (a hit only when
+   the stored mask is a subset of the current one): its reduced searches
+   hit the memo, where those of the fixed scenarios record no hit at all. *)
+let test_programs_hit_memo_under_sleep () =
+  let programs =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:200 gen_program
+  in
+  let hits =
+    List.length
+      (List.filter
+         (fun p ->
+           let _, st =
+             Exhaustive.run ~reduce:sleep_only ~build:(program_build p)
+               ~pids:(Pid.all ~n_c:p.n_c ~n_s:p.n_s) ~depth:(program_depth p)
+               ~prop:(program_prop p) ()
+           in
+           st.Exhaustive.memo_hits > 0)
+         programs)
+  in
+  check_bool
+    (Printf.sprintf "%d of 200 reduced searches hit the memo" hits)
+    true (hits >= 30)
+
 let suite =
   [
     Alcotest.test_case "differential: safe agreement" `Quick
@@ -446,4 +601,7 @@ let suite =
       test_reduction_stats_and_validation;
     Alcotest.test_case "sleep masks refuse more pids than int bits" `Quick
       test_sleep_mask_width;
+    QCheck_alcotest.to_alcotest prop_programs_agree;
+    Alcotest.test_case "random programs hit the memo under sleep sets" `Quick
+      test_programs_hit_memo_under_sleep;
   ]

@@ -52,7 +52,7 @@ let test_golden_malformed () =
     check_string "error lists path and valid names"
       (path
      ^ ": $.params.scenario: unknown scenario \"typo\" \
-        (safe-agreement|race-false)")
+        (safe-agreement|race-false|read-collision)")
       msg
 
 let test_load_missing_file () =
@@ -332,7 +332,7 @@ let test_campaign_bad_cell () =
     | Error msg ->
       check_string "cell error carries generated name and path"
         "$.groups[0] (cell g:scenario=typo).params.scenario: unknown \
-         scenario \"typo\" (safe-agreement|race-false)"
+         scenario \"typo\" (safe-agreement|race-false|read-collision)"
         msg)
 
 let test_campaign_duplicate_names () =

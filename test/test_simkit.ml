@@ -297,7 +297,9 @@ let test_participating_requires_op () =
 
 let test_digest_convergence () =
   (* Interleavings that commute (ops on distinct registers) digest equal;
-     genuinely different outcomes digest differently. *)
+     genuinely different outcomes digest differently. Keys compare within
+     one context, so every runtime here is attached to the same one. *)
+  let keys = Keys.create () in
   let build () =
     let mem = Memory.create () in
     let rs = Memory.alloc mem 2 in
@@ -305,8 +307,12 @@ let test_digest_convergence () =
       Runtime.Op.write rs.(i) (Value.int (10 + i));
       Runtime.Op.decide (Value.int i)
     in
-    Runtime.create (mk_config ~n_c:2 ~n_s:1 mem) ~c_code
-      ~s_code:(fun _ () -> ())
+    let rt =
+      Runtime.create (mk_config ~n_c:2 ~n_s:1 mem) ~c_code
+        ~s_code:(fun _ () -> ())
+    in
+    Runtime.attach rt keys;
+    rt
   in
   let after sched =
     let rt = build () in
@@ -319,15 +325,55 @@ let test_digest_convergence () =
     (after [ Pid.c 0; Pid.c 1 ])
     (after [ Pid.c 1; Pid.c 0 ]);
   check_bool "different progress differs" true
-    (after [ Pid.c 0; Pid.c 0 ] <> after [ Pid.c 0; Pid.c 1 ]);
-  (* memory introspection used by the digest *)
+    (after [ Pid.c 0; Pid.c 0 ] <> after [ Pid.c 0; Pid.c 1 ])
+
+(* The key context: a digest needs one, attaching is refused once an
+   operation has executed, and two states that differ only in which of
+   two ints a process read (ints a 30-bit hash confuses) key apart. *)
+let test_key_context () =
+  let expect_invalid name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
   let mem = Memory.create () in
-  let rs = Memory.alloc mem 2 in
-  Memory.write mem rs.(1) (Value.int 3);
-  let h0 = Memory.hash mem in
-  Alcotest.(check int) "contents length" 2 (Array.length (Memory.contents mem));
-  Memory.write mem rs.(1) (Value.int 4);
-  check_bool "hash tracks contents" true (Memory.hash mem <> h0)
+  let r = Memory.alloc1 mem () in
+  let rt =
+    Runtime.create (mk_config ~n_c:1 ~n_s:1 mem)
+      ~c_code:(fun _ () -> Runtime.Op.write r (Value.int 1))
+      ~s_code:(fun _ () -> ())
+  in
+  expect_invalid "digest without a context" (fun () -> Runtime.digest rt);
+  Runtime.peek rt (Pid.c 0);
+  Runtime.step rt (Pid.s 0);
+  let keys = Keys.create () in
+  Runtime.attach rt keys;
+  let d0 = Runtime.digest rt in
+  Runtime.step rt (Pid.c 0);
+  check_bool "a write moves the key" true (Runtime.digest rt <> d0);
+  expect_invalid "attach after an operation" (fun () ->
+      Runtime.attach rt (Keys.create ()));
+  Runtime.destroy rt;
+  let sc = Mcheck.Scenario.read_collision ~n_s:1 in
+  let keys = Keys.create () in
+  let after sched =
+    let rt = sc.Mcheck.Scenario.sc_build () in
+    Runtime.attach rt keys;
+    List.iter (Runtime.step rt) sched;
+    let d = Runtime.digest rt in
+    Runtime.destroy rt;
+    d
+  in
+  let p1 = Pid.c 0 and p2 = Pid.c 1 in
+  check_bool "p1 read 21395 or 35553: keys differ" true
+    (after [ p2; p1; p2 ] <> after [ p2; p2; p1 ]);
+  Alcotest.(check string) "one history, one key" (after [ p2; p1; p2 ])
+    (after [ p2; p1; p2 ]);
+  (* a scenario runtime keys on its own context outside any engine *)
+  let rt = sc.Mcheck.Scenario.sc_build () in
+  Runtime.step rt p2;
+  check_bool "scenario runtime digests" true (Runtime.digest rt <> "");
+  Runtime.destroy rt
 
 let test_trace_recording () =
   let mem = Memory.create () in
@@ -353,7 +399,7 @@ let test_trace_recording () =
 
 (* p1 writes and decides; q1 writes once, then crashes at time 3 with its
    next write parked; p2 is peeked onto a parked write; q2 is Fresh. *)
-let null_move_runtime ?obs () =
+let null_move_runtime ?obs ?(keys = Keys.create ()) () =
   let mem = Memory.create () in
   let r = Memory.alloc1 mem () in
   let c_code i () =
@@ -371,6 +417,7 @@ let null_move_runtime ?obs () =
   let rt =
     Runtime.create ?obs (mk_config ~pattern ~trace:true mem) ~c_code ~s_code
   in
+  Runtime.attach rt keys;
   List.iter (Runtime.step rt) [ Pid.c 0; Pid.c 0; Pid.s 0 ];
   Runtime.peek rt (Pid.c 1);
   rt
@@ -386,10 +433,11 @@ let test_null_move_taken_back () =
   List.iter
     (fun pid ->
       let name = Pid.to_string pid in
-      let rt = null_move_runtime () in
+      let keys = Keys.create () in
+      let rt = null_move_runtime ~keys () in
       let before = observe rt pid in
       (* the state inside is exactly the one a real step reaches *)
-      let twin = null_move_runtime () in
+      let twin = null_move_runtime ~keys () in
       Runtime.step twin pid;
       (match Runtime.with_null_step rt pid (fun () -> observe rt pid) with
       | Some inside ->
@@ -830,6 +878,8 @@ let suite =
     Alcotest.test_case "participation requires an operation" `Quick
       test_participating_requires_op;
     Alcotest.test_case "state digest convergence" `Quick test_digest_convergence;
+    Alcotest.test_case "key context: attach, refusal, exactness" `Quick
+      test_key_context;
     Alcotest.test_case "trace recording" `Quick test_trace_recording;
     Alcotest.test_case "null move taken back" `Quick test_null_move_taken_back;
     Alcotest.test_case "null move refused" `Quick test_null_move_refused;

@@ -89,12 +89,36 @@ let prop_compare_trans =
       | [ x; y; z ] -> compare x y <= 0 && compare y z <= 0 && compare x z <= 0
       | _ -> false)
 
+(* a structurally equal copy sharing no block with the original *)
+let rec copy = function
+  | (Unit | Bool _ | Int _) as v -> v
+  | Str s -> Str (String.init (String.length s) (String.get s))
+  | Pair (a, b) -> Pair (copy a, copy b)
+  | List l -> List (List.map copy l)
+  | Vec a -> Vec (Array.map copy a)
+
 let prop_equal_hash =
   QCheck.Test.make ~name:"equal implies same hash" ~count:300 arb_value
     (fun v ->
-      (* structural copy through round-trip of to_string is not available;
-         copy via identity is trivial — instead rebuild pairs *)
-      hash v = hash v && equal v v)
+      let v' = copy v in
+      equal v v' && hash v = hash v')
+
+(* [Hashtbl.hash] keeps 30 bits of an int, so these pairs collide there; the
+   memo's value interning relies on [hash] telling them apart. *)
+let test_hash_full_width () =
+  List.iter
+    (fun (a, b) ->
+      check_bool
+        (Printf.sprintf "Hashtbl.hash %d = Hashtbl.hash %d" a b)
+        true
+        (Hashtbl.hash a = Hashtbl.hash b);
+      check_bool
+        (Printf.sprintf "hash (Int %d) <> hash (Int %d)" a b)
+        true
+        (hash (int a) <> hash (int b)))
+    [ (21395, 35553); (16023, 51553) ];
+  check_bool "hash (Int max_int) <> hash (Int min_int)" true
+    (hash (int max_int) <> hash (int min_int))
 
 let prop_size_depth =
   QCheck.Test.make ~name:"depth <= size" ~count:300 arb_value (fun v ->
@@ -107,6 +131,7 @@ let suite =
     Alcotest.test_case "triple" `Quick test_triple;
     Alcotest.test_case "type errors" `Quick test_type_errors;
     Alcotest.test_case "compare basics" `Quick test_compare_basic;
+    Alcotest.test_case "hash is full-width" `Quick test_hash_full_width;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
