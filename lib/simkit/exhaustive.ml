@@ -203,7 +203,20 @@ exception Cancelled
      context peeked every pid at the parent and a null move starts no code,
      so the peek after a real step would change nothing there. A probed
      child's property and digest are therefore what its turn would read;
-     only the reading is early, while the memo lookup stays at its turn. *)
+     only the reading is early, while the memo lookup stays at its turn.
+
+   - Predictions: a child reached by a real step of a started process is
+     keyed on the parent's runtime by {!Runtime.digest_after}, which makes
+     the step's key changes with the function the step itself uses and
+     takes them back. A reducing context peeked every pid at the parent, so
+     the peek after the step changes nothing there either, and the
+     predicted key is the one the child's turn would read. A hit on it
+     credits the child without a runtime and without reading its property:
+     [prop] is a function of the keyed state, and in [Every] mode every key
+     a table holds belongs to a state that passed it (each node is checked
+     before it is expanded, a job root included), so the child would pass.
+     A miss reads the property on the child's runtime before expanding, as
+     the child's turn always did. *)
 
 type reduction = { sleep : bool; symmetry : Pid.t list list }
 
@@ -357,18 +370,22 @@ let create_table () = new_table ~sleep:true
    [run_subtree].
 
    One live runtime is kept per DFS path: descending into a node's child is
-   a single [Runtime.step]. Before its children are walked, every child
-   whose move is null (a decided or finished process, a crashed S-process)
-   is probed on the node's runtime: the move is taken, the child's property
+   a single [Runtime.step]. Before its children are walked, the node's
+   runtime is read for what their turns can use without a runtime of their
+   own. Every child whose move is null (a decided or finished process, a
+   crashed S-process) is probed: the move is taken, the child's property
    and digest are read, and the move is taken back
-   ([Runtime.with_null_step]). A probed child is then credited without a
-   runtime when it is a leaf, a memo hit at its turn, a frontier job or a
-   prefix violation. A child that must be expanded takes the node's runtime
-   if no earlier child has, and otherwise the runtime is rebuilt and the
-   prefix replayed (runtimes hold effect continuations, so they cannot be
-   cloned — replay keeps the enumeration exact while the descent itself
-   costs amortized O(1) steps per node, against O(depth) for
-   replay-from-scratch at every node).
+   ([Runtime.with_null_step]). With the memo on, every other child that is
+   not a leaf has its key predicted ([Runtime.digest_after]) when its
+   process has started. A probed child is credited without a runtime when
+   it is a leaf, a memo hit at its turn, a frontier job or a prefix
+   violation, and a predicted child when it is a memo hit. The first child
+   that needs a runtime (a miss, or a leaf reached by a real step) takes
+   the node's, and a later one rebuilds it and replays the prefix
+   (runtimes hold effect continuations, so they cannot be cloned — replay
+   keeps the enumeration exact while the descent itself costs amortized
+   O(1) steps per node, against O(depth) for replay-from-scratch at every
+   node).
 
    On top, a memo over exact state keys ({!Runtime.digest} in the table's
    key context, which [build_fresh] attaches to every runtime it builds;
@@ -376,18 +393,31 @@ let create_table () = new_table ~sleep:true
    a node's state has been seen before at the same clock, its whole
    subtree is skipped and the recorded number of complete schedules below
    it is credited, so reported schedule counts stay exact. Only
-   fully-verified (counterexample-free) subtrees are memoized. A probed
-   child is looked up at its own turn, not when probed, so the memo fills
-   and hits exactly as without probing.
+   fully-verified (counterexample-free) subtrees are memoized. A probed or
+   predicted child is looked up at its own turn, not when read, so the
+   memo fills and hits exactly as without reading ahead.
 
    [dfs] expands the subtree [root] names: its prefix is replayed without
-   property checks (the caller has verified it), then the subtree is
-   searched under the root's sleep mask, orbit-multiplier product and
-   per-class used counts. A job root is looked up in and stored to the memo
-   like any other node; [whole_tree], the root of the full search, is not. A
-   node whose prefix reaches length [frontier] is handed to [emit] as a job
-   instead of being expanded. Returns the first counterexample in DFS
-   order, complete schedules credited into [acc]. *)
+   property checks, then the subtree is searched under the root's sleep
+   mask, orbit-multiplier product and per-class used counts. A job root is
+   looked up in and stored to the memo like any other node; [whole_tree],
+   the root of the full search, is not. In [Every] mode a job root's
+   property is read before its lookup: a job may arrive from outside
+   [split] (the [subtree] verb), and a root that fails is the job's
+   counterexample, never a stored state. A node whose prefix reaches
+   length [frontier] is handed to [emit] as a job instead of being
+   expanded. Returns the first counterexample in DFS order, complete
+   schedules credited into [acc]. *)
+
+(* What a node's walk knows of a child before the child's turn. *)
+type seen =
+  | Unread  (** nothing: the child is read on its own runtime *)
+  | Probed of bool * string
+      (** a null move taken on the parent's runtime and taken back: what
+          [read] gives at the child *)
+  | Predicted of string
+      (** a real step's key, read on the parent's runtime without the step *)
+
 let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let every = mode = Every in
   let memo = Option.is_some table in
@@ -447,10 +477,12 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let pids_of prefix_rev = List.rev_map (fun i -> rctx.r_pids.(i)) prefix_rev in
   let n_jobs = ref 0 in
   (* The node [d] steps above full depth, entered under sleep mask [z], read
-     as [ok] and [key]; [get ()] gives a runtime at it. Credited from the
-     memo when its state was explored before under a sleep mask no larger
-     than [z], else expanded and, once verified, stored. *)
-  let rec visit get ~ok ~key prefix_rev d ~z ~factor =
+     as [ok] and [key]; [get ()], called at most once, gives a runtime at
+     it. [unchecked] marks an [Every]-mode node whose key was predicted and
+     whose property is still to be read. Credited from the memo when its
+     state was explored before under a sleep mask no larger than [z], else
+     expanded and, once verified, stored. *)
+  let rec visit get ~ok ~unchecked ~key prefix_rev d ~z ~factor =
     let stored =
       match table with
       | Some t when d > 0 -> Hashtbl.find_opt t.counts key
@@ -471,7 +503,7 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
          skip: (re-)explore under the intersection and tighten the entry. *)
       let z_explore = match stored with None -> z | Some _ -> zs land z in
       let count0 = acc.a_count in
-      match expand get ~ok prefix_rev d ~z:z_explore ~factor with
+      match expand get ~ok ~unchecked prefix_rev d ~z:z_explore ~factor with
       | Some cex -> Some cex
       | None ->
         (match table with
@@ -480,7 +512,7 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
           if rctx.r_sleep then Hashtbl.replace t.masks key z_explore
         | _ -> ());
         None)
-  and expand get ~ok prefix_rev d ~z ~factor =
+  and expand get ~ok ~unchecked prefix_rev d ~z ~factor =
     if depth - d = frontier then begin
       emit
         {
@@ -501,107 +533,122 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
       acc.a_count <- acc.a_count + factor;
       if ok then None else Some (pids_of prefix_rev)
     end
-    else begin
+    else
       let rt = get () in
-      (* Footprints of everyone's next step at this node: stable below it,
-         valid after replays (which reconstruct this very state). *)
-      let fp =
-        if rctx.r_sleep then Array.map (Runtime.footprint rt) rctx.r_pids
-        else [||]
-      in
-      (* the orbit multiplier; 0 marks a non-canonical class member *)
-      let mult i =
-        let c = rctx.r_cls.(i) in
-        if c < 0 then 1
-        else
-          let j = rctx.r_pos.(i) and u = used.(c) in
-          if j < u then 1 else if j = u then rctx.r_size.(c) - u else 0
-      in
-      let asleep i = rctx.r_sleep && z land (1 lsl i) <> 0 in
-      (* Probe the children whose null move [rt] can take back while it
-         still sits here; the walk below credits them at their turn. *)
-      let probes =
-        Array.init n (fun i ->
-            if mult i = 0 || asleep i then None
-            else
-              Runtime.with_null_step rt rctx.r_pids.(i) (fun () ->
+      if unchecked && not (prop rt) then Some (pids_of prefix_rev)
+      else walk rt prefix_rev d ~z ~factor
+  (* The children of the node [rt] sits at, in DFS order. *)
+  and walk rt prefix_rev d ~z ~factor =
+    (* Footprints of everyone's next step at this node: stable below it,
+       valid after replays (which reconstruct this very state). *)
+    let fp =
+      if rctx.r_sleep then Array.map (Runtime.footprint rt) rctx.r_pids
+      else [||]
+    in
+    (* the orbit multiplier; 0 marks a non-canonical class member *)
+    let mult i =
+      let c = rctx.r_cls.(i) in
+      if c < 0 then 1
+      else
+        let j = rctx.r_pos.(i) and u = used.(c) in
+        if j < u then 1 else if j = u then rctx.r_size.(c) - u else 0
+    in
+    let asleep i = rctx.r_sleep && z land (1 lsl i) <> 0 in
+    (* Read on [rt], while it still sits here, what each child's turn can
+       use without a runtime of its own. A prediction is only a key, and a
+       leaf is never looked up, so leaves are not predicted. *)
+    let predict = memo && d > 1 in
+    let seen =
+      Array.init n (fun i ->
+          if mult i = 0 || asleep i then Unread
+          else
+            let pid = rctx.r_pids.(i) in
+            match
+              Runtime.with_null_step rt pid (fun () ->
                   acc.a_steps <- acc.a_steps + 1;
-                  read rt (d - 1)))
+                  read rt (d - 1))
+            with
+            | Some (ok, key) -> Probed (ok, key)
+            | None when predict -> (
+              match Runtime.digest_after rt pid with
+              | Some key -> Predicted key
+              | None -> Unread)
+            | None -> Unread)
+    in
+    (* [rt] stays at this node until a child that needs a runtime takes it;
+       a later such child replays the prefix. *)
+    let live = ref true in
+    let take i =
+      let rt =
+        if !live then begin
+          live := false;
+          rt
+        end
+        else replay prefix_rev
       in
-      (* [rt] stays at this node until a child that must be expanded takes
-         it; a later such child replays the prefix. *)
-      let live = ref true in
-      let take i =
-        let rt =
-          if !live then begin
-            live := false;
-            rt
-          end
-          else replay prefix_rev
-        in
-        step rt i;
-        rt
-      in
-      let rec kids before = function
-        | [] -> None
-        | i :: rest ->
-          if cancelled () then raise Cancelled;
-          let mult = mult i in
-          if mult = 0 then begin
-            (* Non-canonical fresh class member: its subtree is a renaming
-               of the canonical representative's, already counted in that
-               child's multiplier. *)
-            acc.a_orbits <- acc.a_orbits + 1;
-            kids before rest
-          end
-          else if asleep i then begin
-            (* Sleep-pruned: every continuation is trace-equivalent to a
-               lex-smaller explored schedule; credit the whole subtree. *)
-            acc.a_sleep <- acc.a_sleep + 1;
-            acc.a_count <- acc.a_count + (factor * mult * rctx.r_pow.(d - 1));
-            kids before rest
-          end
+      step rt i;
+      rt
+    in
+    let rec kids before = function
+      | [] -> None
+      | i :: rest ->
+        if cancelled () then raise Cancelled;
+        let mult = mult i in
+        if mult = 0 then begin
+          (* Non-canonical fresh class member: its subtree is a renaming
+             of the canonical representative's, already counted in that
+             child's multiplier. *)
+          acc.a_orbits <- acc.a_orbits + 1;
+          kids before rest
+        end
+        else if asleep i then begin
+          (* Sleep-pruned: every continuation is trace-equivalent to a
+             lex-smaller explored schedule; credit the whole subtree. *)
+          acc.a_sleep <- acc.a_sleep + 1;
+          acc.a_count <- acc.a_count + (factor * mult * rctx.r_pow.(d - 1));
+          kids before rest
+        end
+        else begin
+          let get', (ok', key'), unchecked =
+            match seen.(i) with
+            | Probed (ok, key) -> ((fun () -> take i), (ok, key), false)
+            | Predicted key -> ((fun () -> take i), (true, key), every)
+            | Unread ->
+              let crt = take i in
+              ((fun () -> crt), read crt (d - 1), false)
+          in
+          acc.a_nodes <- acc.a_nodes + 1;
+          let prefix_rev' = i :: prefix_rev in
+          if every && not ok' then Some (pids_of prefix_rev')
           else begin
-            let get', (ok', key') =
-              match probes.(i) with
-              | Some seen -> ((fun () -> take i), seen)
-              | None ->
-                let crt = take i in
-                ((fun () -> crt), read crt (d - 1))
+            let z' =
+              if not rctx.r_sleep then 0
+              else begin
+                let zin = z lor before and m = ref 0 in
+                for q = 0 to n - 1 do
+                  if
+                    zin land (1 lsl q) <> 0
+                    && Runtime.commute fp.(q) fp.(i)
+                  then m := !m lor (1 lsl q)
+                done;
+                !m
+              end
             in
-            acc.a_nodes <- acc.a_nodes + 1;
-            let prefix_rev' = i :: prefix_rev in
-            if every && not ok' then Some (pids_of prefix_rev')
-            else begin
-              let z' =
-                if not rctx.r_sleep then 0
-                else begin
-                  let zin = z lor before and m = ref 0 in
-                  for q = 0 to n - 1 do
-                    if
-                      zin land (1 lsl q) <> 0
-                      && Runtime.commute fp.(q) fp.(i)
-                    then m := !m lor (1 lsl q)
-                  done;
-                  !m
-                end
-              in
-              let c = rctx.r_cls.(i) in
-              let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
-              if fresh_member then used.(c) <- used.(c) + 1;
-              let sub =
-                visit get' ~ok:ok' ~key:key' prefix_rev' (d - 1) ~z:z'
-                  ~factor:(factor * mult)
-              in
-              if fresh_member then used.(c) <- used.(c) - 1;
-              match sub with
-              | Some cex -> Some cex
-              | None -> kids (before lor (1 lsl i)) rest
-            end
+            let c = rctx.r_cls.(i) in
+            let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
+            if fresh_member then used.(c) <- used.(c) + 1;
+            let sub =
+              visit get' ~ok:ok' ~unchecked ~key:key' prefix_rev' (d - 1)
+                ~z:z' ~factor:(factor * mult)
+            in
+            if fresh_member then used.(c) <- used.(c) - 1;
+            match sub with
+            | Some cex -> Some cex
+            | None -> kids (before lor (1 lsl i)) rest
           end
-      in
-      kids 0 all
-    end
+        end
+    in
+    kids 0 all
   in
   Fun.protect ~finally:destroy_cur (fun () ->
       let rt = build_fresh () in
@@ -611,10 +658,13 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
       let z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 root.sj_sleep in
       let d = depth - List.length pfx in
       let get () = rt in
-      if pfx = [] then expand get ~ok:true [] d ~z ~factor:root.sj_factor
+      if pfx = [] then
+        expand get ~ok:true ~unchecked:false [] d ~z ~factor:root.sj_factor
+      else if every && not (prop rt) then Some root.sj_prefix
       else
         let key = if memo then Runtime.digest rt else "" in
-        visit get ~ok:true ~key (List.rev pfx) d ~z ~factor:root.sj_factor)
+        visit get ~ok:true ~unchecked:false ~key (List.rev pfx) d ~z
+          ~factor:root.sj_factor)
 
 let never_cancel () = false
 

@@ -11,17 +11,23 @@
     root, {!split} runs it to a shallow frontier and emits the nodes there
     as jobs, and {!run_subtree} runs it below one such job. One live
     runtime is kept per DFS path, so descending costs one step per node. A
-    child whose move is null (its process has decided, finished or
-    crashed) is read on its parent's runtime and the move taken back
-    ({!Runtime.with_null_step}), so a leaf, a memo hit, a frontier job or a
-    violation there needs no runtime of its own. The runtime is rebuilt and
-    the prefix replayed only when a child that must be expanded finds the
-    live runtime moved on (effect continuations cannot be cloned). A memo
-    over exact state keys ({!Runtime.digest}) prunes converging
+    memo over exact state keys ({!Runtime.digest}) prunes converging
     interleavings while keeping the reported schedule count exact, and
-    optional reduction layers prune further on the same terms. {!stats}
-    makes the saved work observable. More cores are used by running
-    {!split}'s jobs on several processes (the [subtree] service verb).
+    optional reduction layers prune further on the same terms.
+
+    A node's children are read on its own runtime before any of them takes
+    it. A child whose move is null (its process has decided, finished or
+    crashed) is read there and the move taken back
+    ({!Runtime.with_null_step}), so a leaf, a memo hit, a frontier job or a
+    violation there needs no runtime of its own. With the memo on, a child
+    reached by a real step of a started process has its key predicted
+    there ({!Runtime.digest_after}), so a memo hit is found on the parent
+    too, with no runtime. The live runtime goes to the first child that
+    needs one (a miss, or a leaf reached by a real step); a later one
+    rebuilds it and replays the prefix (effect continuations cannot be
+    cloned). {!stats} makes the saved work observable. More cores are used
+    by running {!split}'s jobs on several processes (the [subtree] service
+    verb).
 
     Cost before pruning is |pids|^depth schedules: keep |pids| ≤ 4 and
     depth ≤ 12 or so. Used to verify the agreement primitives (safe
@@ -39,7 +45,11 @@
       attaches its table's key context ({!Runtime.attach}) to each one;
     - with the memo enabled, [prop] must be a function of the reached state
       as captured by {!Runtime.digest} (memory, statuses, decisions, per
-      process observations) — not of absolute event times or the trace;
+      process observations) — not of absolute event times or the trace. A
+      memo hit is then credited without reading the child's [prop]: in
+      [Every] mode a table stores only states that passed it (every node's
+      property is read before the node is expanded, a job's root included),
+      so the child would pass too;
     - [prop] may be evaluated on a child before that child's turn in DFS
       order (on its parent's runtime, with the child's null move taken and
       then taken back), so it must have no side effects that matter. *)
@@ -58,8 +68,9 @@ type stats = {
       (** total {!Runtime.step} calls: replays and the null moves taken and
           taken back to read a child on its parent's runtime included *)
   replays : int;
-      (** rebuild-and-replay events (a child to expand whose parent's
-          runtime has moved on / baseline runs) *)
+      (** rebuild-and-replay events (a child that needs a runtime, to
+          expand or to read as a leaf, after its parent's has moved on /
+          baseline runs) *)
   runtimes_built : int;  (** calls to [build] *)
   memo_hits : int;  (** subtrees skipped via the state-key memo *)
   sleep_pruned : int;
@@ -221,7 +232,8 @@ val split :
 (** Explore to [split_depth] (raises [Invalid_argument] unless
     [1 <= split_depth < depth]) and emit the frontier. In [Every] mode the
     property is checked on every prefix up to the frontier — {!run_subtree}
-    accordingly replays a job's prefix without re-checking it. [~mode],
+    accordingly replays a job's prefix without checking the prefixes on
+    the way, and reads only the job root's own property. [~mode],
     [~reduce] and the scenario must match between [split] and the
     [run_subtree] calls that consume its jobs. *)
 
@@ -272,15 +284,19 @@ val run_subtree :
   subtree ->
   verdict * stats
 (** Run one frontier job to the full [depth] (the same [depth] given to
-    {!split}): the prefix is replayed check-free, then the engine expands
-    the subtree under the job's seeded context. The memo reads and writes
-    [?table] when given, a private table otherwise; [~memo:false] turns it
-    off and ignores [?table]. [Ok n] is the subtree's exact credited
-    schedule count; a counterexample is the full schedule (prefix included)
-    and is the lex-least within the subtree. [?cancel] as in {!run}; a
-    cancelled job leaves only verified entries in [?table]. Raises
-    [Invalid_argument] on a job inconsistent with [~pids]/[~depth]/
-    [~reduce], or on a [?table] bound to another configuration. *)
+    {!split}): the prefix is replayed, then the engine expands the subtree
+    under the job's seeded context. In [Every] mode the job root's property
+    is read before its memo lookup, and a root that fails it answers the
+    prefix itself as the counterexample: a job need not come from
+    {!split}, and a table must never store a state that failed. The memo
+    reads and writes [?table] when given, a private table otherwise;
+    [~memo:false] turns it off and ignores [?table]. [Ok n] is the
+    subtree's exact credited schedule count; a counterexample is the full
+    schedule (prefix included) and is the lex-least within the subtree.
+    [?cancel] as in {!run}; a cancelled job leaves only verified entries in
+    [?table]. Raises [Invalid_argument] on a job inconsistent with
+    [~pids]/[~depth]/[~reduce], or on a [?table] bound to another
+    configuration. *)
 
 val schedule_json : Pid.t list -> Obs.Json.t
 val schedule_of_json : Obs.Json.t -> (Pid.t list, string) result

@@ -233,67 +233,77 @@ let attach t ks =
   t.keys <- Some ks;
   t.mem_ids <- [||]
 
+(* What [p]'s parked query returns if it executes now; [Value.unit] for
+   any other operation, and for a C-process's query, which [execute]
+   refuses. *)
+let queried t p op =
+  match (op, p.pid) with
+  | K_query _, Pid.S i -> History.get t.cfg.history ~q:i ~time:t.now
+  | _ -> Value.unit
+
+(* What executing [op] as [p]'s step does to the key, [qv] being what
+   [queried] samples: it extends [p]'s history node by the operation's
+   edges and, for a write, sets the register's value id. [execute] calls it
+   as the operation runs, and [digest_after] calls it ahead of the step and
+   takes it back, so a predicted key is built from the very edges the step
+   adds. A C-process's query adds nothing: [execute] refuses it. *)
+let advance t ks p op qv =
+  match op with
+  | K_read (r, _) -> extend ks p k_read r (mem_id t ks r)
+  | K_write (r, v, _) ->
+    let vid = Keys.intern ks v in
+    if r >= Array.length t.mem_ids then sync_mem t ks;
+    t.mem_ids.(r) <- vid;
+    extend ks p k_write r vid
+  | K_snapshot (rs, _) ->
+    if Array.length rs = 0 then extend ks p k_empty_snapshot 0 0
+    else
+      for i = 0 to Array.length rs - 1 do
+        extend ks p k_snapshot rs.(i) (mem_id t ks rs.(i))
+      done
+  | K_query _ -> (
+    match p.pid with
+    | Pid.C _ -> ()
+    | Pid.S _ -> extend ks p k_query 0 (Keys.intern ks qv))
+  | K_decide (v, _) -> extend ks p k_decide 0 (Keys.intern ks v)
+  | K_yield _ -> extend ks p k_yield 0 0
+
 (* Execute the pending operation of [p] at the current time, then resume the
    code until its next suspension point. One call = one (non-null) step. *)
 let execute t (p : pstate) (op : pending) : unit =
   p.pending <- None;
   p.steps <- p.steps + 1;
   if p.first_step = None then p.first_step <- Some t.now;
+  let qv = queried t p op in
+  (match t.keys with Some ks -> advance t ks p op qv | None -> ());
   (* The continuations below resume under the deep handler installed by
      [run_under] at process start: subsequent effects re-park in [p.pending],
      normal return / Halted land in that handler's retc/exnc. *)
   match op with
   | K_read (r, k) ->
     let v = Memory.read t.cfg.memory r in
-    (match t.keys with
-    | Some ks -> extend ks p k_read r (mem_id t ks r)
-    | None -> ());
     record t p (Trace.Read (r, v));
     Effect.Deep.continue k v
   | K_write (r, v, k) ->
     Memory.write t.cfg.memory r v;
-    (match t.keys with
-    | Some ks ->
-      let vid = Keys.intern ks v in
-      if r >= Array.length t.mem_ids then sync_mem t ks;
-      t.mem_ids.(r) <- vid;
-      extend ks p k_write r vid
-    | None -> ());
     record t p (Trace.Write (r, v));
     Effect.Deep.continue k ()
   | K_snapshot (rs, k) ->
     let vs = Memory.read_many t.cfg.memory rs in
-    (match t.keys with
-    | Some ks ->
-      if Array.length rs = 0 then extend ks p k_empty_snapshot 0 0
-      else
-        for i = 0 to Array.length rs - 1 do
-          extend ks p k_snapshot rs.(i) (mem_id t ks rs.(i))
-        done
-    | None -> ());
     record t p (Trace.Snapshot rs);
     Effect.Deep.continue k vs
-  | K_query k ->
-    (match p.pid with
+  | K_query k -> (
+    match p.pid with
     | Pid.C _ -> raise (Forbidden_query p.pid)
-    | Pid.S i ->
-      let v = History.get t.cfg.history ~q:i ~time:t.now in
-      (match t.keys with
-      | Some ks -> extend ks p k_query 0 (Keys.intern ks v)
-      | None -> ());
-      record t p (Trace.Query v);
-      Effect.Deep.continue k v)
+    | Pid.S _ ->
+      record t p (Trace.Query qv);
+      Effect.Deep.continue k qv)
   | K_decide (v, k) ->
     p.decided <- Some v;
     p.decide_at <- Some t.now;
-    (match t.keys with
-    | Some ks -> extend ks p k_decide 0 (Keys.intern ks v)
-    | None -> ());
     record t p (Trace.Decide v);
     Effect.Deep.discontinue k Halted
-  | K_yield k ->
-    (match t.keys with Some ks -> extend ks p k_yield 0 0 | None -> ());
-    Effect.Deep.continue k ()
+  | K_yield k -> Effect.Deep.continue k ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-step footprints — the static face of the next step of each process,
@@ -304,6 +314,12 @@ type footprint =
   | F_read of Memory.reg array
   | F_write of Memory.reg
   | F_timedep
+
+(* Is [p] an S-process crashed by now? Its step is then null. *)
+let crashed t p =
+  match p.pid with
+  | Pid.S i -> Failure.crashed t.cfg.pattern ~time:t.now i
+  | Pid.C _ -> false
 
 let start_if_fresh (p : pstate) =
   if p.status = Fresh then begin
@@ -350,12 +366,7 @@ let step t pid =
   p.scheds <- p.scheds + 1;
   t.steps_total <- t.steps_total + 1;
   (match t.obs with None -> () | Some o -> o.on_sched pid ~time:t.now);
-  let alive =
-    match pid with
-    | Pid.C _ -> true
-    | Pid.S i -> not (Failure.crashed t.cfg.pattern ~time:t.now i)
-  in
-  if not alive then record t p Trace.Null
+  if crashed t p then record t p Trace.Null
   else begin
     (* A Fresh process first runs its code up to the first operation, then
        performs that operation within this same step, so that step #1 of a
@@ -378,11 +389,10 @@ let step t pid =
 let with_null_step t pid f =
   let p = proc t pid in
   let null =
-    match (p.status, pid) with
-    | Fresh, _ -> false
-    | Done, _ -> true
-    | Runnable, Pid.S i -> Failure.crashed t.cfg.pattern ~time:t.now i
-    | Runnable, Pid.C _ -> false
+    match p.status with
+    | Fresh -> false
+    | Done -> true
+    | Runnable -> crashed t p
   in
   if (not null) || Option.is_some t.obs then None
   else begin
@@ -451,15 +461,18 @@ let decide_time t i = t.c_procs.(i).decide_at
 let trace t = t.tr
 let steps_total t = t.steps_total
 
-(* The clock, every register's value id, and per process its status, sched
-   count and history node: what determines the future, and the present as
-   the checker reads it. Absolute event times and the trace are left out,
-   so that interleavings converging on one state key equal. *)
+(* The clock, every register's value id, and per process its sched count,
+   whether it has started and its history node: what determines the
+   future, and the present as the checker reads it. A started process's
+   node fixes whether it has returned, so its status needs no field of its
+   own, and a step's key can be known before the step ([digest_after]).
+   Absolute event times and the trace are left out, so that interleavings
+   converging on one state key equal. *)
 let add_procs ks ps =
   for i = 0 to Array.length ps - 1 do
     let p = ps.(i) in
-    let status = match p.status with Fresh -> 0 | Runnable -> 1 | Done -> 2 in
-    Keys.add ks ((3 * p.scheds) + status);
+    let started = if p.status = Fresh then 0 else 1 in
+    Keys.add ks ((2 * p.scheds) + started);
     Keys.add ks p.node
   done
 
@@ -478,3 +491,44 @@ let digest t =
     add_procs ks t.c_procs;
     add_procs ks t.s_procs;
     Keys.finish ks
+
+(* Puts back what [digest_after] moved: the clock, [p]'s sched count and
+   history node, and the value id of the register [reg] a write sets. *)
+let take_back t p ~now ~scheds ~node ~reg ~id =
+  t.now <- now;
+  p.scheds <- scheds;
+  p.node <- node;
+  if reg >= 0 then t.mem_ids.(reg) <- id
+
+(* The step's own changes to the key, made on [t] and taken back: a live
+   parked operation's edges and register write are applied by [advance],
+   as [execute] applies them, the clock and [pid]'s sched count move on,
+   and [digest] writes the key. *)
+let digest_after t pid =
+  let ks =
+    match t.keys with
+    | None -> invalid_arg "Runtime.digest_after: no key context attached"
+    | Some ks -> ks
+  in
+  let p = proc t pid in
+  match (p.status, p.pending, pid) with
+  | Fresh, _, _ | _, Some (K_query _), Pid.C _ -> None
+  | _ -> (
+    let op = if crashed t p then None else p.pending in
+    let reg = match op with Some (K_write (r, _, _)) -> r | _ -> -1 in
+    let id = if reg >= 0 then mem_id t ks reg else 0 in
+    let now = t.now and scheds = p.scheds and node = p.node in
+    match
+      (match op with
+      | Some op -> advance t ks p op (queried t p op)
+      | None -> ());
+      t.now <- now + 1;
+      p.scheds <- scheds + 1;
+      digest t
+    with
+    | key ->
+      take_back t p ~now ~scheds ~node ~reg ~id;
+      Some key
+    | exception e ->
+      take_back t p ~now ~scheds ~node ~reg ~id;
+      raise e)

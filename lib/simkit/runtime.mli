@@ -220,10 +220,12 @@ val attach : t -> Keys.t -> unit
 
 val digest : t -> string
 (** The exact state key over the attached context: the clock, the value
-    id of every register, and per process its status, sched count and
-    history node (its executed operations with their results). Process
-    code is deterministic, so two runtimes of the same builder whose keys
-    are equal are in the same state, up to absolute event times
+    id of every register, and per process its sched count, whether it has
+    started (left [Fresh]: scheduled or {!peek}ed) and its history node (its
+    executed operations with their results). A started process's node
+    fixes whether it has returned, so its status needs no field of its
+    own. Process code is deterministic, so two runtimes of the same builder
+    whose keys are equal are in the same state, up to absolute event times
     ({!first_step_time}, {!decide_time}) and the trace, which are left out
     so that interleavings converging on one state key equal; they behave
     identically under any common schedule suffix. The key is exact: no
@@ -232,3 +234,17 @@ val digest : t -> string
     local state do key differently). Keys compare only between runtimes
     attached to one context, whose ids they are written in. Raises
     [Invalid_argument] on a runtime with no context attached. *)
+
+val digest_after : t -> Pid.t -> string option
+(** [digest_after t pid]: the key {!digest} gives after [step t pid],
+    computed without taking the step. The step's key changes are made on
+    [t] by the function the step itself uses to make them, the key is
+    written by {!digest}, and the changes are taken back, so [t] is left
+    as it was (save that the context may already hold the history node and
+    value id the step would create). [Some] for every started process: a
+    null move ([pid] is [Done], or an S-process crashed by [time t]) keeps
+    its node, and a parked operation adds its edges (a query samples the
+    history at [time t], as the step would). [None] for a [Fresh] process,
+    whose first operation is unknown until its code runs, and for a
+    C-process parked on a query, whose step raises {!Forbidden_query}.
+    Raises [Invalid_argument] on a runtime with no context attached. *)

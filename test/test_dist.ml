@@ -35,6 +35,11 @@ let sa_prop rt =
 
 let sa_reduce ~n_s = { Exhaustive.sleep = true; symmetry = [ Pid.all_s n_s ] }
 
+let find_sc name ~n_s =
+  match Mcheck.Scenario.find name ~n_s with
+  | Ok sc -> sc
+  | Error e -> Alcotest.fail e
+
 (* --- the reference distributed pipeline, in-process --- *)
 
 let shuffle seed l =
@@ -216,10 +221,10 @@ let test_shared_table_effort () =
   let _, private_, _ = dist_run ~build ~pids ~depth ~split_depth ~prop () in
   check_string "verdict" "Ok 65536" (verdict_str v);
   Alcotest.(check int) "monolithic nodes" 2280 mono.Exhaustive.nodes;
-  Alcotest.(check int) "monolithic steps" 10005 mono.Exhaustive.steps_executed;
+  Alcotest.(check int) "monolithic steps" 7823 mono.Exhaustive.steps_executed;
   Alcotest.(check int) "shared-table nodes" 2304 shared.Exhaustive.nodes;
   Alcotest.(check int)
-    "shared-table steps" 10224 shared.Exhaustive.steps_executed;
+    "shared-table steps" 8054 shared.Exhaustive.steps_executed;
   Alcotest.(check int) "private-memo nodes" 21668 private_.Exhaustive.nodes;
   check_bool "shared within 1.05x of monolithic nodes" true
     (float_of_int shared.Exhaustive.nodes
@@ -311,6 +316,42 @@ let test_prefix_violation_stops_split () =
   | Some cex ->
     check_string "same counterexample" (verdict_str expected)
       (verdict_str (Exhaustive.Counterexample cex))
+
+(* A job's prefix arrives unchecked (a [subtree] request need not come from
+   [split]), so [run_subtree] reads its root's property: a job whose prefix
+   is [run]'s depth-8 counterexample answers that prefix at depth 10, with
+   a private memo, a shared table or none, instead of extending it. *)
+let test_subtree_checks_its_root () =
+  let sc = find_sc "race-false" ~n_s:1 in
+  let build = sc.Mcheck.Scenario.sc_build
+  and pids = sc.Mcheck.Scenario.sc_pids
+  and prop = sc.Mcheck.Scenario.sc_prop in
+  let cex = "Counterexample [p1 p2 p1 p1 p1 p1 p2 p2]" in
+  let v8 = fst (Exhaustive.run ~build ~pids ~depth:8 ~prop ()) in
+  check_string "run at depth 8" cex (verdict_str v8);
+  let prefix =
+    match v8 with Exhaustive.Counterexample c -> c | Exhaustive.Ok _ -> []
+  in
+  let job =
+    {
+      Exhaustive.sj_id = 0;
+      sj_prefix = prefix;
+      sj_sleep = [];
+      sj_factor = 1;
+      sj_used = [];
+    }
+  in
+  List.iter
+    (fun (what, memo, table) ->
+      let v, _ =
+        Exhaustive.run_subtree ~memo ?table ~build ~pids ~depth:10 ~prop job
+      in
+      check_string ("job at depth 10, " ^ what) cex (verdict_str v))
+    [
+      ("private memo", true, None);
+      ("shared table", true, Some (Exhaustive.create_table ()));
+      ("memo off", false, None);
+    ]
 
 (* credited counts are exact ints: a tree of more than max_int schedules is
    refused by every entry point before any step *)
@@ -716,11 +757,6 @@ let within ~seconds f =
   in
   wait seconds
 
-let find_sc name ~n_s =
-  match Mcheck.Scenario.find name ~n_s with
-  | Ok sc -> sc
-  | Error e -> Alcotest.fail e
-
 (* a worker whose every subtree reply exceeds its max_reply answers
    [oversized] to every job: alone, it ends the run once a job has failed
    past the bound *)
@@ -888,6 +924,8 @@ let suite =
       test_counterexample_partition_invariant;
     Alcotest.test_case "prefix violation stops the split" `Quick
       test_prefix_violation_stops_split;
+    Alcotest.test_case "a job's root is checked, not trusted" `Quick
+      test_subtree_checks_its_root;
     Alcotest.test_case "credited count overflow rejected" `Quick
       test_count_overflow_rejected;
     Alcotest.test_case "subtree json roundtrip" `Quick

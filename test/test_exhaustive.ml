@@ -325,8 +325,8 @@ let test_incremental_speedup () =
      takes footprints or reorders children *)
   let exact = Alcotest.(check int) in
   exact "memo nodes" 2280 inc_st.Exhaustive.nodes;
-  exact "memo steps" 10005 inc_st.Exhaustive.steps_executed;
-  exact "memo replays" 1309 inc_st.Exhaustive.replays;
+  exact "memo steps" 7823 inc_st.Exhaustive.steps_executed;
+  exact "memo replays" 963 inc_st.Exhaustive.replays;
   exact "memo hits" 671 inc_st.Exhaustive.memo_hits;
   let _, off_st = Exhaustive.run ~memo:false ~build ~pids ~depth:8 ~prop () in
   exact "memo-off nodes" 87380 off_st.Exhaustive.nodes;

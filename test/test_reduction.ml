@@ -432,46 +432,79 @@ let test_sleep_mask_width () =
 (* --- random programs: the memo under sleep sets --- *)
 
 (* A random small program: 2-3 C-processes and 1-2 S-processes, each
-   running 1-3 reads or writes over 2 registers with constants from
-   {21395, 35553, 1} (the first two collide under a 30-bit hash). A
-   C-process then decides the last value it read (unit if none); the
-   property forbids one C-process one decision. Different processes touch
-   the registers in different orders, so under sleep sets one state is
-   reached with different masks and the memo hits across them, which the
-   fixed scenarios never do. *)
-type rop = Rd of int | Wr of int * int
+   running 1-3 operations over 2 registers: reads, writes of constants
+   from {21395, 35553, 1} (the first two collide under a 30-bit hash),
+   writes of a value no other step writes ([Wn], made from the process and
+   the operation's position), snapshots of none, one or both registers,
+   yields and, for an S-process, queries of a failure detector whose
+   answer changes with the process and the time. With two S-processes,
+   one may crash inside the depth. A C-process then decides the last value
+   it read, a snapshot reading the vector of what it read (unit if none);
+   the property forbids one C-process one decision. Different processes
+   touch the registers in different orders, so under sleep sets one state
+   is reached with different masks and the memo hits across them, which
+   the fixed scenarios never do. *)
+type rop = Rd of int | Wr of int * int | Wn of int | Sn of int list | Qy | Yd
 
 type program = {
   n_c : int;
   n_s : int;
   code : rop list array;  (* C-processes, then S-processes *)
   depth : int;
+  crash : (int * int) list;  (* (S index, time), as [Failure.pattern] *)
   forbid : int * Value.t;  (* p_i must not decide v *)
 }
 
 let consts = [| 21395; 35553; 1 |]
 
+(* Deeper programs of five processes take run_replay seconds: the depth
+   drawn is lowered until the tree holds at most 5^6 schedules. *)
+let fit_depth ~pids depth =
+  let rec schedules d = if d = 0 then 1 else pids * schedules (d - 1) in
+  let rec fit d = if d > 4 && schedules d > 15625 then fit (d - 1) else d in
+  fit depth
+
 let gen_program =
   let open QCheck.Gen in
   let* n_c = int_range 2 3 in
   let* n_s = int_range 1 2 in
-  let rop =
-    let* r = int_bound 1 in
-    let* w = bool in
-    if w then map (fun c -> Wr (r, consts.(c))) (int_bound 2) else return (Rd r)
+  let reg = int_bound 1 in
+  let c_ops =
+    [
+      (3, map (fun r -> Rd r) reg);
+      (2, map2 (fun r c -> Wr (r, consts.(c))) reg (int_bound 2));
+      (2, map (fun r -> Wn r) reg);
+      (2, map (fun rs -> Sn rs) (oneofl [ []; [ 0 ]; [ 1 ]; [ 0; 1 ] ]));
+      (1, return Yd);
+    ]
   in
-  let* code = array_repeat (n_c + n_s) (list_size (int_range 1 3) rop) in
-  let* depth = int_range 4 7 in
+  let ops weighted = list_size (int_range 1 3) (frequency weighted) in
+  let* c_code = array_repeat n_c (ops c_ops) in
+  let* s_code = array_repeat n_s (ops ((2, return Qy) :: c_ops)) in
+  let code = Array.append c_code s_code in
+  let* depth = map (fit_depth ~pids:(n_c + n_s)) (int_range 4 7) in
+  let* crash =
+    if n_s < 2 then return []
+    else
+      let at = pair (int_bound 1) (int_bound (depth - 1)) in
+      frequency [ (1, return []); (2, map (fun c -> [ c ]) at) ]
+  in
   let* i = int_bound (n_c - 1) in
   let* v = oneofl (Value.unit :: Array.to_list (Array.map Value.int consts)) in
-  return { n_c; n_s; code; depth; forbid = (i, v) }
+  return { n_c; n_s; code; depth; crash; forbid = (i, v) }
 
 let print_program p =
+  let reg r = Printf.sprintf "r%d" r in
   let rop = function
-    | Rd r -> Printf.sprintf "read r%d" r
-    | Wr (r, c) -> Printf.sprintf "write r%d %d" r c
+    | Rd r -> "read " ^ reg r
+    | Wr (r, c) -> Printf.sprintf "write %s %d" (reg r) c
+    | Wn r -> "write " ^ reg r ^ " new"
+    | Sn rs -> "snapshot [" ^ String.concat " " (List.map reg rs) ^ "]"
+    | Qy -> "query"
+    | Yd -> "yield"
   in
-  Printf.sprintf "%s; depth %d; p%d must not decide %s"
+  let crash (q, t) = Printf.sprintf "; q%d crashes at %d" (q + 1) t in
+  Printf.sprintf "%s; depth %d; p%d must not decide %s%s"
     (String.concat "; "
        (Array.to_list
           (Array.mapi
@@ -483,31 +516,43 @@ let print_program p =
              p.code)))
     p.depth (fst p.forbid + 1)
     (Value.to_string (snd p.forbid))
+    (String.concat "" (List.map crash p.crash))
+
+let program_history =
+  History.make ~name:"rotating" (fun q time -> Value.int ((q + time) mod 3))
 
 let program_build p () =
   let mem = Memory.create () in
   let regs = Memory.alloc mem 2 in
-  let run ops =
-    List.fold_left
-      (fun last op ->
+  let reg r = regs.(r) in
+  let run j ops =
+    let last = ref Value.unit in
+    List.iteri
+      (fun k op ->
         match op with
-        | Rd r -> Runtime.Op.read regs.(r)
-        | Wr (r, c) ->
-          Runtime.Op.write regs.(r) (Value.int c);
-          last)
-      Value.unit ops
+        | Rd r -> last := Runtime.Op.read (reg r)
+        | Wr (r, c) -> Runtime.Op.write (reg r) (Value.int c)
+        | Wn r ->
+          Runtime.Op.write (reg r) (Value.pair (Value.int j) (Value.int k))
+        | Sn rs ->
+          let vs = Runtime.Op.snapshot (Array.of_list (List.map reg rs)) in
+          if Array.length vs > 0 then last := Value.vec vs
+        | Qy -> last := Runtime.Op.query ()
+        | Yd -> Runtime.Op.yield ())
+      ops;
+    !last
   in
   Runtime.create
     {
       Runtime.n_c = p.n_c;
       n_s = p.n_s;
       memory = mem;
-      pattern = Failure.failure_free p.n_s;
-      history = History.trivial;
+      pattern = Failure.pattern ~n_s:p.n_s p.crash;
+      history = program_history;
       record_trace = false;
     }
-    ~c_code:(fun i () -> Runtime.Op.decide (run p.code.(i)))
-    ~s_code:(fun i () -> ignore (run p.code.(p.n_c + i)))
+    ~c_code:(fun i () -> Runtime.Op.decide (run i p.code.(i)))
+    ~s_code:(fun i () -> ignore (run (p.n_c + i) p.code.(p.n_c + i)))
 
 let program_prop p rt =
   let i, v = p.forbid in
@@ -515,20 +560,14 @@ let program_prop p rt =
   | Some d -> not (Value.equal d v)
   | None -> true
 
-(* Deeper programs of five processes take run_replay seconds: the depth
-   drawn is lowered until the tree holds at most 5^6 schedules. *)
-let program_depth p =
-  let pids = p.n_c + p.n_s in
-  let rec schedules d = if d = 0 then 1 else pids * schedules (d - 1) in
-  let rec fit d = if d > 4 && schedules d > 15625 then fit (d - 1) else d in
-  fit p.depth
+let program_pids p = Pid.all ~n_c:p.n_c ~n_s:p.n_s
 
 let sleep_only = { Exhaustive.sleep = true; symmetry = [] }
 
 (* split at depth 2, every job on one shared table, in DFS order *)
-let split_shared ?reduce ~build ~pids ~depth ~prop () =
-  Test_dist.shared_run ?reduce ~order:Fun.id ~tables:1 ~build ~pids ~depth
-    ~split_depth:2 ~prop ()
+let split_shared ?reduce ~mode ~build ~pids ~depth ~prop () =
+  Test_dist.shared_run ?reduce ~mode ~order:Fun.id ~tables:1 ~build ~pids
+    ~depth ~split_depth:2 ~prop ()
 
 let prop_programs_agree =
   QCheck.Test.make
@@ -536,24 +575,30 @@ let prop_programs_agree =
     (QCheck.make ~print:print_program gen_program)
     (fun p ->
       let build = program_build p and prop = program_prop p in
-      let pids = Pid.all ~n_c:p.n_c ~n_s:p.n_s and depth = program_depth p in
-      let want =
-        verdict_str
-          (fst (Exhaustive.run_replay ~build ~pids ~depth ~prop ()))
-      in
+      let pids = program_pids p and depth = p.depth in
       List.for_all
-        (fun (what, (v, _)) ->
-          verdict_str v = want
-          || QCheck.Test.fail_reportf "%s: %s, run_replay: %s" what
-               (verdict_str v) want)
-        [
-          ("memo", Exhaustive.run ~build ~pids ~depth ~prop ());
-          ( "reduced",
-            Exhaustive.run ~reduce:sleep_only ~build ~pids ~depth ~prop () );
-          ("split + shared table", split_shared ~build ~pids ~depth ~prop ());
-          ( "reduced split + shared table",
-            split_shared ~reduce:sleep_only ~build ~pids ~depth ~prop () );
-        ])
+        (fun (m, mode) ->
+          let want =
+            verdict_str
+              (fst (Exhaustive.run_replay ~mode ~build ~pids ~depth ~prop ()))
+          in
+          List.for_all
+            (fun (what, (v, _)) ->
+              verdict_str v = want
+              || QCheck.Test.fail_reportf "%s, %s: %s, run_replay: %s" m what
+                   (verdict_str v) want)
+            [
+              ("memo", Exhaustive.run ~mode ~build ~pids ~depth ~prop ());
+              ( "reduced",
+                Exhaustive.run ~reduce:sleep_only ~mode ~build ~pids ~depth
+                  ~prop () );
+              ( "split + shared table",
+                split_shared ~mode ~build ~pids ~depth ~prop () );
+              ( "reduced split + shared table",
+                split_shared ~reduce:sleep_only ~mode ~build ~pids ~depth
+                  ~prop () );
+            ])
+        [ ("every", Exhaustive.Every); ("final", Exhaustive.Final) ])
 
 (* The battery above is what covers the sleep x memo rule (a hit only when
    the stored mask is a subset of the current one): its reduced searches
@@ -568,8 +613,7 @@ let test_programs_hit_memo_under_sleep () =
          (fun p ->
            let _, st =
              Exhaustive.run ~reduce:sleep_only ~build:(program_build p)
-               ~pids:(Pid.all ~n_c:p.n_c ~n_s:p.n_s) ~depth:(program_depth p)
-               ~prop:(program_prop p) ()
+               ~pids:(program_pids p) ~depth:p.depth ~prop:(program_prop p) ()
            in
            st.Exhaustive.memo_hits > 0)
          programs)
@@ -577,6 +621,148 @@ let test_programs_hit_memo_under_sleep () =
   check_bool
     (Printf.sprintf "%d of 200 reduced searches hit the memo" hits)
     true (hits >= 30)
+
+(* --- predicted keys: [Runtime.digest_after] is the key the step reaches --- *)
+
+(* A reachable state of a wide program: [prefix] taken from the start,
+   every process peeked at the start and after each step when [peeked], as
+   a reducing search does. *)
+type state = { prog : program; prefix : Pid.t list; peeked : bool }
+
+let gen_state =
+  let open QCheck.Gen in
+  let* prog = gen_program in
+  let pid = oneofl (program_pids prog) in
+  let* prefix = list_size (int_bound prog.depth) pid in
+  let* peeked = bool in
+  return { prog; prefix; peeked }
+
+let print_state s =
+  Printf.sprintf "%s; prefix [%s]%s" (print_program s.prog)
+    (String.concat " " (List.map Pid.to_string s.prefix))
+    (if s.peeked then ", peeked" else "")
+
+(* The state on a fresh runtime keying in [keys]. *)
+let reach keys s =
+  let rt = program_build s.prog () in
+  Runtime.attach rt keys;
+  let peek () =
+    if s.peeked then List.iter (Runtime.peek rt) (program_pids s.prog)
+  in
+  peek ();
+  List.iter
+    (fun p ->
+      Runtime.step rt p;
+      peek ())
+    s.prefix;
+  rt
+
+(* A process's next step at [rt], by the program's own account: its code
+   is at the operation its executed steps count to, and a C-process decides
+   after its last one. *)
+let next_step s rt p =
+  let crashed i =
+    Failure.crashed (Runtime.pattern rt) ~time:(Runtime.time rt) i
+  in
+  let j = match p with Pid.C i -> i | Pid.S i -> s.prog.n_c + i in
+  match (Runtime.status rt p, p) with
+  | Runtime.Fresh, _ -> "fresh"
+  | _, Pid.S i when crashed i -> "crashed"
+  | Runtime.Done, _ -> "done"
+  | Runtime.Runnable, _ -> (
+    match List.nth_opt s.prog.code.(j) (Runtime.steps_taken rt p) with
+    | None -> "decide"
+    | Some (Rd _) -> "read"
+    | Some (Wr _) -> "write"
+    | Some (Wn _) -> "write of a new value"
+    | Some (Sn []) -> "empty snapshot"
+    | Some (Sn _) -> "snapshot"
+    | Some Qy -> "query"
+    | Some Yd -> "yield")
+
+(* For every process at a random reachable state, [digest_after] is [None]
+   exactly for a process still [Fresh] (these programs never let a
+   C-process query), and otherwise the key the state reaches by the step;
+   and it leaves the runtime's own key as it found it. Each step is taken
+   on a runtime of its own, replayed to the state in the same context. *)
+let prop_prediction_exact =
+  QCheck.Test.make ~count:300
+    ~name:"digest_after is the key the step reaches"
+    (QCheck.make ~print:print_state gen_state)
+    (fun s ->
+      let keys = Keys.create () in
+      let rt = reach keys s in
+      let before = Runtime.digest rt in
+      let predicted =
+        List.map
+          (fun p -> (p, next_step s rt p, Runtime.digest_after rt p))
+          (program_pids s.prog)
+      in
+      let unmoved = Runtime.digest rt = before in
+      Runtime.destroy rt;
+      let stepped p =
+        let rt = reach keys s in
+        Runtime.step rt p;
+        let key = Runtime.digest rt in
+        Runtime.destroy rt;
+        key
+      in
+      let exact (p, kind, key) =
+        match key with
+        | None -> kind = "fresh"
+        | Some k -> kind <> "fresh" && stepped p = k
+      in
+      (unmoved || QCheck.Test.fail_report "digest_after moved the runtime")
+      && List.for_all
+           (fun ((p, kind, _) as c) ->
+             exact c
+             || QCheck.Test.fail_reportf "%s, next step %s: wrong prediction"
+                  (Pid.to_string p) kind)
+           predicted)
+
+(* The property's states hold every kind of next step, and the one refusal
+   its programs cannot draw — a C-process parked on a query — gives no key
+   where the step itself raises. *)
+let test_prediction_covers_every_step () =
+  let states =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 23 |]) ~n:300 gen_state
+  in
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun s ->
+      let rt = reach (Keys.create ()) s in
+      List.iter
+        (fun p -> Hashtbl.replace seen (next_step s rt p) ())
+        (program_pids s.prog);
+      Runtime.destroy rt)
+    states;
+  List.iter
+    (fun kind -> check_bool ("covers: " ^ kind) true (Hashtbl.mem seen kind))
+    [
+      "fresh"; "read"; "write"; "write of a new value"; "snapshot";
+      "empty snapshot"; "query"; "decide"; "yield"; "done"; "crashed";
+    ];
+  let rt =
+    Runtime.create
+      {
+        Runtime.n_c = 1;
+        n_s = 1;
+        memory = Memory.create ();
+        pattern = Failure.failure_free 1;
+        history = program_history;
+        record_trace = false;
+      }
+      ~c_code:(fun _ () -> ignore (Runtime.Op.query ()))
+      ~s_code:(fun _ () -> ())
+  in
+  Runtime.attach rt (Keys.create ());
+  Runtime.peek rt (Pid.c 0);
+  check_bool "a C-process parked on a query: no key" true
+    (Runtime.digest_after rt (Pid.c 0) = None);
+  check_bool "... where its step raises" true
+    (match Runtime.step rt (Pid.c 0) with
+    | exception Runtime.Forbidden_query _ -> true
+    | () -> false)
 
 let suite =
   [
@@ -604,4 +790,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_programs_agree;
     Alcotest.test_case "random programs hit the memo under sleep sets" `Quick
       test_programs_hit_memo_under_sleep;
+    QCheck_alcotest.to_alcotest prop_prediction_exact;
+    Alcotest.test_case "predicted keys: every kind of step covered" `Quick
+      test_prediction_covers_every_step;
   ]
