@@ -205,6 +205,36 @@ exception Cancelled
      child's property and digest are therefore what its turn would read;
      only the reading is early, while the memo lookup stays at its turn.
 
+   - Leaf reads: a node one step above full depth takes each leaf's move
+     on its own runtime with {!Runtime.with_step}, reads the property and
+     takes the move back, restoring every field the property or a key can
+     read. A real move spends its process, so the runtime is never stepped
+     again: leaves need no runtime, and it is destroyed at the next replay.
+     A leaf is never looked up, and no peek follows a leaf, so the
+     property read is the one its turn would read.
+
+   - Null-only walks: at a null-move child where every pid is asleep,
+     inert ({!Runtime.inert}) or a non-canonical class member, the subtree
+     takes null moves only. Inert stays inert (finished, or crashed-stop),
+     and a sleeping pid stays asleep down null moves, which are [F_local]
+     and commute with every footprint a sleep mask can hold. Such a
+     child's turn is run in the parent's read-ahead pass, on the parent's
+     runtime under nested null moves, and the result is kept for the turn.
+     It is the same search in the same context: the child's sleep mask
+     depends only on which earlier siblings are explored, known before any
+     turn, and the class counts and factor are the turn's. Counts credited
+     early are the turn's counts, and an earlier sibling's counterexample
+     still returns first. The walk looks the child and its subtree up, and
+     stores them, before the turns of earlier siblings; each entry is
+     stored only for a subtree verified under the mask it records, so it
+     holds wherever and whenever its key is met, and only effort counters
+     can move. A walk never takes a real step on the runtime it borrows: a
+     node inside that needs one (when the memo re-explores it under the
+     intersection with a stored mask, which can wake a live process)
+     replays its own prefix on a runtime the walk destroys when it ends.
+     Walks stay below the split frontier, so jobs are emitted in DFS
+     order.
+
    - Predictions: a child reached by a real step of a started process is
      keyed on the parent's runtime by {!Runtime.digest_after}, which makes
      the step's key changes with the function the step itself uses and
@@ -372,20 +402,24 @@ let create_table () = new_table ~sleep:true
    One live runtime is kept per DFS path: descending into a node's child is
    a single [Runtime.step]. Before its children are walked, the node's
    runtime is read for what their turns can use without a runtime of their
-   own. Every child whose move is null (a decided or finished process, a
-   crashed S-process) is probed: the move is taken, the child's property
-   and digest are read, and the move is taken back
-   ([Runtime.with_null_step]). With the memo on, every other child that is
+   own, each child's move taken there and taken back
+   ([Runtime.with_step]). Every child whose move is null (a decided or
+   finished process, a crashed S-process) is probed: the child's property
+   and digest are read. The subtree of such a child that takes null moves
+   only is searched right there, on the same runtime under nested null
+   moves, and its turn returns the result. A node one step above full
+   depth reads every leaf, real moves included, and gives its runtime to
+   no child after a real one. With the memo on, every other child that is
    not a leaf has its key predicted ([Runtime.digest_after]) when its
    process has started. A probed child is credited without a runtime when
    it is a leaf, a memo hit at its turn, a frontier job or a prefix
    violation, and a predicted child when it is a memo hit. The first child
-   that needs a runtime (a miss, or a leaf reached by a real step) takes
-   the node's, and a later one rebuilds it and replays the prefix
-   (runtimes hold effect continuations, so they cannot be cloned — replay
-   keeps the enumeration exact while the descent itself costs amortized
-   O(1) steps per node, against O(depth) for replay-from-scratch at every
-   node).
+   that needs a runtime (a miss) takes the node's, and a later one
+   rebuilds it and replays the prefix (runtimes hold effect continuations,
+   so they cannot be cloned — replay keeps the enumeration exact while the
+   descent itself costs amortized O(1) steps per node, against O(depth)
+   for replay-from-scratch at every node). A node whose runtime is
+   borrowed by a walk replays for every child that needs one.
 
    On top, a memo over exact state keys ({!Runtime.digest} in the table's
    key context, which [build_fresh] attaches to every runtime it builds;
@@ -394,8 +428,8 @@ let create_table () = new_table ~sleep:true
    subtree is skipped and the recorded number of complete schedules below
    it is credited, so reported schedule counts stay exact. Only
    fully-verified (counterexample-free) subtrees are memoized. A probed or
-   predicted child is looked up at its own turn, not when read, so the
-   memo fills and hits exactly as without reading ahead.
+   predicted child is looked up at its own turn, not when read; a walked
+   one when it is walked, which is sound in any order (above).
 
    [dfs] expands the subtree [root] names: its prefix is replayed without
    property checks, then the subtree is searched under the root's sleep
@@ -413,10 +447,13 @@ let create_table () = new_table ~sleep:true
 type seen =
   | Unread  (** nothing: the child is read on its own runtime *)
   | Probed of bool * string
-      (** a null move taken on the parent's runtime and taken back: what
-          [read] gives at the child *)
+      (** a move taken on the parent's runtime and taken back: what [read]
+          gives at the child *)
   | Predicted of string
       (** a real step's key, read on the parent's runtime without the step *)
+  | Walked of Pid.t list option
+      (** a null move whose whole subtree was searched on the parent's
+          runtime: what the child's turn returns *)
 
 let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let every = mode = Every in
@@ -440,6 +477,16 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
       Runtime.destroy rt;
       cur := None
     | None -> ()
+  in
+  (* [f] searches on a borrowed runtime: the runtimes its replays build are
+     its own, destroyed when it ends, and the borrowed one is left to its
+     owner. *)
+  let borrowing f =
+    let owner = !cur in
+    cur := None;
+    Fun.protect f ~finally:(fun () ->
+        destroy_cur ();
+        cur := owner)
   in
   let peek_all rt =
     if rctx.r_peek then Array.iter (Runtime.peek rt) rctx.r_pids
@@ -478,11 +525,12 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let n_jobs = ref 0 in
   (* The node [d] steps above full depth, entered under sleep mask [z], read
      as [ok] and [key]; [get ()], called at most once, gives a runtime at
-     it. [unchecked] marks an [Every]-mode node whose key was predicted and
-     whose property is still to be read. Credited from the memo when its
-     state was explored before under a sleep mask no larger than [z], else
-     expanded and, once verified, stored. *)
-  let rec visit get ~ok ~unchecked ~key prefix_rev d ~z ~factor =
+     it, [borrowed] when that runtime belongs to an ancestor and may take
+     null moves only. [unchecked] marks an [Every]-mode node whose key was
+     predicted and whose property is still to be read. Credited from the
+     memo when its state was explored before under a sleep mask no larger
+     than [z], else expanded and, once verified, stored. *)
+  let rec visit get ~borrowed ~ok ~unchecked ~key prefix_rev d ~z ~factor =
     let stored =
       match table with
       | Some t when d > 0 -> Hashtbl.find_opt t.counts key
@@ -503,7 +551,9 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
          skip: (re-)explore under the intersection and tighten the entry. *)
       let z_explore = match stored with None -> z | Some _ -> zs land z in
       let count0 = acc.a_count in
-      match expand get ~ok ~unchecked prefix_rev d ~z:z_explore ~factor with
+      match
+        expand get ~borrowed ~ok ~unchecked prefix_rev d ~z:z_explore ~factor
+      with
       | Some cex -> Some cex
       | None ->
         (match table with
@@ -512,7 +562,7 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
           if rctx.r_sleep then Hashtbl.replace t.masks key z_explore
         | _ -> ());
         None)
-  and expand get ~ok ~unchecked prefix_rev d ~z ~factor =
+  and expand get ~borrowed ~ok ~unchecked prefix_rev d ~z ~factor =
     if depth - d = frontier then begin
       emit
         {
@@ -536,9 +586,9 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
     else
       let rt = get () in
       if unchecked && not (prop rt) then Some (pids_of prefix_rev)
-      else walk rt prefix_rev d ~z ~factor
+      else walk rt ~borrowed prefix_rev d ~z ~factor
   (* The children of the node [rt] sits at, in DFS order. *)
-  and walk rt prefix_rev d ~z ~factor =
+  and walk rt ~borrowed prefix_rev d ~z ~factor =
     (* Footprints of everyone's next step at this node: stable below it,
        valid after replays (which reconstruct this very state). *)
     let fp =
@@ -554,30 +604,110 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
         if j < u then 1 else if j = u then rctx.r_size.(c) - u else 0
     in
     let asleep i = rctx.r_sleep && z land (1 lsl i) <> 0 in
+    (* The sleep mask child [i] is entered under, [before] holding the
+       siblings explored ahead of it. *)
+    let mask i before =
+      if not rctx.r_sleep then 0
+      else begin
+        let zin = z lor before and m = ref 0 in
+        for q = 0 to n - 1 do
+          if zin land (1 lsl q) <> 0 && Runtime.commute fp.(q) fp.(i) then
+            m := !m lor (1 lsl q)
+        done;
+        !m
+      end
+    in
+    (* [f ()] with the class counts below child [i]: a fresh member's move
+       uses it up. *)
+    let below i f =
+      let c = rctx.r_cls.(i) in
+      let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
+      if fresh_member then used.(c) <- used.(c) + 1;
+      let r = f () in
+      if fresh_member then used.(c) <- used.(c) - 1;
+      r
+    in
+    (* Child [i]'s turn, read as [(ok, key)]: its [get] and [borrowed] as in
+       [visit]. *)
+    let enter i ~before get ~borrowed (ok, key) ~unchecked =
+      acc.a_nodes <- acc.a_nodes + 1;
+      let prefix_rev' = i :: prefix_rev in
+      if every && not ok then Some (pids_of prefix_rev')
+      else
+        let factor' = factor * mult i in
+        below i (fun () ->
+            visit get ~borrowed ~ok ~unchecked ~key prefix_rev' (d - 1)
+              ~z:(mask i before) ~factor:factor')
+    in
+    (* Read at child [i] (on [rt], its move taken): will its subtree take
+       null moves only? Each pid there is asleep, inert, or a class member
+       its class's canonical member stands for; asleep and inert stay so
+       down null moves. *)
+    let null_only i before =
+      let z' = mask i before and only = ref true in
+      below i (fun () ->
+          for k = 0 to n - 1 do
+            if
+              z' land (1 lsl k) = 0
+              && mult k <> 0
+              && not (Runtime.inert rt rctx.r_pids.(k))
+            then only := false
+          done);
+      !only
+    in
+    (* [rt] stays at this node until a child that needs a runtime takes it;
+       a later such child replays the prefix, as does every one under a
+       borrowed runtime. *)
+    let live = ref (not borrowed) in
     (* Read on [rt], while it still sits here, what each child's turn can
-       use without a runtime of its own. A prediction is only a key, and a
-       leaf is never looked up, so leaves are not predicted. *)
-    let predict = memo && d > 1 in
-    let seen =
-      Array.init n (fun i ->
-          if mult i = 0 || asleep i then Unread
-          else
-            let pid = rctx.r_pids.(i) in
+       use without a runtime of its own. Every null move is probed, and the
+       subtree of one that takes null moves only is searched then and
+       there, under nested null moves, unless it would reach the frontier.
+       A node one step above full depth reads its leaves, real moves too
+       unless [rt] is borrowed, and gives [rt] to no child after a real
+       one. A prediction is only a key, and a leaf is never looked up, so
+       leaves are not predicted. *)
+    let leaves = d = 1 and predict = memo && d > 1 in
+    let walks = d > 1 && depth - (d - 1) > frontier in
+    let seen = Array.make n Unread in
+    let rec read_ahead i before =
+      if i < n then
+        if mult i = 0 || asleep i then read_ahead (i + 1) before
+        else begin
+          let pid = rctx.r_pids.(i) in
+          let look () =
+            acc.a_steps <- acc.a_steps + 1;
+            let ok, key = read rt (d - 1) in
+            if walks && null_only i before then
+              Walked
+                (borrowing (fun () ->
+                     enter i ~before
+                       (fun () -> rt)
+                       ~borrowed:true (ok, key) ~unchecked:false))
+            else Probed (ok, key)
+          in
+          let spends = leaves && (not borrowed) && not (Runtime.inert rt pid) in
+          let s =
             match
-              Runtime.with_null_step rt pid (fun () ->
-                  acc.a_steps <- acc.a_steps + 1;
-                  read rt (d - 1))
+              (if spends then Runtime.with_step else Runtime.with_null_step)
+                rt pid look
             with
-            | Some (ok, key) -> Probed (ok, key)
+            | Some s ->
+              if spends then live := false;
+              s
             | None when predict -> (
               match Runtime.digest_after rt pid with
               | Some key -> Predicted key
               | None -> Unread)
-            | None -> Unread)
+            | None -> Unread
+          in
+          seen.(i) <- s;
+          match s with
+          | Walked (Some _) -> () (* no later child's turn comes *)
+          | _ -> read_ahead (i + 1) (before lor (1 lsl i))
+        end
     in
-    (* [rt] stays at this node until a child that needs a runtime takes it;
-       a later such child replays the prefix. *)
-    let live = ref true in
+    read_ahead 0 0;
     let take i =
       let rt =
         if !live then begin
@@ -591,7 +721,7 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
     in
     let rec kids before = function
       | [] -> None
-      | i :: rest ->
+      | i :: rest -> (
         if cancelled () then raise Cancelled;
         let mult = mult i in
         if mult = 0 then begin
@@ -608,45 +738,24 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
           acc.a_count <- acc.a_count + (factor * mult * rctx.r_pow.(d - 1));
           kids before rest
         end
-        else begin
-          let get', (ok', key'), unchecked =
+        else
+          let own = (fun () -> take i) and borrowed = false in
+          let sub =
             match seen.(i) with
-            | Probed (ok, key) -> ((fun () -> take i), (ok, key), false)
-            | Predicted key -> ((fun () -> take i), (true, key), every)
+            | Walked sub -> sub
+            | Probed (ok, key) ->
+              enter i ~before own ~borrowed (ok, key) ~unchecked:false
+            | Predicted key ->
+              enter i ~before own ~borrowed (true, key) ~unchecked:every
             | Unread ->
               let crt = take i in
-              ((fun () -> crt), read crt (d - 1), false)
+              enter i ~before
+                (fun () -> crt)
+                ~borrowed (read crt (d - 1)) ~unchecked:false
           in
-          acc.a_nodes <- acc.a_nodes + 1;
-          let prefix_rev' = i :: prefix_rev in
-          if every && not ok' then Some (pids_of prefix_rev')
-          else begin
-            let z' =
-              if not rctx.r_sleep then 0
-              else begin
-                let zin = z lor before and m = ref 0 in
-                for q = 0 to n - 1 do
-                  if
-                    zin land (1 lsl q) <> 0
-                    && Runtime.commute fp.(q) fp.(i)
-                  then m := !m lor (1 lsl q)
-                done;
-                !m
-              end
-            in
-            let c = rctx.r_cls.(i) in
-            let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
-            if fresh_member then used.(c) <- used.(c) + 1;
-            let sub =
-              visit get' ~ok:ok' ~unchecked ~key:key' prefix_rev' (d - 1)
-                ~z:z' ~factor:(factor * mult)
-            in
-            if fresh_member then used.(c) <- used.(c) - 1;
-            match sub with
-            | Some cex -> Some cex
-            | None -> kids (before lor (1 lsl i)) rest
-          end
-        end
+          match sub with
+          | Some cex -> Some cex
+          | None -> kids (before lor (1 lsl i)) rest)
     in
     kids 0 all
   in
@@ -657,13 +766,14 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
       List.iter (step rt) pfx;
       let z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 root.sj_sleep in
       let d = depth - List.length pfx in
-      let get () = rt in
+      let get () = rt and borrowed = false in
       if pfx = [] then
-        expand get ~ok:true ~unchecked:false [] d ~z ~factor:root.sj_factor
+        expand get ~borrowed ~ok:true ~unchecked:false [] d ~z
+          ~factor:root.sj_factor
       else if every && not (prop rt) then Some root.sj_prefix
       else
         let key = if memo then Runtime.digest rt else "" in
-        visit get ~ok:true ~unchecked:false ~key (List.rev pfx) d ~z
+        visit get ~borrowed ~ok:true ~unchecked:false ~key (List.rev pfx) d ~z
           ~factor:root.sj_factor)
 
 let never_cancel () = false

@@ -16,18 +16,24 @@
     optional reduction layers prune further on the same terms.
 
     A node's children are read on its own runtime before any of them takes
-    it. A child whose move is null (its process has decided, finished or
-    crashed) is read there and the move taken back
-    ({!Runtime.with_null_step}), so a leaf, a memo hit, a frontier job or a
-    violation there needs no runtime of its own. With the memo on, a child
-    reached by a real step of a started process has its key predicted
-    there ({!Runtime.digest_after}), so a memo hit is found on the parent
-    too, with no runtime. The live runtime goes to the first child that
-    needs one (a miss, or a leaf reached by a real step); a later one
-    rebuilds it and replays the prefix (effect continuations cannot be
-    cloned). {!stats} makes the saved work observable. More cores are used
-    by running {!split}'s jobs on several processes (the [subtree] service
-    verb).
+    it: each child's move is taken there, the child read, and the move
+    taken back ({!Runtime.with_step}). A child whose move is null (its
+    process has decided, finished or crashed) is read this way, so a leaf,
+    a memo hit, a frontier job or a violation there needs no runtime of its
+    own. When every other process is asleep or inert at such a child, its
+    whole subtree takes null moves only, and it is searched then and there,
+    on the parent's runtime under nested null moves; the child's turn
+    returns what that search found. A node one step above full depth reads
+    its leaves this way too, real steps included: a real step uses up its
+    process's continuation, so that runtime is only read from then on, and
+    no leaf needs it. With the memo on, a child reached by a real step of a
+    started process has its key predicted on the parent
+    ({!Runtime.digest_after}), so a memo hit there needs no runtime either.
+    The live runtime goes to the first child that needs one (a miss to
+    expand); a later one rebuilds it and replays the prefix (effect
+    continuations cannot be cloned). {!stats} makes the saved work
+    observable. More cores are used by running {!split}'s jobs on several
+    processes (the [subtree] service verb).
 
     Cost before pruning is |pids|^depth schedules: keep |pids| ≤ 4 and
     depth ≤ 12 or so. Used to verify the agreement primitives (safe
@@ -51,8 +57,13 @@
       property is read before the node is expanded, a job's root included),
       so the child would pass too;
     - [prop] may be evaluated on a child before that child's turn in DFS
-      order (on its parent's runtime, with the child's null move taken and
-      then taken back), so it must have no side effects that matter. *)
+      order (on its parent's runtime, with the child's move taken and then
+      taken back), and on a whole null-move subtree before the turns of
+      earlier siblings, so it must have no side effects that matter;
+    - process code must reach the world only through its operations: a
+      leaf's real step is taken and taken back on its parent's runtime,
+      and whatever else the step's code changes (an OCaml value outside
+      the runtime) stays changed when the next leaf is read. *)
 
 type verdict =
   | Ok of int  (** number of complete schedules accounted for *)
@@ -65,12 +76,12 @@ type mode =
 type stats = {
   nodes : int;  (** DFS nodes visited (memo-skipped subtrees excluded) *)
   steps_executed : int;
-      (** total {!Runtime.step} calls: replays and the null moves taken and
-          taken back to read a child on its parent's runtime included *)
+      (** total {!Runtime.step} calls: replays, and the moves taken and
+          taken back to read a child on its parent's runtime, included *)
   replays : int;
-      (** rebuild-and-replay events (a child that needs a runtime, to
-          expand or to read as a leaf, after its parent's has moved on /
-          baseline runs) *)
+      (** rebuild-and-replay events (a child that needs a runtime to
+          expand after its parent's has moved on, or whose parent's runtime
+          is borrowed / baseline runs) *)
   runtimes_built : int;  (** calls to [build] *)
   memo_hits : int;  (** subtrees skipped via the state-key memo *)
   sleep_pruned : int;
@@ -253,11 +264,15 @@ type table
     ({!Keys.t}) those keys are written in, and attaches it to every
     runtime its searches build before the first step, so the runtimes of
     all the jobs it serves key in one set of ids. Only fully verified
-    subtrees are stored, so an entry holds for that state wherever it is
-    reached in the same search configuration. Hence the jobs of one split
-    may share a table, in any order and on any subset, and a job's root is
-    looked up and stored like any other node: a job whose root state an
-    earlier job has already explored costs only the replay of its prefix.
+    subtrees are stored, each under the mask it was verified under, so an
+    entry holds for that state wherever and whenever it is reached in the
+    same search configuration: a null-move subtree searched on its
+    parent's runtime is looked up and stored before the turns of its
+    earlier siblings, and that changes effort only. Hence the jobs of one
+    split may share a table, in any order and on any subset, and a job's
+    root is looked up and stored like any other node: a job whose root
+    state an earlier job has already explored costs only the replay of its
+    prefix.
 
     Sharing keeps credited counts and the lex-least counterexample as exact
     as private tables do, in any job order. Only a job's effort counters

@@ -41,6 +41,7 @@ type pstate = {
   mutable first_step : int option;
   mutable decide_at : int option;
   mutable node : int;  (* history node in the attached key context *)
+  mutable spent : bool;  (* a taken-back step consumed its continuation *)
 }
 
 type config = {
@@ -124,6 +125,7 @@ let create ?obs cfg ~c_code ~s_code =
       first_step = None;
       decide_at = None;
       node = Keys.root;
+      spent = false;
     }
   in
   {
@@ -145,6 +147,18 @@ let proc t = function
   | Pid.S i ->
     if i < 0 || i >= t.cfg.n_s then invalid_arg "Runtime: S index";
     t.s_procs.(i)
+
+let spent pid =
+  invalid_arg
+    ("Runtime: " ^ Pid.to_string pid ^ " was spent by a taken-back step")
+
+(* A process whose code may still run: everything that would resume or
+   start it refuses a spent one. Inlined, so that [step] pays a test and
+   no call for it. *)
+let[@inline] unspent t pid =
+  let p = proc t pid in
+  if p.spent then spent pid;
+  p
 
 (* Run [f] under the process handler: it executes until the code performs its
    next effect (parked in [p.pending]), returns, or halts. *)
@@ -327,14 +341,17 @@ let start_if_fresh (p : pstate) =
     run_under p p.code
   end
 
-let peek t pid = start_if_fresh (proc t pid)
+let peek t pid = start_if_fresh (unspent t pid)
+
+(* Every step of [p] from now on is null: it has returned or decided, or
+   it is an S-process crashed by now (crash-stop keeps it crashed). *)
+let inert_p t p = p.status = Done || crashed t p
+let inert t pid = inert_p t (proc t pid)
 
 let footprint t pid =
-  let p = proc t pid in
+  let p = unspent t pid in
   match pid with
-  | Pid.S i when Failure.crashed t.cfg.pattern ~time:t.now i ->
-    (* crash-stop: crashed stays crashed, so every later step is null *)
-    F_local
+  | _ when inert_p t p -> F_local
   | Pid.S i when not (Failure.is_correct t.cfg.pattern i) ->
     (* alive now but crashes later: whether the parked op or a null step
        executes depends on when the process is scheduled *)
@@ -362,7 +379,7 @@ let independent t p q =
   (not (Pid.equal p q)) && commute (footprint t p) (footprint t q)
 
 let step t pid =
-  let p = proc t pid in
+  let p = unspent t pid in
   p.scheds <- p.scheds + 1;
   t.steps_total <- t.steps_total + 1;
   (match t.obs with None -> () | Some o -> o.on_sched pid ~time:t.now);
@@ -381,38 +398,88 @@ let step t pid =
   end;
   t.now <- t.now + 1
 
-(* A null step changes only the clock, the process's sched counter,
-   [steps_total] and the trace, so restoring those four takes it back
-   exactly. Refused where that does not hold: a Fresh process's step starts
-   its code, a live process's parked operation executes, and an obs hook
-   has already been told. *)
-let with_null_step t pid f =
-  let p = proc t pid in
-  let null =
-    match p.status with
-    | Fresh -> false
-    | Done -> true
-    | Runnable -> crashed t p
+let discontinue op =
+  let disc : type a. (a, unit) Effect.Deep.continuation -> unit =
+   fun k -> Effect.Deep.discontinue k Halted
   in
-  if (not null) || Option.is_some t.obs then None
-  else begin
-    let now = t.now and total = t.steps_total and scheds = p.scheds in
-    let len = Trace.length t.tr in
+  match op with
+  | K_read (_, k) -> disc k
+  | K_write (_, _, k) -> disc k
+  | K_snapshot (_, k) -> disc k
+  | K_query k -> disc k
+  | K_decide (_, k) -> disc k
+  | K_yield k -> disc k
+
+(* A step moves the clock, the step total, the trace and the stepping
+   process's sched count; a step that executes something also moves the
+   process's status, decision, step count, first-step and decide times and
+   history node, and a write the register with its value id. [undo] puts
+   each back. The continuation a real step parks cannot be put back, so it
+   is discontinued and the process spent; a null step parks nothing and
+   spends nothing. Refused where the step cannot be taken back: an obs hook
+   has already been told, and a C-process's query raises. *)
+let with_step t pid f =
+  let p = unspent t pid in
+  match (p.pending, pid) with
+  | _ when Option.is_some t.obs -> None
+  | Some (K_query _), Pid.C _ -> None
+  | _ -> (
+    let null = inert_p t p in
+    let now = t.now and total = t.steps_total and len = Trace.length t.tr in
+    let status = p.status and decided = p.decided and steps = p.steps in
+    let scheds = p.scheds and first_step = p.first_step in
+    let decide_at = p.decide_at and node = p.node and ids = t.mem_ids in
+    if not null then start_if_fresh p;
+    let reg =
+      match p.pending with Some (K_write (r, _, _)) when not null -> r | _ -> -1
+    in
+    let old = if reg >= 0 then Memory.read t.cfg.memory reg else Value.unit in
+    let id = if reg >= 0 && reg < Array.length ids then ids.(reg) else 0 in
     let undo () =
       t.now <- now;
       t.steps_total <- total;
+      Trace.truncate t.tr len;
       p.scheds <- scheds;
-      Trace.truncate t.tr len
+      if not null then begin
+        (* discontinuing lands in the handler, which marks the process
+           Done: restore its fields after *)
+        (match p.pending with
+        | Some op ->
+          p.pending <- None;
+          discontinue op
+        | None -> ());
+        p.spent <- true;
+        p.status <- status;
+        p.decided <- decided;
+        p.steps <- steps;
+        p.first_step <- first_step;
+        p.decide_at <- decide_at;
+        p.node <- node;
+        t.mem_ids <- ids;
+        if reg >= 0 then begin
+          Memory.write t.cfg.memory reg old;
+          if reg < Array.length ids then ids.(reg) <- id
+        end
+      end
     in
-    step t pid;
-    match f () with
+    match
+      step t pid;
+      f ()
+    with
     | v ->
+      (* a reader that stepped [t] and did not take it back would leave
+         that step in place *)
+      let moved = t.now <> now + 1 || t.steps_total <> total + 1 in
       undo ();
+      if moved then
+        invalid_arg "Runtime.with_step: the reader moved the runtime";
       Some v
     | exception e ->
       undo ();
-      raise e
-  end
+      raise e)
+
+let with_null_step t pid f =
+  if inert_p t (unspent t pid) then with_step t pid f else None
 
 let destroy t =
   let kill p =
@@ -420,16 +487,7 @@ let destroy t =
     | None -> ()
     | Some op ->
       p.pending <- None;
-      let disc : type a. (a, unit) Effect.Deep.continuation -> unit =
-       fun k -> Effect.Deep.discontinue k Halted
-      in
-      (match op with
-      | K_read (_, k) -> disc k
-      | K_write (_, _, k) -> disc k
-      | K_snapshot (_, k) -> disc k
-      | K_query k -> disc k
-      | K_decide (_, k) -> disc k
-      | K_yield k -> disc k)
+      discontinue op
   in
   Array.iter kill t.c_procs;
   Array.iter kill t.s_procs
@@ -510,7 +568,7 @@ let digest_after t pid =
     | None -> invalid_arg "Runtime.digest_after: no key context attached"
     | Some ks -> ks
   in
-  let p = proc t pid in
+  let p = unspent t pid in
   match (p.status, p.pending, pid) with
   | Fresh, _, _ | _, Some (K_query _), Pid.C _ -> None
   | _ -> (

@@ -106,20 +106,48 @@ val create :
 
 val step : t -> Pid.t -> unit
 (** Execute one step of the given process (null if crashed / done) and
-    advance time. *)
+    advance time. Raises [Invalid_argument] for a process {!with_step}
+    spent. *)
+
+val with_step : t -> Pid.t -> (unit -> 'a) -> 'a option
+(** [with_step t pid f] takes [pid]'s next step, runs [f] on the state it
+    reaches, then takes the step back: [Some (f ())]. Inside [f] the
+    runtime is exactly the one [step t pid] reaches ({!digest} included).
+    [f] must leave it as it found it: it may take steps that it takes back
+    (nested [with_step]s), and [Invalid_argument] is raised once it
+    returns if it left the clock moved. Afterwards, even if the step or
+    [f] raised, every observable field is as before the step: {!time},
+    {!steps_total}, the trace, [pid]'s {!status}, decision,
+    {!steps_taken}, {!first_step_time}, {!decide_time}, {!sched_count} and
+    history node, and the register a write wrote, with its value id.
+
+    A {e null} step ([pid] is {!inert}) executes nothing and spends
+    nothing. A {e real} step executes [pid]'s parked operation (a [Fresh]
+    process first starts its code) and resumes its code up to its next
+    operation, which is parked in a new continuation. Continuations are
+    one-shot, so that one is discontinued and [pid] is left {e spent}: it
+    reads as before the step, but {!step}, {!peek}, {!footprint},
+    {!digest_after}, [with_step] and {!with_null_step} raise
+    [Invalid_argument] on it, and {!destroy} skips it. The other
+    processes step as before.
+
+    Returns [None] and leaves [t] untouched on a runtime created with
+    [?obs] (the hook would already have been told), and for a C-process
+    parked on a query (its step raises {!Forbidden_query}); a [Fresh]
+    C-process whose first operation is a query raises it, as {!step}
+    does, and is left spent. Process code
+    must reach the world only through its operations: anything else it
+    changes during a real step (an OCaml value outside the runtime, a
+    register it allocates) stays changed. *)
 
 val with_null_step : t -> Pid.t -> (unit -> 'a) -> 'a option
-(** [with_null_step t pid f] takes [pid]'s next step, runs [f] on the state
-    it reaches, then takes the step back: [Some (f ())]. It applies only
-    when that step executes nothing — [pid] is [Done], or is an S-process
-    crashed by [time t] — so the step changes only {!time}, [pid]'s
-    {!sched_count}, {!steps_total} and the trace, and those four are
-    restored even if [f] raises. Inside [f] the runtime is exactly the one
-    [step t pid] reaches ({!digest} included). Returns [None] and leaves
-    [t] untouched for a [Fresh] process (starting its code cannot be
-    undone), for a live process with a parked operation (the step would
-    execute it), and on a runtime created with [?obs] (the hook would
-    already have been told). [f] must leave [t] as it found it. *)
+(** {!with_step} when [pid] is {!inert}, so that the step spends nothing;
+    [None], with [t] untouched, otherwise. *)
+
+val inert : t -> Pid.t -> bool
+(** Every step of [pid] from {!time} on is null: it is [Done], or it is an
+    S-process crashed by now (crash-stop keeps it crashed, and its code
+    never starts or resumes). *)
 
 (** {1 Step footprints}
 
@@ -132,14 +160,16 @@ val with_null_step : t -> Pid.t -> (unit -> 'a) -> 'a option
 type footprint =
   | F_local
       (** touches no shared state and is time-insensitive: a null step
-          (done, returned, or crashed-forever), [yield], or [decide]
-          (which writes only process-local state) *)
+          ({!inert}: done, returned, or crashed-forever, whether or not
+          the pattern crashes it later), [yield], or [decide] (which
+          writes only process-local state) *)
   | F_read of Memory.reg array  (** [read] (one register) or [snapshot] *)
   | F_write of Memory.reg
   | F_timedep
       (** effect depends on the global time of execution: an FD [query]
           (the history is sampled at the step's time), or any step of a
-          live S-process that crashes later in the pattern *)
+          live (not finished) S-process that crashes later in the
+          pattern *)
 
 val footprint : t -> Pid.t -> footprint
 (** Footprint of the process's next step. Forces a [Fresh] process to its
@@ -147,13 +177,16 @@ val footprint : t -> Pid.t -> footprint
     {!step}: pure local computation only, no operation executes and
     {!participating}/{!steps_taken} are unchanged — but {!status} moves off
     [Fresh], so callers keying states with {!digest} must call it at
-    consistent points; see {!peek}). *)
+    consistent points; see {!peek}). An {!inert} process is [F_local]
+    without being forced. Raises [Invalid_argument] for a spent process
+    ({!with_step}). *)
 
 val peek : t -> Pid.t -> unit
 (** Force a [Fresh] process to its first suspension point without executing
     anything (no-op otherwise) — what {!footprint} does on the way to the
     parked operation, exposed so a checker replaying a prefix can restore
-    the same peeked-everywhere state shape before comparing digests. *)
+    the same peeked-everywhere state shape before comparing digests.
+    Raises [Invalid_argument] for a spent process ({!with_step}). *)
 
 val commute : footprint -> footprint -> bool
 (** Do steps with these footprints commute? [F_local] commutes with
@@ -169,8 +202,9 @@ val independent : t -> Pid.t -> Pid.t -> bool
     execution orders reach {!digest}-equal states? [false] if [p = q]. *)
 
 val destroy : t -> unit
-(** Discontinue all parked process continuations (releases fibers). The
-    runtime remains observable but no longer steppable. *)
+(** Discontinue all parked process continuations (releases fibers); a
+    process spent by {!with_step} has none left. The runtime remains
+    observable but no longer steppable. *)
 
 (** {1 Observers} *)
 
@@ -247,4 +281,5 @@ val digest_after : t -> Pid.t -> string option
     history at [time t], as the step would). [None] for a [Fresh] process,
     whose first operation is unknown until its code runs, and for a
     C-process parked on a query, whose step raises {!Forbidden_query}.
-    Raises [Invalid_argument] on a runtime with no context attached. *)
+    Raises [Invalid_argument] on a runtime with no context attached, and
+    for a spent process ({!with_step}). *)

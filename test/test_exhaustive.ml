@@ -325,13 +325,13 @@ let test_incremental_speedup () =
      takes footprints or reorders children *)
   let exact = Alcotest.(check int) in
   exact "memo nodes" 2280 inc_st.Exhaustive.nodes;
-  exact "memo steps" 7823 inc_st.Exhaustive.steps_executed;
-  exact "memo replays" 963 inc_st.Exhaustive.replays;
+  exact "memo steps" 4575 inc_st.Exhaustive.steps_executed;
+  exact "memo replays" 499 inc_st.Exhaustive.replays;
   exact "memo hits" 671 inc_st.Exhaustive.memo_hits;
   let _, off_st = Exhaustive.run ~memo:false ~build ~pids ~depth:8 ~prop () in
   exact "memo-off nodes" 87380 off_st.Exhaustive.nodes;
-  exact "memo-off steps" 332436 off_st.Exhaustive.steps_executed;
-  exact "memo-off replays" 36875 off_st.Exhaustive.replays
+  exact "memo-off steps" 188992 off_st.Exhaustive.steps_executed;
+  exact "memo-off replays" 16383 off_st.Exhaustive.replays
 
 (* --- and the same bar for the reduction layers: on the same config,
        sleep sets + symmetry must execute >= 3x fewer steps than the
@@ -378,8 +378,8 @@ let test_reduction_speedup () =
     (red_st.Exhaustive.orbits_collapsed > 0);
   let exact = Alcotest.(check int) in
   exact "reduced nodes" 756 red_st.Exhaustive.nodes;
-  exact "reduced steps" 2204 red_st.Exhaustive.steps_executed;
-  exact "reduced replays" 221 red_st.Exhaustive.replays;
+  exact "reduced steps" 969 red_st.Exhaustive.steps_executed;
+  exact "reduced replays" 45 red_st.Exhaustive.replays;
   exact "reduced memo hits" 0 red_st.Exhaustive.memo_hits;
   exact "reduced sleep-pruned" 820 red_st.Exhaustive.sleep_pruned;
   exact "reduced orbits" 112 red_st.Exhaustive.orbits_collapsed

@@ -521,7 +521,7 @@ let print_program p =
 let program_history =
   History.make ~name:"rotating" (fun q time -> Value.int ((q + time) mod 3))
 
-let program_build p () =
+let program_build ?(record_trace = false) p () =
   let mem = Memory.create () in
   let regs = Memory.alloc mem 2 in
   let reg r = regs.(r) in
@@ -549,7 +549,7 @@ let program_build p () =
       memory = mem;
       pattern = Failure.pattern ~n_s:p.n_s p.crash;
       history = program_history;
-      record_trace = false;
+      record_trace;
     }
     ~c_code:(fun i () -> Runtime.Op.decide (run i p.code.(i)))
     ~s_code:(fun i () -> ignore (run (p.n_c + i) p.code.(p.n_c + i)))
@@ -569,36 +569,43 @@ let split_shared ?reduce ~mode ~build ~pids ~depth ~prop () =
   Test_dist.shared_run ?reduce ~mode ~order:Fun.id ~tables:1 ~build ~pids
     ~depth ~split_depth:2 ~prop ()
 
+let mode_name = function
+  | Exhaustive.Every -> "every"
+  | Exhaustive.Final -> "final"
+
+(* [run_replay]'s verdict on [p] in [mode], and every other engine's. *)
+let verdicts p mode =
+  let build = program_build p and prop = program_prop p in
+  let pids = program_pids p and depth = p.depth in
+  let v (verdict, _) = verdict_str verdict in
+  ( v (Exhaustive.run_replay ~mode ~build ~pids ~depth ~prop ()),
+    [
+      ("memo", v (Exhaustive.run ~mode ~build ~pids ~depth ~prop ()));
+      ( "reduced",
+        v (Exhaustive.run ~reduce:sleep_only ~mode ~build ~pids ~depth ~prop ())
+      );
+      ( "split + shared table",
+        v (split_shared ~mode ~build ~pids ~depth ~prop ()) );
+      ( "reduced split + shared table",
+        v (split_shared ~reduce:sleep_only ~mode ~build ~pids ~depth ~prop ())
+      );
+    ] )
+
 let prop_programs_agree =
   QCheck.Test.make
     ~name:"random programs: every engine matches run_replay" ~count:200
     (QCheck.make ~print:print_program gen_program)
     (fun p ->
-      let build = program_build p and prop = program_prop p in
-      let pids = program_pids p and depth = p.depth in
       List.for_all
-        (fun (m, mode) ->
-          let want =
-            verdict_str
-              (fst (Exhaustive.run_replay ~mode ~build ~pids ~depth ~prop ()))
-          in
+        (fun mode ->
+          let want, got = verdicts p mode in
           List.for_all
-            (fun (what, (v, _)) ->
-              verdict_str v = want
-              || QCheck.Test.fail_reportf "%s, %s: %s, run_replay: %s" m what
-                   (verdict_str v) want)
-            [
-              ("memo", Exhaustive.run ~mode ~build ~pids ~depth ~prop ());
-              ( "reduced",
-                Exhaustive.run ~reduce:sleep_only ~mode ~build ~pids ~depth
-                  ~prop () );
-              ( "split + shared table",
-                split_shared ~mode ~build ~pids ~depth ~prop () );
-              ( "reduced split + shared table",
-                split_shared ~reduce:sleep_only ~mode ~build ~pids ~depth
-                  ~prop () );
-            ])
-        [ ("every", Exhaustive.Every); ("final", Exhaustive.Final) ])
+            (fun (what, v) ->
+              v = want
+              || QCheck.Test.fail_reportf "%s, %s: %s, run_replay: %s"
+                   (mode_name mode) what v want)
+            got)
+        [ Exhaustive.Every; Exhaustive.Final ])
 
 (* The battery above is what covers the sleep x memo rule (a hit only when
    the stored mask is a subset of the current one): its reduced searches
@@ -643,8 +650,8 @@ let print_state s =
     (if s.peeked then ", peeked" else "")
 
 (* The state on a fresh runtime keying in [keys]. *)
-let reach keys s =
-  let rt = program_build s.prog () in
+let reach ?record_trace keys s =
+  let rt = program_build ?record_trace s.prog () in
   Runtime.attach rt keys;
   let peek () =
     if s.peeked then List.iter (Runtime.peek rt) (program_pids s.prog)
@@ -764,6 +771,334 @@ let test_prediction_covers_every_step () =
     | exception Runtime.Forbidden_query _ -> true
     | () -> false)
 
+(* --- taken-back steps: [Runtime.with_step] reads the state a step reaches
+       and leaves the runtime as it was --- *)
+
+(* What a reader sees of a state: the property, decisions, statuses,
+   registers and key. *)
+let observe s rt =
+  let pids = program_pids s.prog in
+  let opt = function None -> "-" | Some v -> Value.to_string v in
+  let status p =
+    match Runtime.status rt p with
+    | Runtime.Fresh -> "fresh"
+    | Runtime.Runnable -> "runnable"
+    | Runtime.Done -> "done"
+  in
+  Printf.sprintf "prop %b; decisions %s; statuses %s; registers %s; key %S"
+    (program_prop s.prog rt)
+    (String.concat "," (Array.to_list (Array.map opt (Runtime.decisions rt))))
+    (String.concat "," (List.map status pids))
+    (String.concat ","
+       (List.map
+          (fun r -> Value.to_string (Memory.read (Runtime.memory rt) r))
+          [ 0; 1 ]))
+    (Runtime.digest rt)
+
+(* Every observable field of a runtime, the reader's view included. *)
+let fields s rt =
+  let opt = function None -> "-" | Some t -> string_of_int t in
+  let per p =
+    let c =
+      match p with
+      | Pid.C i ->
+        Printf.sprintf " first %s decided at %s"
+          (opt (Runtime.first_step_time rt i))
+          (opt (Runtime.decide_time rt i))
+      | Pid.S _ -> ""
+    in
+    Printf.sprintf "%s: steps %d scheds %d%s" (Pid.to_string p)
+      (Runtime.steps_taken rt p) (Runtime.sched_count rt p) c
+  in
+  String.concat "; "
+    ([
+       Printf.sprintf "time %d total %d" (Runtime.time rt)
+         (Runtime.steps_total rt);
+       Fmt.str "trace %a" Trace.pp (Runtime.trace rt);
+       observe s rt;
+     ]
+    @ List.map per (program_pids s.prog))
+
+(* At a random reachable state, each process's step is taken on the one
+   runtime in turn: spent or not, the reader sees what a runtime replayed
+   to the state and stepped there reaches, and afterwards the runtime is
+   the parent again. *)
+let prop_take_back_exact =
+  QCheck.Test.make ~count:300
+    ~name:"with_step reads the step's state and takes it back"
+    (QCheck.make ~print:print_state gen_state)
+    (fun s ->
+      let keys = Keys.create () in
+      let rt = reach ~record_trace:true keys s in
+      let parent = fields s rt in
+      let stepped p =
+        let rt = reach keys s in
+        Runtime.step rt p;
+        let o = observe s rt in
+        Runtime.destroy rt;
+        o
+      in
+      let exact p =
+        let kind = next_step s rt p in
+        let read = Runtime.with_step rt p (fun () -> observe s rt) in
+        (read = Some (stepped p)
+        || QCheck.Test.fail_reportf "%s, next step %s: the reader saw %s"
+             (Pid.to_string p) kind
+             (Option.value read ~default:"nothing"))
+        && (fields s rt = parent
+           || QCheck.Test.fail_reportf "%s, next step %s: the runtime moved"
+                (Pid.to_string p) kind)
+      in
+      let ok = List.for_all exact (program_pids s.prog) in
+      Runtime.destroy rt;
+      ok)
+
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | _ -> false
+
+(* A real step spends its process: nothing resumes it again, while every
+   other process still steps and [destroy] passes over it. A null step
+   spends nothing. *)
+let test_take_back_spends () =
+  let p =
+    {
+      n_c = 2;
+      n_s = 2;
+      code = [| [ Wr (0, 1); Rd 0 ]; [ Rd 0 ]; [ Qy ]; [] |];
+      depth = 4;
+      crash = [ (1, 0) ];
+      forbid = (0, Value.unit);
+    }
+  in
+  let rt = program_build p () in
+  Runtime.attach rt (Keys.create ());
+  let p1 = Pid.c 0 and p2 = Pid.c 1 and q1 = Pid.s 0 and q2 = Pid.s 1 in
+  Runtime.step rt p1;
+  let key = Runtime.digest rt in
+  check_bool "a real step is read" true
+    (Runtime.with_step rt p1 (fun () -> Runtime.steps_taken rt p1) = Some 2);
+  check_bool "a Fresh process's first step is read" true
+    (Runtime.with_step rt p2 (fun () -> Runtime.steps_taken rt p2) = Some 1);
+  check_bool "a crashed process's step is null" true
+    (Runtime.with_null_step rt q2 (fun () -> Runtime.sched_count rt q2)
+    = Some 1);
+  check_bool "the key is the parent's" true (Runtime.digest rt = key);
+  List.iter
+    (fun (what, pid) ->
+      check_bool ("stepping " ^ what ^ " raises") true
+        (raises_invalid (fun () -> Runtime.step rt pid));
+      check_bool ("peeking " ^ what ^ " raises") true
+        (raises_invalid (fun () -> Runtime.peek rt pid));
+      check_bool ("the footprint of " ^ what ^ " raises") true
+        (raises_invalid (fun () -> Runtime.footprint rt pid));
+      check_bool ("taking back a step of " ^ what ^ " raises") true
+        (raises_invalid (fun () -> Runtime.with_step rt pid ignore)))
+    [ ("a spent Runnable process", p1); ("a spent Fresh process", p2) ];
+  check_bool "a null step spends nothing" true
+    (Runtime.with_null_step rt q2 ignore = Some ());
+  Runtime.step rt q1;
+  Runtime.step rt q2;
+  check_bool "the others still step" true
+    (Runtime.steps_taken rt q1 = 1 && Runtime.sched_count rt q2 = 1);
+  check_bool "destroy passes over spent processes" true
+    (match Runtime.destroy rt with () -> true | exception _ -> false)
+
+(* Refused, and the runtime left as it was: a step an obs hook would
+   already have been told of, and a C-process's query, which raises. And
+   a reader must take back what it steps. *)
+let test_take_back_refusals () =
+  let told = ref 0 in
+  let hook =
+    {
+      Runtime.on_sched = (fun _ ~time:_ -> incr told);
+      on_event = (fun _ ~time:_ _ -> incr told);
+    }
+  in
+  let mk ?obs c_code =
+    let rt =
+      Runtime.create ?obs
+        {
+          Runtime.n_c = 1;
+          n_s = 1;
+          memory = Memory.create ();
+          pattern = Failure.failure_free 1;
+          history = program_history;
+          record_trace = false;
+        }
+        ~c_code
+        ~s_code:(fun _ () -> ())
+    in
+    Runtime.attach rt (Keys.create ());
+    Runtime.peek rt (Pid.c 0);
+    rt
+  in
+  let yields _ () = Runtime.Op.yield () in
+  let rt = mk ~obs:hook yields in
+  let key = Runtime.digest rt in
+  check_bool "an obs hook: refused" true
+    (Runtime.with_step rt (Pid.c 0) ignore = None
+    && Runtime.with_null_step rt (Pid.s 0) ignore = None);
+  check_bool "... untouched, the hook not told" true
+    (Runtime.digest rt = key && !told = 0);
+  Runtime.step rt (Pid.c 0);
+  check_bool "... and still steps" true (Runtime.steps_taken rt (Pid.c 0) = 1);
+  Runtime.destroy rt;
+  let rt = mk (fun _ () -> ignore (Runtime.Op.query ())) in
+  let key = Runtime.digest rt in
+  check_bool "a C-process parked on a query: refused" true
+    (Runtime.with_step rt (Pid.c 0) ignore = None);
+  check_bool "... untouched" true (Runtime.digest rt = key);
+  check_bool "... where its step raises" true
+    (match Runtime.step rt (Pid.c 0) with
+    | exception Runtime.Forbidden_query _ -> true
+    | () -> false);
+  Runtime.destroy rt;
+  let rt = mk yields in
+  Runtime.peek rt (Pid.s 0);
+  check_bool "a reader that leaves a step in place raises" true
+    (raises_invalid (fun () ->
+         Runtime.with_null_step rt (Pid.s 0) (fun () ->
+             Runtime.step rt (Pid.c 0))));
+  Runtime.destroy rt
+
+(* --- a finished S-process's later crash is not time-sensitive --- *)
+
+(* Safe agreement with idle S-processes, q2 crashing at 3. A reducing
+   search peeks q2, which returns at once, so every step it takes is null
+   whenever it is scheduled and the crash changes nothing the search can
+   see: its footprint is [F_local], as if it never crashed. A footprint
+   that took q2 for time-dependent until its crash let none of its null
+   moves commute, and the search visited 596 nodes in either mode (368
+   subtrees pruned, lower down); it now prunes as the failure-free search
+   does, higher up: 309 nodes (339 subtrees). *)
+let sa_crash_build ~pattern () =
+  let mem = Memory.create () in
+  let sa = Bglib.Safe_agreement.create mem ~n:2 in
+  let c_code i () =
+    Bglib.Safe_agreement.propose sa ~me:i (Value.int (100 + i));
+    let rec resolve () =
+      match Bglib.Safe_agreement.try_resolve sa with
+      | Some v -> Runtime.Op.decide v
+      | None -> resolve ()
+    in
+    resolve ()
+  in
+  Runtime.create
+    {
+      Runtime.n_c = 2;
+      n_s = 2;
+      memory = mem;
+      pattern;
+      history = History.trivial;
+      record_trace = false;
+    }
+    ~c_code
+    ~s_code:(fun _ () -> ())
+
+let test_finished_crash_prunes () =
+  let crash = Failure.pattern ~n_s:2 [ (1, 3) ] in
+  let rt = sa_crash_build ~pattern:crash () in
+  Runtime.peek rt (Pid.s 1);
+  check_bool "q2 has returned and crashes later: F_local" true
+    (Runtime.status rt (Pid.s 1) = Runtime.Done
+    && Runtime.footprint rt (Pid.s 1) = Runtime.F_local);
+  Runtime.destroy rt;
+  let pids = Pid.all ~n_c:2 ~n_s:2 in
+  List.iter
+    (fun mode ->
+      let label = "safe agreement, q2 returns and crashes at 3" in
+      assert_engines_agree ~label ~build:(sa_crash_build ~pattern:crash) ~pids
+        ~depth:6 ~mode ~prop:agreement_prop ~reduce:sleep_only;
+      let run pattern =
+        Exhaustive.run ~reduce:sleep_only ~mode
+          ~build:(sa_crash_build ~pattern) ~pids ~depth:6 ~prop:agreement_prop
+          ()
+      in
+      let vc, c = run crash and vf, f = run (Failure.failure_free 2) in
+      Alcotest.(check string) (label ^ ": verdict") (verdict_str vf)
+        (verdict_str vc);
+      Alcotest.(check int) (label ^ ": nodes") f.Exhaustive.nodes
+        c.Exhaustive.nodes;
+      Alcotest.(check int) (label ^ ": sleep-pruned") f.Exhaustive.sleep_pruned
+        c.Exhaustive.sleep_pruned;
+      check_bool
+        (Printf.sprintf "%s: prunes more, %d nodes against 596" label
+           c.Exhaustive.nodes)
+        true
+        (c.Exhaustive.nodes < 596))
+    [ Exhaustive.Every; Exhaustive.Final ]
+
+(* --- searches on a borrowed runtime --- *)
+
+(* Two programs of the random battery under which, in a reduced search, a
+   node inside a null-only walk needs a real step: the memo re-explores it
+   under the intersection of its own and a stored sleep mask, which wakes
+   a process that is not inert. That node must get a runtime of its own:
+   a search that stepped the borrowed one answered wrongly. Each is run
+   under every property the battery draws. *)
+let borrowed_walk_programs =
+  [
+    {
+      n_c = 3;
+      n_s = 2;
+      code =
+        [|
+          [ Rd 0 ];
+          [ Sn [ 0; 1 ]; Rd 1; Yd ];
+          [ Wr (1, 21395); Rd 0 ];
+          [ Wr (1, 1) ];
+          [ Qy; Wr (1, 35553) ];
+        |];
+      depth = 6;
+      crash = [];
+      forbid = (0, Value.unit);
+    };
+    {
+      n_c = 3;
+      n_s = 2;
+      code =
+        [|
+          [ Yd; Wn 0; Wn 1 ];
+          [ Yd; Sn []; Rd 1 ];
+          [ Wn 0 ];
+          [ Qy; Wr (1, 35553); Wn 0 ];
+          [ Wn 0; Wn 0 ];
+        |];
+      depth = 6;
+      crash = [ (0, 3) ];
+      forbid = (0, Value.unit);
+    };
+  ]
+
+(* Every engine of the battery on [p] in [mode], against [run_replay]. *)
+let check_against_replay p mode =
+  let want, got = verdicts p mode in
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s; %s, %s" (print_program p) (mode_name mode) what)
+        want v)
+    got
+
+let test_borrowed_walks () =
+  let forbids =
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun v -> (i, v))
+          (Value.unit :: Array.to_list (Array.map Value.int consts)))
+      [ 0; 1; 2 ]
+  in
+  List.iter
+    (fun prog ->
+      List.iter
+        (fun forbid ->
+          List.iter
+            (check_against_replay { prog with forbid })
+            [ Exhaustive.Every; Exhaustive.Final ])
+        forbids)
+    borrowed_walk_programs
+
 let suite =
   [
     Alcotest.test_case "differential: safe agreement" `Quick
@@ -793,4 +1128,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_prediction_exact;
     Alcotest.test_case "predicted keys: every kind of step covered" `Quick
       test_prediction_covers_every_step;
+    QCheck_alcotest.to_alcotest prop_take_back_exact;
+    Alcotest.test_case "a taken-back real step spends its process" `Quick
+      test_take_back_spends;
+    Alcotest.test_case "taken-back steps: hooks and C queries refused" `Quick
+      test_take_back_refusals;
+    Alcotest.test_case "a finished S-process's later crash prunes" `Quick
+      test_finished_crash_prunes;
+    Alcotest.test_case "searches on a borrowed runtime: regressions" `Quick
+      test_borrowed_walks;
   ]
