@@ -208,10 +208,25 @@ exception Cancelled
    - Leaf reads: a node one step above full depth takes each leaf's move
      on its own runtime with {!Runtime.with_step}, reads the property and
      takes the move back, restoring every field the property or a key can
-     read. A real move spends its process, so the runtime is never stepped
-     again: leaves need no runtime, and it is destroyed at the next replay.
-     A leaf is never looked up, and no peek follows a leaf, so the
-     property read is the one its turn would read.
+     read. A real move of a started process spends it, so the runtime is
+     never stepped again: leaves need no runtime, and it is destroyed at
+     the next replay. A real move of a process that has not started
+     restarts it (below) and spends nothing, so it is read on a borrowed
+     runtime too, and the runtime stays live. A leaf is never looked up,
+     and no peek follows a leaf, so the property read is the one its turn
+     would read.
+
+   - Restarts: a process that has not started holds no continuation, only
+     its code. Its first move is taken back by discontinuing whatever the
+     code parked and marking it not started, so its next step runs the
+     code from the beginning. Process code is deterministic and, by the
+     requirement in exhaustive.mli, reaches the world only through its
+     operations, so the rerun parks the same first operation on the same
+     state: the restart is exact. Each restart happens inside the
+     take-back or the prediction, so a plain search, which never peeks,
+     still never shows [prop] a peeked process, and its keys stay those of
+     plain execution. A reducing context peeked every pid at the node, so
+     no process there is unstarted and nothing changes for it.
 
    - Null-only walks: at a null-move child where every pid is asleep,
      inert ({!Runtime.inert}) or a non-canonical class member, the subtree
@@ -235,12 +250,13 @@ exception Cancelled
      Walks stay below the split frontier, so jobs are emitted in DFS
      order.
 
-   - Predictions: a child reached by a real step of a started process is
-     keyed on the parent's runtime by {!Runtime.digest_after}, which makes
-     the step's key changes with the function the step itself uses and
-     takes them back. A reducing context peeked every pid at the parent, so
-     the peek after the step changes nothing there either, and the
-     predicted key is the one the child's turn would read. A hit on it
+   - Predictions: a child reached by a real step is keyed on the parent's
+     runtime by {!Runtime.digest_after}, which makes the step's key changes
+     with the function the step itself uses and takes them back; a process
+     that has not started is run to its first operation, as the step runs
+     it, and restarted after. A reducing context peeked every pid at the
+     parent, so the peek after the step changes nothing there either, and
+     the predicted key is the one the child's turn would read. A hit on it
      credits the child without a runtime and without reading its property:
      [prop] is a function of the keyed state, and in [Every] mode every key
      a table holds belongs to a state that passed it (each node is checked
@@ -409,10 +425,11 @@ let create_table () = new_table ~sleep:true
    only is searched right there, on the same runtime under nested null
    moves, and its turn returns the result. A node one step above full
    depth reads every leaf, real moves included, and gives its runtime to
-   no child after a real one. With the memo on, every other child that is
-   not a leaf has its key predicted ([Runtime.digest_after]) when its
-   process has started. A probed child is credited without a runtime when
-   it is a leaf, a memo hit at its turn, a frontier job or a prefix
+   no child after a real move of a started process; a process that has
+   not started is restarted and spends nothing. With the memo on, every
+   other child that is not a leaf has its key predicted
+   ([Runtime.digest_after]). A probed child is credited without a runtime
+   when it is a leaf, a memo hit at its turn, a frontier job or a prefix
    violation, and a predicted child when it is a memo hit. The first child
    that needs a runtime (a miss) takes the node's, and a later one
    rebuilds it and replays the prefix (runtimes hold effect continuations,
@@ -663,10 +680,11 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
        use without a runtime of its own. Every null move is probed, and the
        subtree of one that takes null moves only is searched then and
        there, under nested null moves, unless it would reach the frontier.
-       A node one step above full depth reads its leaves, real moves too
-       unless [rt] is borrowed, and gives [rt] to no child after a real
-       one. A prediction is only a key, and a leaf is never looked up, so
-       leaves are not predicted. *)
+       A node one step above full depth reads its leaves, real moves too:
+       one of a process that has not started restarts it, on any [rt]; one
+       of a started process spends it, so it is read only on an owned [rt],
+       which then goes to no child. A prediction is only a key, and a leaf
+       is never looked up, so leaves are not predicted. *)
     let leaves = d = 1 and predict = memo && d > 1 in
     let walks = d > 1 && depth - (d - 1) > frontier in
     let seen = Array.make n Unread in
@@ -686,12 +704,17 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
                        ~borrowed:true (ok, key) ~unchecked:false))
             else Probed (ok, key)
           in
-          let spends = leaves && (not borrowed) && not (Runtime.inert rt pid) in
+          let fresh = Runtime.status rt pid = Runtime.Fresh in
+          let spends =
+            leaves && (not borrowed) && not (fresh || Runtime.inert rt pid)
+          in
+          let restarts = leaves && fresh in
+          let take_back =
+            if spends || restarts then Runtime.with_step
+            else Runtime.with_null_step
+          in
           let s =
-            match
-              (if spends then Runtime.with_step else Runtime.with_null_step)
-                rt pid look
-            with
+            match take_back rt pid look with
             | Some s ->
               if spends then live := false;
               s

@@ -24,14 +24,18 @@
     whole subtree takes null moves only, and it is searched then and there,
     on the parent's runtime under nested null moves; the child's turn
     returns what that search found. A node one step above full depth reads
-    its leaves this way too, real steps included: a real step uses up its
-    process's continuation, so that runtime is only read from then on, and
-    no leaf needs it. With the memo on, a child reached by a real step of a
-    started process has its key predicted on the parent
-    ({!Runtime.digest_after}), so a memo hit there needs no runtime either.
-    The live runtime goes to the first child that needs one (a miss to
-    expand); a later one rebuilds it and replays the prefix (effect
-    continuations cannot be cloned). {!stats} makes the saved work
+    its leaves this way too, real steps included: a real step of a started
+    process uses up its continuation, so that runtime is only read from
+    then on, and no leaf needs it. A process that has not started holds no
+    continuation, only its code, so its first step is taken back by
+    restarting it: such a leaf is read on any runtime, and the runtime
+    stays live for later siblings. With the memo on, every other child
+    reached by a real step has its key predicted on the parent
+    ({!Runtime.digest_after}, which runs a process that has not started to
+    its first operation and restarts it), so a memo hit there needs no
+    runtime either. The live runtime goes to the first child that needs
+    one (a miss to expand); a later one rebuilds it and replays the prefix
+    (effect continuations cannot be cloned). {!stats} makes the saved work
     observable. More cores are used by running {!split}'s jobs on several
     processes (the [subtree] service verb).
 
@@ -63,7 +67,21 @@
     - process code must reach the world only through its operations: a
       leaf's real step is taken and taken back on its parent's runtime,
       and whatever else the step's code changes (an OCaml value outside
-      the runtime) stays changed when the next leaf is read. *)
+      the runtime) stays changed when the next leaf is read. A process
+      that has not started may have its code run, and restarted, several
+      times on one runtime before its first step stays taken.
+
+    Restarts: taking back the first step of a process that has not started
+    discontinues whatever its code parked and sets it back to not started,
+    so its next step runs its code from the beginning. Under the last
+    requirement that is exact: the code is deterministic and what it did
+    before its first operation touched nothing but its own locals, so the
+    rerun parks the same operation on the same state, and the step reaches
+    what it would have reached without the take-back. Each restart happens
+    inside the take-back, so a plain search (no reduction) still never
+    shows [prop] a process that has run its code without being scheduled:
+    [prop] is read at a child with the step taken, and at every node with
+    each process either scheduled or not started. *)
 
 type verdict =
   | Ok of int  (** number of complete schedules accounted for *)

@@ -410,14 +410,39 @@ let discontinue op =
   | K_decide (_, k) -> disc k
   | K_yield k -> disc k
 
+(* Discontinue what [p] has parked, if anything: that lands in the
+   handler, which marks it Done. *)
+let discard p =
+  match p.pending with
+  | Some op ->
+    p.pending <- None;
+    discontinue op
+  | None -> ()
+
+(* Put a process whose code has run back to the start: it reads [Fresh]
+   again, so its next step runs its code from the beginning. *)
+let restart p =
+  discard p;
+  p.status <- Fresh
+
+(* [start_if_fresh] for a step that will be taken back: a process whose
+   code raises before its first operation is left [Fresh]. *)
+let start_for_take_back p =
+  try start_if_fresh p
+  with e ->
+    restart p;
+    raise e
+
 (* A step moves the clock, the step total, the trace and the stepping
    process's sched count; a step that executes something also moves the
    process's status, decision, step count, first-step and decide times and
    history node, and a write the register with its value id. [undo] puts
    each back. The continuation a real step parks cannot be put back, so it
-   is discontinued and the process spent; a null step parks nothing and
-   spends nothing. Refused where the step cannot be taken back: an obs hook
-   has already been told, and a C-process's query raises. *)
+   is discontinued: a process that had started is spent, and one that had
+   not is restarted, having held no continuation before the step. A null
+   step parks nothing and spends nothing. Refused where the step cannot be
+   taken back: an obs hook has already been told, and a C-process's parked
+   query raises. *)
 let with_step t pid f =
   let p = unspent t pid in
   match (p.pending, pid) with
@@ -429,7 +454,7 @@ let with_step t pid f =
     let status = p.status and decided = p.decided and steps = p.steps in
     let scheds = p.scheds and first_step = p.first_step in
     let decide_at = p.decide_at and node = p.node and ids = t.mem_ids in
-    if not null then start_if_fresh p;
+    if not null then start_for_take_back p;
     let reg =
       match p.pending with Some (K_write (r, _, _)) when not null -> r | _ -> -1
     in
@@ -441,14 +466,11 @@ let with_step t pid f =
       Trace.truncate t.tr len;
       p.scheds <- scheds;
       if not null then begin
-        (* discontinuing lands in the handler, which marks the process
-           Done: restore its fields after *)
-        (match p.pending with
-        | Some op ->
-          p.pending <- None;
-          discontinue op
-        | None -> ());
-        p.spent <- true;
+        (* [discard] leaves the process Done: restore its fields after. A
+           started process is spent; a [Fresh] one is restarted, its status
+           put back to [Fresh] *)
+        discard p;
+        p.spent <- status <> Fresh;
         p.status <- status;
         p.decided <- decided;
         p.steps <- steps;
@@ -482,15 +504,8 @@ let with_null_step t pid f =
   if inert_p t (unspent t pid) then with_step t pid f else None
 
 let destroy t =
-  let kill p =
-    match p.pending with
-    | None -> ()
-    | Some op ->
-      p.pending <- None;
-      discontinue op
-  in
-  Array.iter kill t.c_procs;
-  Array.iter kill t.s_procs
+  Array.iter discard t.c_procs;
+  Array.iter discard t.s_procs
 
 let time t = t.now
 let n_c t = t.cfg.n_c
@@ -551,17 +566,21 @@ let digest t =
     Keys.finish ks
 
 (* Puts back what [digest_after] moved: the clock, [p]'s sched count and
-   history node, and the value id of the register [reg] a write sets. *)
-let take_back t p ~now ~scheds ~node ~reg ~id =
+   history node, the value id of the register [reg] a write sets, and,
+   when [fresh], the start of [p]'s code. *)
+let take_back t p ~fresh ~now ~scheds ~node ~reg ~id =
   t.now <- now;
   p.scheds <- scheds;
   p.node <- node;
-  if reg >= 0 then t.mem_ids.(reg) <- id
+  if reg >= 0 then t.mem_ids.(reg) <- id;
+  if fresh then restart p
 
 (* The step's own changes to the key, made on [t] and taken back: a live
    parked operation's edges and register write are applied by [advance],
    as [execute] applies them, the clock and [pid]'s sched count move on,
-   and [digest] writes the key. *)
+   and [digest] writes the key. A [Fresh] process the step would start is
+   run to its first operation first, as the step runs it, and restarted
+   after. *)
 let digest_after t pid =
   let ks =
     match t.keys with
@@ -569,10 +588,15 @@ let digest_after t pid =
     | Some ks -> ks
   in
   let p = unspent t pid in
-  match (p.status, p.pending, pid) with
-  | Fresh, _, _ | _, Some (K_query _), Pid.C _ -> None
+  let crashed = crashed t p in
+  let fresh = p.status = Fresh && not crashed in
+  if fresh then start_for_take_back p;
+  let op = if crashed then None else p.pending in
+  match (op, pid) with
+  | Some (K_query _), Pid.C _ ->
+    if fresh then restart p;
+    None
   | _ -> (
-    let op = if crashed t p then None else p.pending in
     let reg = match op with Some (K_write (r, _, _)) -> r | _ -> -1 in
     let id = if reg >= 0 then mem_id t ks reg else 0 in
     let now = t.now and scheds = p.scheds and node = p.node in
@@ -585,8 +609,8 @@ let digest_after t pid =
       digest t
     with
     | key ->
-      take_back t p ~now ~scheds ~node ~reg ~id;
+      take_back t p ~fresh ~now ~scheds ~node ~reg ~id;
       Some key
     | exception e ->
-      take_back t p ~now ~scheds ~node ~reg ~id;
+      take_back t p ~fresh ~now ~scheds ~node ~reg ~id;
       raise e)

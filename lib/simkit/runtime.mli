@@ -125,20 +125,26 @@ val with_step : t -> Pid.t -> (unit -> 'a) -> 'a option
     nothing. A {e real} step executes [pid]'s parked operation (a [Fresh]
     process first starts its code) and resumes its code up to its next
     operation, which is parked in a new continuation. Continuations are
-    one-shot, so that one is discontinued and [pid] is left {e spent}: it
-    reads as before the step, but {!step}, {!peek}, {!footprint},
-    {!digest_after}, [with_step] and {!with_null_step} raise
-    [Invalid_argument] on it, and {!destroy} skips it. The other
-    processes step as before.
+    one-shot, so that one is discontinued. A process that had started is
+    then left {e spent}: it reads as before the step, but {!step},
+    {!peek}, {!footprint}, {!digest_after}, [with_step] and
+    {!with_null_step} raise [Invalid_argument] on it, and {!destroy}
+    skips it. A [Fresh] process held no continuation, only its code, so it
+    is {e restarted} instead: it is [Fresh] again, unspent, and its next
+    step runs its code from the beginning, reaching what that step would
+    have reached without the take-back. The other processes step as
+    before.
 
     Returns [None] and leaves [t] untouched on a runtime created with
     [?obs] (the hook would already have been told), and for a C-process
-    parked on a query (its step raises {!Forbidden_query}); a [Fresh]
+    parked on a query (its step raises {!Forbidden_query}). A [Fresh]
     C-process whose first operation is a query raises it, as {!step}
-    does, and is left spent. Process code
-    must reach the world only through its operations: anything else it
-    changes during a real step (an OCaml value outside the runtime, a
-    register it allocates) stays changed. *)
+    does, and so does a [Fresh] process whose code raises before its first
+    operation; either is left [Fresh] and unspent. Process code must reach
+    the world only through its operations: anything else it changes during
+    a real step (an OCaml value outside the runtime, a register it
+    allocates) stays changed, and a restarted process's code runs again
+    from the start on its next step. *)
 
 val with_null_step : t -> Pid.t -> (unit -> 'a) -> 'a option
 (** {!with_step} when [pid] is {!inert}, so that the step spends nothing;
@@ -275,11 +281,13 @@ val digest_after : t -> Pid.t -> string option
     [t] by the function the step itself uses to make them, the key is
     written by {!digest}, and the changes are taken back, so [t] is left
     as it was (save that the context may already hold the history node and
-    value id the step would create). [Some] for every started process: a
-    null move ([pid] is [Done], or an S-process crashed by [time t]) keeps
-    its node, and a parked operation adds its edges (a query samples the
-    history at [time t], as the step would). [None] for a [Fresh] process,
-    whose first operation is unknown until its code runs, and for a
-    C-process parked on a query, whose step raises {!Forbidden_query}.
-    Raises [Invalid_argument] on a runtime with no context attached, and
-    for a spent process ({!with_step}). *)
+    value id the step would create). A null move ([pid] is [Done], or an
+    S-process crashed by [time t]) keeps its node, and a parked operation
+    adds its edges (a query samples the history at [time t], as the step
+    would). A [Fresh] process's code is first run to its first operation,
+    as the step runs it, and the process is restarted afterwards as
+    {!with_step} restarts it: it is left [Fresh] and unspent, even when its
+    code raises (the exception is raised here, as the step raises it).
+    [None] only for a C-process whose next operation is a query, whose step
+    raises {!Forbidden_query}. Raises [Invalid_argument] on a runtime with
+    no context attached, and for a spent process ({!with_step}). *)

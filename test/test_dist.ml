@@ -221,10 +221,10 @@ let test_shared_table_effort () =
   let _, private_, _ = dist_run ~build ~pids ~depth ~split_depth ~prop () in
   check_string "verdict" "Ok 65536" (verdict_str v);
   Alcotest.(check int) "monolithic nodes" 2280 mono.Exhaustive.nodes;
-  Alcotest.(check int) "monolithic steps" 4575 mono.Exhaustive.steps_executed;
+  Alcotest.(check int) "monolithic steps" 3194 mono.Exhaustive.steps_executed;
   Alcotest.(check int) "shared-table nodes" 2304 shared.Exhaustive.nodes;
   Alcotest.(check int)
-    "shared-table steps" 4806 shared.Exhaustive.steps_executed;
+    "shared-table steps" 3476 shared.Exhaustive.steps_executed;
   Alcotest.(check int) "private-memo nodes" 21668 private_.Exhaustive.nodes;
   check_bool "shared within 1.05x of monolithic nodes" true
     (float_of_int shared.Exhaustive.nodes

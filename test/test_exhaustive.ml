@@ -56,33 +56,28 @@ let test_safe_agreement_exhaustive () =
 
 (* --- commit-adopt: if anyone commits, everyone's value matches --- *)
 
+(* Each process decides its outcome, commit flag and value, so that the
+   property reads the runtime's state only, as the engine requires. *)
 let test_commit_adopt_exhaustive () =
-  let outcomes = Array.make 2 None in
   let build () =
-    outcomes.(0) <- None;
-    outcomes.(1) <- None;
     let mem = Memory.create () in
     let ca = Commit_adopt.create mem ~n:2 in
     let c_code i () =
       let o = Commit_adopt.run ca ~me:i (Value.int i) in
-      outcomes.(i) <- Some o;
-      Runtime.Op.decide (Commit_adopt.outcome_value o)
+      let commit = Value.bool (Commit_adopt.is_commit o) in
+      Runtime.Op.decide (Value.pair commit (Commit_adopt.outcome_value o))
     in
     mk ~n_c:2 mem c_code
   in
-  let prop _rt =
-    match (outcomes.(0), outcomes.(1)) with
-    | Some o1, Some o2 ->
-      let committed =
-        List.filter_map
-          (function Commit_adopt.Commit v -> Some v | _ -> None)
-          [ o1; o2 ]
-      in
+  let prop rt =
+    match (Runtime.decision rt 0, Runtime.decision rt 1) with
+    | Some a, Some b ->
+      let outcomes = List.map Value.to_pair [ a; b ] in
       List.for_all
-        (fun c ->
-          Value.equal c (Commit_adopt.outcome_value o1)
-          && Value.equal c (Commit_adopt.outcome_value o2))
-        committed
+        (fun (commit, c) ->
+          (not (Value.to_bool commit))
+          || List.for_all (fun (_, v) -> Value.equal c v) outcomes)
+        outcomes
     | _ -> true
   in
   match
@@ -156,27 +151,30 @@ let test_exhaustive_finds_violations () =
 
 (* --- splitter: at most one Stop, over all schedules of 3 entrants --- *)
 
+(* Each entrant decides its direction, so that the property reads the
+   runtime's state only. A Stop then takes five steps (four operations
+   and the decision), so depth 10 is the least at which two can show. *)
 let test_splitter_exhaustive () =
-  let outcomes = Array.make 3 None in
+  let direction d = Value.str (Fmt.str "%a" Efd.Splitter.pp_direction d) in
   let build () =
-    Array.fill outcomes 0 3 None;
     let mem = Memory.create () in
     let sp = Efd.Splitter.create mem in
     let c_code i () =
-      outcomes.(i) <- Some (Efd.Splitter.enter sp ~me:i);
-      Runtime.Op.decide Value.unit
+      Runtime.Op.decide (direction (Efd.Splitter.enter sp ~me:i))
     in
     mk ~n_c:3 mem c_code
   in
-  let prop _rt =
+  let stop = Some (direction Efd.Splitter.Stop) in
+  let prop rt =
     let stops =
-      Array.to_list outcomes
-      |> List.filter (fun o -> o = Some Efd.Splitter.Stop)
+      List.filter
+        (fun i -> Option.equal Value.equal (Runtime.decision rt i) stop)
+        [ 0; 1; 2 ]
     in
     List.length stops <= 1
   in
   match
-    Exhaustive.check ~build ~pids:[ Pid.c 0; Pid.c 1; Pid.c 2 ] ~depth:9 ~prop
+    Exhaustive.check ~build ~pids:[ Pid.c 0; Pid.c 1; Pid.c 2 ] ~depth:10 ~prop
   with
   | Exhaustive.Ok n -> check_bool "schedules checked" true (n > 10_000)
   | Exhaustive.Counterexample cex ->
@@ -325,8 +323,8 @@ let test_incremental_speedup () =
      takes footprints or reorders children *)
   let exact = Alcotest.(check int) in
   exact "memo nodes" 2280 inc_st.Exhaustive.nodes;
-  exact "memo steps" 4575 inc_st.Exhaustive.steps_executed;
-  exact "memo replays" 499 inc_st.Exhaustive.replays;
+  exact "memo steps" 3194 inc_st.Exhaustive.steps_executed;
+  exact "memo replays" 259 inc_st.Exhaustive.replays;
   exact "memo hits" 671 inc_st.Exhaustive.memo_hits;
   let _, off_st = Exhaustive.run ~memo:false ~build ~pids ~depth:8 ~prop () in
   exact "memo-off nodes" 87380 off_st.Exhaustive.nodes;
@@ -384,6 +382,53 @@ let test_reduction_speedup () =
   exact "reduced sleep-pruned" 820 red_st.Exhaustive.sleep_pruned;
   exact "reduced orbits" 112 red_st.Exhaustive.orbits_collapsed
 
+(* --- the benchmark's grid: every verdict pinned --- *)
+
+(* The 24 model checks a check-local round runs, built as it builds them:
+   safe agreement and the seeded race x depth 10 and 12 x n_s 1-3 x
+   reduction off and on, in [Every] mode with the memo on. A safe cell
+   credits all (n_s + 2)^depth schedules; a race cell returns the
+   lex-least counterexample. Effort is not pinned here: it may move with
+   the engine, where a verdict must not. *)
+let test_grid_verdicts () =
+  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
+  let p1 = Pid.c 0 and p2 = Pid.c 1 in
+  let want name ~n_s ~depth =
+    match (name, depth) with
+    | "safe-agreement", _ -> Exhaustive.Ok (pow (n_s + 2) depth)
+    | _, 10 ->
+      Exhaustive.Counterexample [ p1; p2; p1; p1; p1; p1; p1; p1; p2; p2 ]
+    | _ ->
+      Exhaustive.Counterexample
+        [ p1; p2; p1; p1; p1; p1; p1; p1; p1; p1; p2; p2 ]
+  in
+  let cell name depth n_s reduce =
+    let sc =
+      match Mcheck.Scenario.find name ~n_s with
+      | Ok sc -> sc
+      | Error msg -> Alcotest.fail msg
+    in
+    let v, _ =
+      Exhaustive.run
+        ?reduce:(Mcheck.Scenario.reduction sc ~reduce)
+        ~build:sc.Mcheck.Scenario.sc_build ~pids:sc.Mcheck.Scenario.sc_pids
+        ~depth ~prop:sc.Mcheck.Scenario.sc_prop ()
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%s, depth %d, n_s %d, reduce %b" name depth n_s reduce)
+      (verdict_str (want name ~n_s ~depth))
+      (verdict_str v)
+  in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun depth ->
+          List.iter
+            (fun n_s -> List.iter (cell name depth n_s) [ false; true ])
+            [ 1; 2; 3 ])
+        [ 10; 12 ])
+    [ "safe-agreement"; "race-false" ]
+
 let suite =
   [
     Alcotest.test_case "safe agreement (all schedules)" `Slow
@@ -405,4 +450,6 @@ let suite =
       test_incremental_speedup;
     Alcotest.test_case "reduction >= 3x fewer steps than memo" `Quick
       test_reduction_speedup;
+    Alcotest.test_case "the check-local grid's verdicts" `Quick
+      test_grid_verdicts;
   ]

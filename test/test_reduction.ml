@@ -158,9 +158,9 @@ let test_differential_ct_consensus () =
     ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
 
 (* q2 crashes at time 2, inside the depth: from there on each of its moves
-   is null, taken on the node's runtime and taken back by the engines, with
-   its operation parked when it had started and refused while it is Fresh.
-   The crash breaks the S-processes' symmetry, so only sleep sets reduce.
+   is null, taken on the node's runtime and taken back by the engines,
+   whether it had started (its operation parked) or not. The crash breaks
+   the S-processes' symmetry, so only sleep sets reduce.
 
    A runtime built with an obs hook refuses every null move, so the same
    search on hooked runtimes is the search without probes. Probing may move
@@ -687,11 +687,14 @@ let next_step s rt p =
     | Some Qy -> "query"
     | Some Yd -> "yield")
 
-(* For every process at a random reachable state, [digest_after] is [None]
-   exactly for a process still [Fresh] (these programs never let a
-   C-process query), and otherwise the key the state reaches by the step;
-   and it leaves the runtime's own key as it found it. Each step is taken
-   on a runtime of its own, replayed to the state in the same context. *)
+let statuses s rt = List.map (Runtime.status rt) (program_pids s.prog)
+
+(* For every process at a random reachable state, [digest_after] is the key
+   the state reaches by the step, a [Fresh] process's first step included
+   ([None] is right only for a C-process whose next operation is a query,
+   which these programs never draw); and it leaves the runtime's own key,
+   and every process's status, as it found them. Each step is taken on a
+   runtime of its own, replayed to the state in the same context. *)
 let prop_prediction_exact =
   QCheck.Test.make ~count:300
     ~name:"digest_after is the key the step reaches"
@@ -699,13 +702,13 @@ let prop_prediction_exact =
     (fun s ->
       let keys = Keys.create () in
       let rt = reach keys s in
-      let before = Runtime.digest rt in
+      let before = (Runtime.digest rt, statuses s rt) in
       let predicted =
         List.map
           (fun p -> (p, next_step s rt p, Runtime.digest_after rt p))
           (program_pids s.prog)
       in
-      let unmoved = Runtime.digest rt = before in
+      let unmoved = (Runtime.digest rt, statuses s rt) = before in
       Runtime.destroy rt;
       let stepped p =
         let rt = reach keys s in
@@ -714,11 +717,7 @@ let prop_prediction_exact =
         Runtime.destroy rt;
         key
       in
-      let exact (p, kind, key) =
-        match key with
-        | None -> kind = "fresh"
-        | Some k -> kind <> "fresh" && stepped p = k
-      in
+      let exact (p, _, key) = key = Some (stepped p) in
       (unmoved || QCheck.Test.fail_report "digest_after moved the runtime")
       && List.for_all
            (fun ((p, kind, _) as c) ->
@@ -856,9 +855,11 @@ let prop_take_back_exact =
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
 
-(* A real step spends its process: nothing resumes it again, while every
-   other process still steps and [destroy] passes over it. A null step
-   spends nothing. *)
+(* A real step of a started process spends it: nothing resumes it again,
+   while every other process still steps and [destroy] passes over it. A
+   [Fresh] process's first step is taken back by restarting it: it is
+   [Fresh] again, unspent, and its next step reaches what a replay of the
+   prefix and that step reaches. A null step spends nothing. *)
 let test_take_back_spends () =
   let p =
     {
@@ -867,13 +868,13 @@ let test_take_back_spends () =
       code = [| [ Wr (0, 1); Rd 0 ]; [ Rd 0 ]; [ Qy ]; [] |];
       depth = 4;
       crash = [ (1, 0) ];
-      forbid = (0, Value.unit);
+      forbid = (1, Value.int 1);
     }
   in
-  let rt = program_build p () in
-  Runtime.attach rt (Keys.create ());
   let p1 = Pid.c 0 and p2 = Pid.c 1 and q1 = Pid.s 0 and q2 = Pid.s 1 in
-  Runtime.step rt p1;
+  let keys = Keys.create () in
+  let s = { prog = p; prefix = [ p1 ]; peeked = false } in
+  let rt = reach keys s in
   let key = Runtime.digest rt in
   check_bool "a real step is read" true
     (Runtime.with_step rt p1 (fun () -> Runtime.steps_taken rt p1) = Some 2);
@@ -883,17 +884,27 @@ let test_take_back_spends () =
     (Runtime.with_null_step rt q2 (fun () -> Runtime.sched_count rt q2)
     = Some 1);
   check_bool "the key is the parent's" true (Runtime.digest rt = key);
-  List.iter
-    (fun (what, pid) ->
-      check_bool ("stepping " ^ what ^ " raises") true
-        (raises_invalid (fun () -> Runtime.step rt pid));
-      check_bool ("peeking " ^ what ^ " raises") true
-        (raises_invalid (fun () -> Runtime.peek rt pid));
-      check_bool ("the footprint of " ^ what ^ " raises") true
-        (raises_invalid (fun () -> Runtime.footprint rt pid));
-      check_bool ("taking back a step of " ^ what ^ " raises") true
-        (raises_invalid (fun () -> Runtime.with_step rt pid ignore)))
-    [ ("a spent Runnable process", p1); ("a spent Fresh process", p2) ];
+  let what = "a spent Runnable process" in
+  check_bool ("stepping " ^ what ^ " raises") true
+    (raises_invalid (fun () -> Runtime.step rt p1));
+  check_bool ("peeking " ^ what ^ " raises") true
+    (raises_invalid (fun () -> Runtime.peek rt p1));
+  check_bool ("the footprint of " ^ what ^ " raises") true
+    (raises_invalid (fun () -> Runtime.footprint rt p1));
+  check_bool ("taking back a step of " ^ what ^ " raises") true
+    (raises_invalid (fun () -> Runtime.with_step rt p1 ignore));
+  check_bool "a restarted Fresh process is Fresh" true
+    (Runtime.status rt p2 = Runtime.Fresh);
+  let replayed =
+    let rt = reach keys { s with prefix = [ p1; p2; p2 ] } in
+    let o = observe s rt in
+    Runtime.destroy rt;
+    o
+  in
+  Runtime.step rt p2;
+  Runtime.step rt p2;
+  check_bool "... and its steps reach what a replay reaches" true
+    (observe s rt = replayed && Runtime.decision rt 1 = Some (Value.int 1));
   check_bool "a null step spends nothing" true
     (Runtime.with_null_step rt q2 ignore = Some ());
   Runtime.step rt q1;
@@ -902,6 +913,69 @@ let test_take_back_spends () =
     (Runtime.steps_taken rt q1 = 1 && Runtime.sched_count rt q2 = 1);
   check_bool "destroy passes over spent processes" true
     (match Runtime.destroy rt with () -> true | exception _ -> false)
+
+(* A [Fresh] process whose code raises before its first operation: the
+   step's prediction and its take-back raise the exception, as the step
+   does, and leave the process [Fresh] and unspent, so both raise it
+   again. A C-process whose first operation is a query: no key, and its
+   take-back raises [Forbidden_query], as its step does; it too is left
+   [Fresh] and steppable. *)
+exception Boom
+
+let test_take_back_restarts () =
+  let mk c_code =
+    let rt =
+      Runtime.create
+        {
+          Runtime.n_c = 1;
+          n_s = 1;
+          memory = Memory.create ();
+          pattern = Failure.failure_free 1;
+          history = program_history;
+          record_trace = false;
+        }
+        ~c_code
+        ~s_code:(fun _ () -> ())
+    in
+    Runtime.attach rt (Keys.create ());
+    rt
+  in
+  let p1 = Pid.c 0 in
+  let left_fresh what rt key =
+    check_bool (what ^ ": left Fresh") true
+      (Runtime.status rt p1 = Runtime.Fresh
+      && Runtime.digest rt = key
+      && Runtime.time rt = 0
+      && Runtime.sched_count rt p1 = 0)
+  in
+  let rt = mk (fun _ () -> raise Boom) in
+  let key = Runtime.digest rt in
+  let boom f = match f () with exception Boom -> true | _ -> false in
+  for _ = 1 to 2 do
+    check_bool "raising code: digest_after raises it" true
+      (boom (fun () -> Runtime.digest_after rt p1));
+    left_fresh "raising code, digest_after" rt key;
+    check_bool "raising code: with_step raises it" true
+      (boom (fun () -> Runtime.with_step rt p1 ignore));
+    left_fresh "raising code, with_step" rt key
+  done;
+  check_bool "raising code: its step raises it too" true
+    (boom (fun () -> Runtime.step rt p1));
+  Runtime.destroy rt;
+  let rt = mk (fun _ () -> ignore (Runtime.Op.query ())) in
+  let key = Runtime.digest rt in
+  let forbidden f =
+    match f () with exception Runtime.Forbidden_query _ -> true | _ -> false
+  in
+  check_bool "a C-process's first query: no key" true
+    (Runtime.digest_after rt p1 = None);
+  left_fresh "a C-process's first query, digest_after" rt key;
+  check_bool "a C-process's first query: with_step raises" true
+    (forbidden (fun () -> Runtime.with_step rt p1 ignore));
+  left_fresh "a C-process's first query, with_step" rt key;
+  check_bool "... and its step raises, as on a fresh runtime" true
+    (forbidden (fun () -> Runtime.step rt p1));
+  Runtime.destroy rt
 
 (* Refused, and the runtime left as it was: a step an obs hook would
    already have been told of, and a C-process's query, which raises. And
@@ -1131,6 +1205,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_take_back_exact;
     Alcotest.test_case "a taken-back real step spends its process" `Quick
       test_take_back_spends;
+    Alcotest.test_case "a Fresh process that raises or queries restarts" `Quick
+      test_take_back_restarts;
     Alcotest.test_case "taken-back steps: hooks and C queries refused" `Quick
       test_take_back_refusals;
     Alcotest.test_case "a finished S-process's later crash prunes" `Quick
