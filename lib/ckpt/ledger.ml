@@ -221,7 +221,12 @@ let journal checkpoint l =
   match checkpoint with
   | None -> Ok (fun ~force:_ -> ())
   | Some (store, interval_s) ->
-    let save () = Store.save store (Record.json (record l)) in
+    let save () =
+      (* a generation that holds no answered job loses nothing to a power
+         failure, so it skips the fsyncs *)
+      let r = record l in
+      Store.save ~sync:(r.Record.ck_done <> []) store (Record.json r)
+    in
     let last = ref (Obs.Clock.now_ns ()) in
     save ()
     |> Result.map (fun _ ~force ->

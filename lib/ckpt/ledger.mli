@@ -116,5 +116,8 @@ val journal :
     [force:true] at the end. [Error] when the first generation cannot be
     written: the run must not start. A later failed save leaves the
     previous generation to resume from; the store emits
-    [ckpt.save.error] and the run goes on. Given [None], the saver does
-    nothing. *)
+    [ckpt.save.error] and the run goes on. A generation that holds no
+    answered job is saved without fsync ({!Store.save}[ ~sync:false]):
+    a power loss before the first answer may leave the store with no
+    generation, which [wfa resume] reports, and loses no answered work.
+    Given [None], the saver does nothing. *)

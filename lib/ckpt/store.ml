@@ -35,12 +35,17 @@ let codec_of_byte = function
 
 let codec_string = function Json -> "json" | Binary -> "binary"
 
+(* A loop rather than [String.iter], so that no closure captures [h] and
+   the compiler keeps it unboxed: a boxed [h] costs an allocation per
+   byte. *)
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code s.[i])))
+        0x100000001b3L
+  done;
   !h
 
 let gen_name g = Printf.sprintf "gen-%06d.ckpt" g
@@ -113,7 +118,10 @@ let fsync_dir dir =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let write_atomic ~dir ~name contents =
+(* Write-to-temp then rename, so a killed process leaves the final name
+   whole or absent; [sync] also fsyncs the file before the rename and the
+   directory after it, so a power loss does too. *)
+let write_atomic ~sync ~dir ~name contents =
   let tmp = Filename.concat dir ("tmp-" ^ name) in
   let final = Filename.concat dir name in
   match
@@ -128,9 +136,9 @@ let write_atomic ~dir ~name contents =
             !written
             + Unix.write_substring fd contents !written (len - !written)
         done;
-        Unix.fsync fd);
+        if sync then Unix.fsync fd);
     Unix.rename tmp final;
-    fsync_dir dir
+    if sync then fsync_dir dir
   with
   | () -> Ok ()
   | exception Unix.Unix_error (e, _, _) ->
@@ -158,7 +166,7 @@ let encode_generation codec value =
 (* Prune synchronously after a successful save: unlink is cheap, and doing
    it here (rather than on a timer) keeps the store's invariant — at most
    [keep] generations plus whatever an in-progress crash left — local to
-   one function. The manifest always names a surviving generation. *)
+   one function. *)
 let prune t =
   let gens = List.rev (scan_generations t.dir) in
   List.iteri
@@ -167,38 +175,15 @@ let prune t =
         try Sys.remove (generation_path t g) with Sys_error _ -> ())
     gens
 
-let manifest_name = "MANIFEST"
-
-(* The manifest is advisory — [load] scans and validates generation files
-   directly and never reads it — so it is renamed into place atomically but
-   not fsynced: losing it to a crash costs nothing, and skipping the two
-   syncs halves the per-generation journal cost. *)
-let write_manifest t gen =
-  let tmp = Filename.concat t.dir ("tmp-" ^ manifest_name) in
-  let contents =
-    J.to_string (J.Obj [ ("v", J.Int 1); ("current", J.Int gen) ])
-  in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc contents);
-    Unix.rename tmp (Filename.concat t.dir manifest_name)
-  with
-  | () -> ()
-  | exception (Sys_error _ | Unix.Unix_error _) -> (
-    try Unix.unlink tmp with Unix.Unix_error _ | Sys_error _ -> ())
-
-let save t value =
+let save ?(sync = true) t value =
   let gen = t.next_gen in
   let contents = encode_generation t.codec value in
-  match write_atomic ~dir:t.dir ~name:(gen_name gen) contents with
+  match write_atomic ~sync ~dir:t.dir ~name:(gen_name gen) contents with
   | Error msg as e ->
       emit t Obs.Event.Name.ckpt_save_error
         [ ("gen", J.Int gen); ("error", J.Str msg) ];
       e
   | Ok () ->
-      write_manifest t gen;
       t.next_gen <- gen + 1;
       prune t;
       count t "ckpt.generations";

@@ -2,12 +2,15 @@
     checkpoint/resume (DESIGN.md §8).
 
     One store is one directory holding monotonically numbered generation
-    files [gen-NNNNNN.ckpt] plus a [MANIFEST] naming the newest. Every
-    write is atomic and durable: the bytes go to a temp file in the same
-    directory, are [fsync]ed, renamed over the final name, and the
-    directory itself is [fsync]ed — a crash at any instant leaves either
-    the previous state or the new one, never a half-written current
-    generation under its final name.
+    files [gen-NNNNNN.ckpt] and nothing else. Every write is atomic: the
+    bytes go to a temp file in the same directory and are renamed over
+    the final name, so a killed process leaves the new generation whole
+    or absent. A durable write (the default) also [fsync]s the temp file
+    before the rename and the directory after it, so a power loss at any
+    instant leaves either the previous state or the new one, never a
+    half-written generation under its final name. A write with
+    [~sync:false] skips both: after a power loss its generation may be
+    absent, or torn, which {!load} detects and skips like any other.
 
     Each generation file carries a header (magic, version, codec), the
     payload length, the payload — one {!Obs.Json.t} value in either the
@@ -45,12 +48,15 @@ val create :
 
 val dir : t -> string
 
-val save : t -> Obs.Json.t -> (int, string) result
-(** Durably write a new generation holding the value; returns its number
-    (one more than the newest generation present at {!create} time or
-    written since). [Error] reports I/O failure (disk full, permissions),
-    also as a [ckpt.save.error] event; the store's existing generations
-    are untouched in that case. *)
+val save : ?sync:bool -> t -> Obs.Json.t -> (int, string) result
+(** Write a new generation holding the value; returns its number (one
+    more than the newest generation present at {!create} time or written
+    since). [sync] (default [true]) makes the write durable, as above;
+    [~sync:false] is for a value whose loss to a power failure costs
+    nothing, such as a journal generation that holds no answered job.
+    [Error] reports I/O failure (disk full, permissions), also as a
+    [ckpt.save.error] event; the store's existing generations are
+    untouched in that case. *)
 
 val load : t -> (int * Obs.Json.t) option
 (** The newest intact generation and its number. [None] when the store

@@ -187,8 +187,10 @@ exception Cancelled
      renaming them are prop-equivalent; exploring the first unused member
      with multiplier (m - u) covers all m - u renamings. Per class the
      explored children's multipliers sum to the class size, keeping counts
-     exact. Which members a prefix has used is digest-determined (scheds
-     counters), so memoized counts transfer between digest-equal nodes.
+     exact. Which members a prefix has used is digest-determined, through
+     each process's scheduled bit (a decided process's key, its decision,
+     implies it), not through sched counters, so memoized counts transfer
+     between digest-equal nodes.
 
    - Peeking: footprints force Fresh processes to their first suspension
      point. That is behaviour-neutral but digest-visible, so a reducing

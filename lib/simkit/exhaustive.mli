@@ -13,7 +13,12 @@
     runtime is kept per DFS path, so descending costs one step per node. A
     memo over exact state keys ({!Runtime.digest}) prunes converging
     interleavings while keeping the reported schedule count exact, and
-    optional reduction layers prune further on the same terms.
+    optional reduction layers prune further on the same terms. A key holds
+    what a state's future and the property read, and no more: whether
+    each process has been scheduled, not how often, and a decided
+    process's decision, not its history, so interleavings that differ only
+    in how null moves fell among processes that cannot move again, or in
+    how a process came to its decision, converge too.
 
     A node's children are read on its own runtime before any of them takes
     it: each child's move is taken there, the child read, and the move
@@ -55,7 +60,10 @@
       attaches its table's key context ({!Runtime.attach}) to each one;
     - with the memo enabled, [prop] must be a function of the reached state
       as captured by {!Runtime.digest} (memory, statuses, decisions, per
-      process observations) — not of absolute event times or the trace. A
+      process observations) — not of absolute event times or the trace,
+      nor of how often a process was scheduled ({!Runtime.sched_count} may
+      be read only as zero or nonzero), nor of anything but its decision
+      for a process that has decided (not its {!Runtime.steps_taken}). A
       memo hit is then credited without reading the child's [prop]: in
       [Every] mode a table stores only states that passed it (every node's
       property is read before the node is expanded, a job's root included),

@@ -40,7 +40,9 @@ type pstate = {
   mutable scheds : int;
   mutable first_step : int option;
   mutable decide_at : int option;
-  mutable node : int;  (* history node in the attached key context *)
+  mutable node : int;
+      (* history node in the attached key context; once the process has
+         decided, [lnot] of its decision's value id *)
   mutable spent : bool;  (* a taken-back step consumed its continuation *)
 }
 
@@ -201,21 +203,22 @@ let record t p ev =
 (* The exact state key, kept up by [execute] on a runtime with a context
    attached and by nothing on one without. A process's history node grows
    one trie edge per executed operation: (kind and register, value id),
-   the value being what was read, written, queried or decided. A snapshot
-   adds one edge per register it reads, and an empty snapshot one edge of
-   its own, so that every executed operation moves the node. Process code
+   the value being what was read, written or queried. A snapshot adds one
+   edge per register it reads, and an empty snapshot one edge of its own,
+   so that every executed operation moves the node. Process code
    is deterministic and reaches the world only through its effects, so a
    process's history node fixes its local state: which operation it issues
-   next, its step count, whether it participates, its decision (a decide
-   is an edge) and whether it has returned. *)
+   next, its step count, whether it participates and whether it has
+   returned. A decide ends that: the process never moves again, so its
+   node gives way to its decision's value id, stored as [lnot vid] to keep
+   it apart from every node. *)
 
 let k_read = 1
 and k_write = 2
 and k_snapshot = 3
 and k_query = 4
-and k_decide = 5
-and k_yield = 6
-and k_empty_snapshot = 7
+and k_yield = 5
+and k_empty_snapshot = 6
 
 let edge_op kind r = kind + (8 * r)
 
@@ -257,10 +260,11 @@ let queried t p op =
 
 (* What executing [op] as [p]'s step does to the key, [qv] being what
    [queried] samples: it extends [p]'s history node by the operation's
-   edges and, for a write, sets the register's value id. [execute] calls it
-   as the operation runs, and [digest_after] calls it ahead of the step and
-   takes it back, so a predicted key is built from the very edges the step
-   adds. A C-process's query adds nothing: [execute] refuses it. *)
+   edges, or replaces it by a decision, and, for a write, sets the
+   register's value id. [execute] calls it as the operation runs, and
+   [digest_after] calls it ahead of the step and takes it back, so a
+   predicted key is built from the very edges the step adds. A C-process's
+   query adds nothing: [execute] refuses it. *)
 let advance t ks p op qv =
   match op with
   | K_read (r, _) -> extend ks p k_read r (mem_id t ks r)
@@ -279,7 +283,7 @@ let advance t ks p op qv =
     match p.pid with
     | Pid.C _ -> ()
     | Pid.S _ -> extend ks p k_query 0 (Keys.intern ks qv))
-  | K_decide (v, _) -> extend ks p k_decide 0 (Keys.intern ks v)
+  | K_decide (v, _) -> p.node <- lnot (Keys.intern ks v)
   | K_yield _ -> extend ks p k_yield 0 0
 
 (* Execute the pending operation of [p] at the current time, then resume the
@@ -534,19 +538,32 @@ let decide_time t i = t.c_procs.(i).decide_at
 let trace t = t.tr
 let steps_total t = t.steps_total
 
-(* The clock, every register's value id, and per process its sched count,
-   whether it has started and its history node: what determines the
-   future, and the present as the checker reads it. A started process's
-   node fixes whether it has returned, so its status needs no field of its
-   own, and a step's key can be known before the step ([digest_after]).
-   Absolute event times and the trace are left out, so that interleavings
-   converging on one state key equal. *)
+(* The clock, every register's value id, and per process whether it has
+   started, whether it has been scheduled and its history node, or its
+   decision's value id once it has decided: what determines the future,
+   and the present as the checker reads it. A started process's node fixes
+   whether it has returned, so its status needs no field of its own, and a
+   step's key can be known before the step ([digest_after]). How often a
+   process was scheduled is left out: a live process's count is fixed by
+   its node, since each of its moves executes an operation, and an inert
+   one's further moves are null and change nothing. Left out too, so that
+   interleavings converging on one state key equal: a decided process's
+   history (it never moves again), absolute event times and the trace. *)
 let add_procs ks ps =
   for i = 0 to Array.length ps - 1 do
     let p = ps.(i) in
-    let started = if p.status = Fresh then 0 else 1 in
-    Keys.add ks ((2 * p.scheds) + started);
-    Keys.add ks p.node
+    if p.node < 0 then begin
+      (* above every flag pair below (0-3), so a decision never reads as
+         a node *)
+      Keys.add ks 4;
+      Keys.add ks (lnot p.node)
+    end
+    else begin
+      let started = if p.status = Fresh then 0 else 1
+      and scheduled = if p.scheds = 0 then 0 else 2 in
+      Keys.add ks (scheduled + started);
+      Keys.add ks p.node
+    end
   done
 
 let digest t =
@@ -566,8 +583,9 @@ let digest t =
     Keys.finish ks
 
 (* Puts back what [digest_after] moved: the clock, [p]'s sched count and
-   history node, the value id of the register [reg] a write sets, and,
-   when [fresh], the start of [p]'s code. *)
+   history node (or the decision a decide step set there), the value id of
+   the register [reg] a write sets, and, when [fresh], the start of [p]'s
+   code. *)
 let take_back t p ~fresh ~now ~scheds ~node ~reg ~id =
   t.now <- now;
   p.scheds <- scheds;

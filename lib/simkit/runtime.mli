@@ -233,10 +233,13 @@ val undecided_participants : t -> int list
 (** C-process indices that participate but have not decided. *)
 
 val steps_taken : t -> Pid.t -> int
-(** Number of non-null steps. *)
+(** Number of non-null steps. The state key ({!digest}) holds it for a
+    process that has not decided (its history node fixes it) and not for
+    one that has. *)
 
 val sched_count : t -> Pid.t -> int
-(** Number of times the process was scheduled (incl. null steps). *)
+(** Number of times the process was scheduled (incl. null steps). The
+    state key ({!digest}) holds only whether it is zero. *)
 
 val first_step_time : t -> int -> int option
 val decide_time : t -> int -> int option
@@ -260,20 +263,26 @@ val attach : t -> Keys.t -> unit
 
 val digest : t -> string
 (** The exact state key over the attached context: the clock, the value
-    id of every register, and per process its sched count, whether it has
-    started (left [Fresh]: scheduled or {!peek}ed) and its history node (its
-    executed operations with their results). A started process's node
-    fixes whether it has returned, so its status needs no field of its
-    own. Process code is deterministic, so two runtimes of the same builder
-    whose keys are equal are in the same state, up to absolute event times
-    ({!first_step_time}, {!decide_time}) and the trace, which are left out
-    so that interleavings converging on one state key equal; they behave
+    id of every register, and per process whether it has started (left
+    [Fresh]: scheduled or {!peek}ed), whether it has been scheduled at all
+    and its history node (its executed operations with their results); a
+    process that has decided gives its decision's value id in place of
+    all three. A started process's node fixes whether it has returned, so
+    its status needs no field of its own. Left out, so that interleavings
+    converging on one state key equal: how often a process was scheduled
+    (a live process's node fixes it, since each of its moves executes an
+    operation, and an inert one's further moves are null), a decided
+    process's history and step count (it never moves again), absolute
+    event times ({!first_step_time}, {!decide_time}) and the trace.
+    Process code is deterministic, so two runtimes of the same builder
+    whose keys are equal are in the same state up to those; they behave
     identically under any common schedule suffix. The key is exact: no
     hash stands in for any part of the state, so equal keys never come
-    from different states (different histories that happen to reach one
-    local state do key differently). Keys compare only between runtimes
-    attached to one context, whose ids they are written in. Raises
-    [Invalid_argument] on a runtime with no context attached. *)
+    from states that differ in what the key holds (different histories
+    that happen to reach one local state do key differently, until the
+    process decides). Keys compare only between runtimes attached to one
+    context, whose ids they are written in. Raises [Invalid_argument] on
+    a runtime with no context attached. *)
 
 val digest_after : t -> Pid.t -> string option
 (** [digest_after t pid]: the key {!digest} gives after [step t pid],
@@ -284,10 +293,12 @@ val digest_after : t -> Pid.t -> string option
     value id the step would create). A null move ([pid] is [Done], or an
     S-process crashed by [time t]) keeps its node, and a parked operation
     adds its edges (a query samples the history at [time t], as the step
-    would). A [Fresh] process's code is first run to its first operation,
-    as the step runs it, and the process is restarted afterwards as
-    {!with_step} restarts it: it is left [Fresh] and unspent, even when its
-    code raises (the exception is raised here, as the step raises it).
-    [None] only for a C-process whose next operation is a query, whose step
-    raises {!Forbidden_query}. Raises [Invalid_argument] on a runtime with
-    no context attached, and for a spent process ({!with_step}). *)
+    would), or, for a decide, puts the decision in place of the node, as
+    the step does. A [Fresh] process's code is first run to its first
+    operation, as the step runs it, and the process is restarted
+    afterwards as {!with_step} restarts it: it is left [Fresh] and
+    unspent, even when its code raises (the exception is raised here, as
+    the step raises it). [None] only for a C-process whose next operation
+    is a query, whose step raises {!Forbidden_query}. Raises
+    [Invalid_argument] on a runtime with no context attached, and for a
+    spent process ({!with_step}). *)

@@ -322,10 +322,10 @@ let test_incremental_speedup () =
   (* exact effort, memo on and off: these move if the plain search peeks,
      takes footprints or reorders children *)
   let exact = Alcotest.(check int) in
-  exact "memo nodes" 2280 inc_st.Exhaustive.nodes;
-  exact "memo steps" 3194 inc_st.Exhaustive.steps_executed;
-  exact "memo replays" 259 inc_st.Exhaustive.replays;
-  exact "memo hits" 671 inc_st.Exhaustive.memo_hits;
+  exact "memo nodes" 1944 inc_st.Exhaustive.nodes;
+  exact "memo steps" 2836 inc_st.Exhaustive.steps_executed;
+  exact "memo replays" 257 inc_st.Exhaustive.replays;
+  exact "memo hits" 607 inc_st.Exhaustive.memo_hits;
   let _, off_st = Exhaustive.run ~memo:false ~build ~pids ~depth:8 ~prop () in
   exact "memo-off nodes" 87380 off_st.Exhaustive.nodes;
   exact "memo-off steps" 188992 off_st.Exhaustive.steps_executed;
@@ -375,11 +375,11 @@ let test_reduction_speedup () =
   check_bool "orbit collapsing observed" true
     (red_st.Exhaustive.orbits_collapsed > 0);
   let exact = Alcotest.(check int) in
-  exact "reduced nodes" 756 red_st.Exhaustive.nodes;
-  exact "reduced steps" 969 red_st.Exhaustive.steps_executed;
+  exact "reduced nodes" 672 red_st.Exhaustive.nodes;
+  exact "reduced steps" 885 red_st.Exhaustive.steps_executed;
   exact "reduced replays" 45 red_st.Exhaustive.replays;
-  exact "reduced memo hits" 0 red_st.Exhaustive.memo_hits;
-  exact "reduced sleep-pruned" 820 red_st.Exhaustive.sleep_pruned;
+  exact "reduced memo hits" 45 red_st.Exhaustive.memo_hits;
+  exact "reduced sleep-pruned" 576 red_st.Exhaustive.sleep_pruned;
   exact "reduced orbits" 112 red_st.Exhaustive.orbits_collapsed
 
 (* --- the benchmark's grid: every verdict pinned --- *)

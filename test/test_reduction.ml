@@ -17,6 +17,11 @@ let s_class n_s = [ Pid.all_s n_s ]
 
 (* --- the differential battery --- *)
 
+(* split at depth 2, every job on one shared table, in DFS order *)
+let split_shared ?reduce ~mode ~build ~pids ~depth ~prop () =
+  Test_dist.shared_run ?reduce ~mode ~order:Fun.id ~tables:1 ~build ~pids
+    ~depth ~split_depth:2 ~prop ()
+
 let assert_engines_agree ~label ~build ~pids ~depth ~mode ~prop ~reduce =
   let oracle, _ = Exhaustive.run_replay ~mode ~build ~pids ~depth ~prop () in
   List.iter
@@ -29,6 +34,10 @@ let assert_engines_agree ~label ~build ~pids ~depth ~mode ~prop ~reduce =
         fun () -> Exhaustive.run ~mode ~build ~pids ~depth ~prop () );
       ( "reduced",
         fun () -> Exhaustive.run ~reduce ~mode ~build ~pids ~depth ~prop () );
+      ( "split + shared table",
+        fun () -> split_shared ~mode ~build ~pids ~depth ~prop () );
+      ( "reduced split + shared table",
+        fun () -> split_shared ~reduce ~mode ~build ~pids ~depth ~prop () );
     ]
 
 let test_differential_safe_agreement () =
@@ -80,10 +89,12 @@ let test_differential_commit_adopt () =
     ~depth:7 ~mode:Exhaustive.Final ~prop
     ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
 
+(* as many S-processes as [pattern] has *)
 let trivial_nsa_build ?obs ~pattern () =
+  let n_s = pattern.Failure.n_s in
   let mem = Memory.create () in
   let input_regs = Memory.alloc mem 2 in
-  let ctx = { Efd.Algorithm.mem; n_c = 2; n_s = 2; input_regs } in
+  let ctx = { Efd.Algorithm.mem; n_c = 2; n_s; input_regs } in
   let inst = (Efd.Trivial_nsa.make ()).Efd.Algorithm.make ctx in
   let c_code i () =
     Runtime.Op.write input_regs.(i) (Value.int (1 + i));
@@ -93,7 +104,7 @@ let trivial_nsa_build ?obs ~pattern () =
   Runtime.create ?obs
     {
       Runtime.n_c = 2;
-      n_s = 2;
+      n_s;
       memory = mem;
       pattern;
       history = History.trivial;
@@ -160,7 +171,13 @@ let test_differential_ct_consensus () =
 (* q2 crashes at time 2, inside the depth: from there on each of its moves
    is null, taken on the node's runtime and taken back by the engines,
    whether it had started (its operation parked) or not. The crash breaks
-   the S-processes' symmetry, so only sleep sets reduce.
+   the S-processes' symmetry, so only sleep sets reduce. Two more configs
+   make processes inert by crash or by decision rather than by idle code:
+   two of three S-processes crash inside the depth (a pattern keeps one
+   correct), or p1 decides (after an S-process has read its input and
+   published it, five moves in) while q2 has crashed. States that differ
+   only in how many null moves each inert process took share a key there,
+   so each engine's merges are checked against [run_replay].
 
    A runtime built with an obs hook refuses every null move, so the same
    search on hooked runtimes is the search without probes. Probing may move
@@ -169,7 +186,6 @@ let test_differential_ct_consensus () =
    runtime changed would break. *)
 let test_differential_crash () =
   let pattern = Failure.pattern ~n_s:2 [ (1, 2) ] in
-  let pids = Pid.all ~n_c:2 ~n_s:2 in
   let reduce = { Exhaustive.sleep = true; symmetry = [] } in
   let hook =
     {
@@ -183,7 +199,8 @@ let test_differential_crash () =
       st.Exhaustive.orbits_collapsed
   in
   List.iter
-    (fun (label, build, depth, prop) ->
+    (fun (label, n_s, build, depth, prop) ->
+      let pids = Pid.all ~n_c:2 ~n_s in
       List.iter
         (fun mode ->
           assert_engines_agree ~label ~build:(build None) ~pids ~depth ~mode
@@ -207,13 +224,28 @@ let test_differential_crash () =
         [ Exhaustive.Every; Exhaustive.Final ])
     [
       ( "trivial-nsa, q2 crashes",
+        2,
         (fun obs -> trivial_nsa_build ?obs ~pattern),
         6,
         trivial_nsa_prop );
       ( "ct-consensus, q2 crashes",
+        2,
         (fun obs -> ct_consensus_build ?obs ~pattern ()),
         5,
         agreement_prop );
+      ( "trivial-nsa, q1 crashes at 3 and q2 at 1",
+        3,
+        (fun obs ->
+          trivial_nsa_build ?obs
+            ~pattern:(Failure.pattern ~n_s:3 [ (0, 3); (1, 1) ])),
+        6,
+        trivial_nsa_prop );
+      ( "trivial-nsa, p1 decides, q2 crashes at 1",
+        2,
+        (fun obs ->
+          trivial_nsa_build ?obs ~pattern:(Failure.pattern ~n_s:2 [ (1, 1) ])),
+        7,
+        trivial_nsa_prop );
     ]
 
 let test_differential_violation () =
@@ -563,11 +595,6 @@ let program_prop p rt =
 let program_pids p = Pid.all ~n_c:p.n_c ~n_s:p.n_s
 
 let sleep_only = { Exhaustive.sleep = true; symmetry = [] }
-
-(* split at depth 2, every job on one shared table, in DFS order *)
-let split_shared ?reduce ~mode ~build ~pids ~depth ~prop () =
-  Test_dist.shared_run ?reduce ~mode ~order:Fun.id ~tables:1 ~build ~pids
-    ~depth ~split_depth:2 ~prop ()
 
 let mode_name = function
   | Exhaustive.Every -> "every"
@@ -1173,6 +1200,145 @@ let test_borrowed_walks () =
         forbids)
     borrowed_walk_programs
 
+(* --- keys hold what the future reads: a scheduled bit, not a sched
+       count, and a decided process's decision, not its history --- *)
+
+let key_of keys prog ?(peeked = false) prefix =
+  let rt = reach keys { prog; prefix; peeked } in
+  let key = Runtime.digest rt in
+  Runtime.destroy rt;
+  key
+
+(* Moves after a process finishes or decides are null, and a decided
+   process never reads its history again: prefixes that differ only there
+   reach one key. A crashed process scheduled once and one never
+   scheduled, and two decisions, stay apart. *)
+let test_keys_merge_inert () =
+  let keys = Keys.create () in
+  let p1 = Pid.c 0 and p2 = Pid.c 1 and q1 = Pid.s 0 and q2 = Pid.s 1 in
+  let prog code crash =
+    { n_c = 2; n_s = 2; code; depth = 6; crash; forbid = (0, Value.unit) }
+  in
+  let same what prog a b =
+    check_bool (what ^ ": one key") true
+      (key_of keys prog a = key_of keys prog b)
+  and apart what prog a b =
+    check_bool (what ^ ": two keys") false
+      (key_of keys prog a = key_of keys prog b)
+  in
+  (* q1 and q2 return at their first move *)
+  let idle = prog [| [ Rd 0 ]; [ Rd 0 ]; []; [] |] [] in
+  same "null moves split two ways" idle [ q1; q2; q1; q1 ] [ q1; q2; q2; q2 ];
+  same "null moves split 3:1 and 2:2" idle [ q1; q1; q1; q2 ]
+    [ q2; q2; q1; q1 ];
+  same "null moves around a real one" idle [ q1; q2; p1; q1 ]
+    [ q2; q2; p1; q1 ];
+  (* q2 crashes at 0, so it never starts, and its moves are all null *)
+  let crashed = prog [| [ Rd 0 ]; [ Rd 0 ]; []; [] |] [ (1, 0) ] in
+  apart "a crashed process scheduled once or never" crashed [ q1; q2 ]
+    [ q1; q1 ];
+  same "a crashed process scheduled once or twice" crashed [ q2; q1; q2 ]
+    [ q2; q1; q1 ];
+  (* p1 decides what it read from r1 last; p2 writes r0, then decides *)
+  let reads = prog [| [ Rd 0; Rd 1 ]; [ Wr (0, 1) ]; []; [] |] [] in
+  same "two histories, one decision" reads [ p1; p1; p1; p2; p2 ]
+    [ p2; p2; p1; p1; p1 ];
+  (* p1 decides what it read from r0 *)
+  let read = prog [| [ Rd 0 ]; [ Wr (0, 1) ]; []; [] |] [] in
+  apart "two decisions" read [ p1; p1; p2; p2 ] [ p2; p2; p1; p1 ];
+  apart "a decision and none" read [ p1; p1; p2; p2 ] [ p1; p2; p2; p2 ]
+
+(* Breadth-first over [prog]'s schedules up to its depth, one prefix kept
+   per key and layer (the clock is in the key, so only prefixes of one
+   length can share one). A prefix reaching a kept prefix's key is checked
+   against it: the two states agree in property, decisions, statuses and
+   registers, and every process's step from each reaches one key. At most
+   [width] prefixes are kept per layer. Returns the number of pairs
+   checked, and how many of them differ in some process's sched count or
+   step count, which a key holding those counts kept apart. *)
+let merged_pairs ?(width = 40) (prog, peeked) =
+  let keys = Keys.create () and pids = program_pids prog in
+  let state prefix = { prog; prefix; peeked } in
+  let read prefix =
+    let rt = reach keys (state prefix) in
+    let o = observe (state prefix) rt
+    and counts =
+      List.map
+        (fun p -> (Runtime.sched_count rt p, Runtime.steps_taken rt p))
+        pids
+    in
+    Runtime.destroy rt;
+    (o, counts)
+  in
+  let show prefix = String.concat " " (List.map Pid.to_string prefix) in
+  let merged = ref 0 and uncounted = ref 0 in
+  let agree kept prefix =
+    let (a, a_counts), (b, b_counts) = (read kept, read prefix) in
+    if a <> b then
+      QCheck.Test.fail_reportf "[%s] and [%s] share a key: %s against %s"
+        (show kept) (show prefix) a b;
+    List.iter
+      (fun p ->
+        let step a = key_of keys prog ~peeked (a @ [ p ]) in
+        if step kept <> step prefix then
+          QCheck.Test.fail_reportf
+            "[%s] and [%s] share a key, and part at a step of %s"
+            (show kept) (show prefix) (Pid.to_string p))
+      pids;
+    incr merged;
+    if a_counts <> b_counts then incr uncounted
+  in
+  let rec layer d frontier =
+    if d < prog.depth then begin
+      let seen = Hashtbl.create 64 in
+      let fresh prefix =
+        let key = key_of keys prog ~peeked prefix in
+        match Hashtbl.find_opt seen key with
+        | Some kept ->
+          agree kept prefix;
+          false
+        | None ->
+          Hashtbl.add seen key prefix;
+          true
+      in
+      List.concat_map (fun a -> List.map (fun p -> a @ [ p ]) pids) frontier
+      |> List.filter fresh
+      |> List.filteri (fun i _ -> i < width)
+      |> layer (d + 1)
+    end
+  in
+  layer 0 [ [] ];
+  (!merged, !uncounted)
+
+let gen_keyed = QCheck.Gen.pair gen_program QCheck.Gen.bool
+
+let print_keyed (prog, peeked) =
+  print_program prog ^ if peeked then ", peeked" else ""
+
+let prop_merged_states_agree =
+  QCheck.Test.make ~count:100
+    ~name:"states that share a key agree, and so do their steps"
+    (QCheck.make ~print:print_keyed gen_keyed)
+    (fun p ->
+      (* [merged_pairs] reports a disagreement itself *)
+      ignore (merged_pairs p : int * int);
+      true)
+
+(* The property above meets merged states, and most of its programs merge
+   states that differ in a sched count or a decided process's history. *)
+let test_programs_merge_states () =
+  let drawn =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 29 |]) ~n:100 gen_keyed
+  in
+  let counts = List.map merged_pairs drawn in
+  let merging = List.length (List.filter (fun (_, n) -> n > 0) counts) in
+  let sum f = List.fold_left (fun n c -> n + f c) 0 counts in
+  check_bool
+    (Printf.sprintf
+       "%d of 100 programs merge uncounted states; %d of %d pairs in all"
+       merging (sum snd) (sum fst))
+    true (merging >= 50)
+
 let suite =
   [
     Alcotest.test_case "differential: safe agreement" `Quick
@@ -1213,4 +1379,9 @@ let suite =
       test_finished_crash_prunes;
     Alcotest.test_case "searches on a borrowed runtime: regressions" `Quick
       test_borrowed_walks;
+    Alcotest.test_case "keys merge inert processes' null moves and histories"
+      `Quick test_keys_merge_inert;
+    QCheck_alcotest.to_alcotest prop_merged_states_agree;
+    Alcotest.test_case "random programs merge states" `Quick
+      test_programs_merge_states;
   ]
