@@ -683,7 +683,16 @@ let bench json =
 
 (* ------------------------------------------------------- serve / call *)
 
+(* The server's major-heap overhead, in percent of live data (OCaml's
+   default is 120). A request allocates little, all of it short-lived, so
+   the pool domain's minor heap fills to its end between collections; 80
+   keeps the major heap smaller by about what those pages add (DESIGN §5).
+   Set here, once, not in [Svc.Server]: tests run servers in their own
+   process. *)
+let serve_space_overhead = 80
+
 let serve socket listen workers shards queue deadline_ms max_frame events =
+  Gc.set { (Gc.get ()) with Gc.space_overhead = serve_space_overhead };
   (* --listen supersedes --socket; --socket PATH keeps meaning what it
      always meant (a bare path parses as a Unix socket address) *)
   match Svc.Addr.of_string (Option.value listen ~default:socket) with

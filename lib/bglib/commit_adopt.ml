@@ -4,9 +4,16 @@ module Op = Simkit.Runtime.Op
 type t = { phase1 : Memory.reg array; phase2 : Memory.reg array }
 type outcome = Commit of Value.t | Adopt of Value.t
 
-let create mem ~n =
-  if n <= 0 then invalid_arg "Commit_adopt.create";
-  { phase1 = Memory.alloc mem n; phase2 = Memory.alloc mem n }
+let at base ~n =
+  if n <= 0 || base < 0 then invalid_arg "Commit_adopt.at";
+  {
+    phase1 = Array.init n (fun i -> base + i);
+    phase2 = Array.init n (fun i -> base + n + i);
+  }
+
+let create mem ~n = at (Memory.reserve mem (2 * n)) ~n
+
+let registers t = (t.phase1, t.phase2)
 
 let present cells =
   Array.to_list cells |> List.filter (fun c -> not (Value.is_unit c))

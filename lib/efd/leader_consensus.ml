@@ -6,21 +6,29 @@ type t = {
   n_c : int;
   max_rounds : int;
   q_regs : Memory.reg array;  (** client queries: (round, est) *)
-  a_regs : Memory.reg array;  (** per-round answers, [a_regs.(r-1)] *)
+  a_base : Memory.reg;  (** round [r]'s answer at [a_base + r - 1] *)
   dec : Memory.reg;
-  cas : Commit_adopt.t array;  (** per-round commit–adopt *)
+  ca_base : Memory.reg;  (** round [r]'s commit–adopt, [2 n_c] registers *)
 }
 
 let create mem ~n_c ~max_rounds =
   if n_c <= 0 || max_rounds <= 0 then invalid_arg "Leader_consensus.create";
-  {
-    n_c;
-    max_rounds;
-    q_regs = Memory.alloc mem n_c;
-    a_regs = Memory.alloc mem max_rounds;
-    dec = Memory.alloc1 mem ();
-    cas = Array.init max_rounds (fun _ -> Commit_adopt.create mem ~n:n_c);
-  }
+  let q_regs = Memory.alloc mem n_c in
+  let a_base = Memory.reserve mem max_rounds in
+  let dec = Memory.alloc1 mem () in
+  let ca_base = Memory.reserve mem (max_rounds * 2 * n_c) in
+  { n_c; max_rounds; q_regs; a_base; dec; ca_base }
+
+let check_round lc r =
+  if r < 1 || r > lc.max_rounds then invalid_arg "Leader_consensus: round"
+
+let answer_reg lc r =
+  check_round lc r;
+  lc.a_base + r - 1
+
+let round lc r =
+  check_round lc r;
+  Commit_adopt.at (lc.ca_base + ((r - 1) * 2 * lc.n_c)) ~n:lc.n_c
 
 type phase = Start | Waiting of int
 type client = { lc : t; me : int; input : Value.t; mutable phase : phase; mutable est : Value.t }
@@ -46,11 +54,11 @@ let pump cl =
     let d = Op.read lc.dec in
     if not (Value.is_unit d) then Decided d
     else
-      let a = Op.read lc.a_regs.(r - 1) in
+      let a = Op.read (answer_reg lc r) in
       if Value.is_unit a then Pending
       else begin
         cl.est <- a;
-        match Commit_adopt.run lc.cas.(r - 1) ~me:cl.me cl.est with
+        match Commit_adopt.run (round lc r) ~me:cl.me cl.est with
         | Commit_adopt.Commit v ->
           Op.write lc.dec v;
           Decided v
@@ -72,8 +80,8 @@ let serve lc =
         let r, est = Value.to_pair q in
         let r = Value.to_int r in
         if r >= 1 && r <= lc.max_rounds then
-          let a = Op.read lc.a_regs.(r - 1) in
-          if Value.is_unit a then Op.write lc.a_regs.(r - 1) est
+          let a = Op.read (answer_reg lc r) in
+          if Value.is_unit a then Op.write (answer_reg lc r) est
       end)
     queries
 

@@ -17,6 +17,22 @@
 type t
 
 val create : Simkit.Memory.t -> n_c:int -> max_rounds:int -> t
+(** Takes, in this order: [n_c] query registers, [max_rounds] answer
+    registers (round [r]'s is the [r]-th), one decision register, and
+    [max_rounds] commit–adopt instances of [2 n_c] registers each (round
+    [r]'s is the [r]-th, in {!Bglib.Commit_adopt.create}'s layout). That is
+    the numbering an eager [alloc] of each block would give, but the answer
+    and commit–adopt blocks are only reserved ({!Simkit.Memory.reserve}):
+    set-up costs the same at any [max_rounds], and a round's registers cost
+    nothing until a process writes into them. A client that reaches round
+    [r] names that round's instance with {!Bglib.Commit_adopt.at}. *)
+
+val answer_reg : t -> int -> Simkit.Memory.reg
+(** [answer_reg t r]: round [r]'s answer register, [1 <= r <= max_rounds]. *)
+
+val round : t -> int -> Bglib.Commit_adopt.t
+(** [round t r]: round [r]'s commit–adopt instance, [1 <= r <= max_rounds].
+    Pure: the same registers on every call. *)
 
 type client
 

@@ -1,28 +1,22 @@
 type reg = int
-type t = { mutable cells : Value.t array; mutable used : int }
 
-let create () = { cells = Array.make 64 Value.unit; used = 0 }
+(* Cells live in pages of [page] registers. A page is [absent] until the
+   first write into it, and the page table grows only as far as the highest
+   written page, so a reserved block costs nothing until it is written. *)
+let page_bits = 6
+let page = 1 lsl page_bits
+let absent : Value.t array = [||]
 
-let ensure mem n =
-  let needed = mem.used + n in
-  if needed > Array.length mem.cells then begin
-    let cap = max needed (2 * Array.length mem.cells) in
-    let cells = Array.make cap Value.unit in
-    Array.blit mem.cells 0 cells 0 mem.used;
-    mem.cells <- cells
-  end
+type t = { mutable pages : Value.t array array; mutable used : int }
 
-let alloc mem ?(init = Value.unit) n =
-  if n < 0 then invalid_arg "Memory.alloc";
-  ensure mem n;
+let create () = { pages = [||]; used = 0 }
+
+let reserve mem n =
+  if n < 0 then invalid_arg "Memory.reserve";
   let base = mem.used in
-  for i = base to base + n - 1 do
-    mem.cells.(i) <- init
-  done;
   mem.used <- base + n;
-  Array.init n (fun i -> base + i)
+  base
 
-let alloc1 mem ?init () = (alloc mem ?init 1).(0)
 let size mem = mem.used
 
 let check mem r =
@@ -30,11 +24,43 @@ let check mem r =
 
 let read mem r =
   check mem r;
-  mem.cells.(r)
+  let i = r lsr page_bits in
+  if i >= Array.length mem.pages then Value.unit
+  else
+    let p = mem.pages.(i) in
+    if p == absent then Value.unit else p.(r land (page - 1))
 
 let write mem r v =
   check mem r;
-  mem.cells.(r) <- v
+  let i = r lsr page_bits in
+  let have = Array.length mem.pages in
+  if i >= have then begin
+    let pages = Array.make (max (i + 1) (2 * have)) absent in
+    Array.blit mem.pages 0 pages 0 have;
+    mem.pages <- pages
+  end;
+  let p = mem.pages.(i) in
+  let p =
+    if p == absent then begin
+      let p = Array.make page Value.unit in
+      mem.pages.(i) <- p;
+      p
+    end
+    else p
+  in
+  p.(r land (page - 1)) <- v
+
+let alloc mem ?init n =
+  let base = reserve mem n in
+  (match init with
+  | Some v when not (Value.is_unit v) ->
+    for r = base to base + n - 1 do
+      write mem r v
+    done
+  | _ -> ());
+  Array.init n (fun i -> base + i)
+
+let alloc1 mem ?init () = (alloc mem ?init 1).(0)
 
 let read_many mem rs = Array.map (read mem) rs
 

@@ -1,18 +1,11 @@
 let make ~n =
   if n < 2 then invalid_arg "Leader_election.make";
-  let max_inputs () =
-    (* participation only carries the process's original name *)
-    List.filter_map
-      (fun subset ->
-        if subset = [] then None
-        else begin
-          let v = Vectors.bottom n in
-          List.iter (fun i -> v.(i) <- Some (Value.int (i + 1))) subset;
-          Some v
-        end)
-      (List.concat_map
-         (fun size -> Combinat.subsets_of_size size (List.init n Fun.id))
-         [ n ])
+  (* one maximal input, everyone participating: participation only carries
+     the process's original name *)
+  let everyone () = Array.init n (fun i -> Some (Value.int (i + 1))) in
+  let nth_input i =
+    if i <> 0 then invalid_arg "Leader_election.nth_input";
+    everyone ()
   in
   let check ~input ~output =
     let decided =
@@ -39,7 +32,9 @@ let make ~n =
     Task.task_name = Printf.sprintf "leader-election(n=%d)" n;
     arity = n;
     colorless = false;
-    max_inputs;
+    max_inputs = (fun () -> [ everyone () ]);
+    input_count = 1;
+    nth_input;
     check;
     choose;
     known_concurrency = Some 1;

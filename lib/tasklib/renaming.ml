@@ -1,15 +1,21 @@
 let original_name ~n i = ((i + 1) * (n + 2)) + 1
 
+let participating ~n subset =
+  let v = Vectors.bottom n in
+  List.iter (fun i -> v.(i) <- Some (Value.int (original_name ~n i))) subset;
+  v
+
+let input_count ~n ~j = Combinat.binomial n j
+
+let nth_input ~n ~j i =
+  participating ~n (Combinat.nth_subset_of_size j (List.init n Fun.id) i)
+
 let make ~n ~j ~l =
   if j < 1 || j > l then invalid_arg "Renaming.make: need 1 <= j <= l";
   if j >= n then invalid_arg "Renaming.make: need j < n";
   let all_inputs =
     lazy
-      (List.map
-         (fun subset ->
-           let v = Vectors.bottom n in
-           List.iter (fun i -> v.(i) <- Some (Value.int (original_name ~n i))) subset;
-           v)
+      (List.map (participating ~n)
          (Combinat.subsets_of_size j (List.init n Fun.id)))
   in
   let max_inputs () = Lazy.force all_inputs in
@@ -46,6 +52,8 @@ let make ~n ~j ~l =
     arity = n;
     colorless = false;
     max_inputs;
+    input_count = input_count ~n ~j;
+    nth_input = nth_input ~n ~j;
     check;
     choose;
     known_concurrency;

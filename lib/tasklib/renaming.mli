@@ -16,3 +16,12 @@ val strong : n:int -> j:int -> Task.t
 val original_name : n:int -> int -> int
 (** The injective original name carried by C-process [i] in our instances
     (inputs are these names as [Value.Int]). *)
+
+val participating : n:int -> int list -> Vectors.t
+(** The vector in which exactly the listed processes participate, each with
+    its {!original_name}. *)
+
+val input_count : n:int -> j:int -> int
+val nth_input : n:int -> j:int -> int -> Vectors.t
+(** The maximal inputs of [make ~n ~j ~l] (and of WSB): one vector per
+    [j]-subset of the processes, in {!Combinat.subsets_of_size}'s order. *)

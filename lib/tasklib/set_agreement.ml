@@ -19,15 +19,12 @@ let make ?u ?values ~n ~k () =
     if full_u then Printf.sprintf "%d-set-agreement(n=%d)" k n
     else Printf.sprintf "(U,%d)-agreement(|U|=%d,n=%d)" k (List.length u) n
   in
-  let all_inputs =
-    lazy
-      (List.map
-         (fun assignment ->
-           let v = Vectors.bottom n in
-           List.iter2 (fun i value -> v.(i) <- Some value) u assignment;
-           v)
-         (Combinat.assignments u value_set))
+  let vector assignment =
+    let v = Vectors.bottom n in
+    List.iter2 (fun i value -> v.(i) <- Some value) u assignment;
+    v
   in
+  let all_inputs = lazy (List.map vector (Combinat.assignments u value_set)) in
   let max_inputs () = Lazy.force all_inputs in
   let check ~input ~output =
     let input_values =
@@ -51,6 +48,10 @@ let make ?u ?values ~n ~k () =
     arity = n;
     colorless = true;
     max_inputs;
+    input_count =
+      Combinat.count_assignments ~slots:(List.length u)
+        ~values:(List.length value_set);
+    nth_input = (fun i -> vector (Combinat.nth_assignment u value_set i));
     check;
     choose;
     known_concurrency = Some (if List.length u <= k then n else k);

@@ -3,6 +3,8 @@ type t = {
   arity : int;
   colorless : bool;
   max_inputs : unit -> Vectors.t list;
+  input_count : int;
+  nth_input : int -> Vectors.t;
   check : input:Vectors.t -> output:Vectors.t -> bool;
   choose : input:Vectors.t -> output:Vectors.t -> int -> Value.t;
   known_concurrency : int option;
@@ -18,11 +20,16 @@ let satisfies t ~input ~output =
 let input_ok t v =
   List.exists (fun m -> Vectors.is_prefix v m) (t.max_inputs ())
 
+(* Below 2^30, [Random.State.full_int] makes [Random.State.int]'s draw: a
+   seed picks [List.nth (max_inputs ()) (Random.State.int rng input_count)],
+   which the tests check. *)
 let sample_input t rng =
-  let all = t.max_inputs () in
-  match all with
-  | [] -> invalid_arg "Task.sample_input: no inputs"
-  | _ -> List.nth all (Random.State.int rng (List.length all))
+  if t.input_count <= 0 then invalid_arg "Task.sample_input: no inputs";
+  if t.input_count = max_int then
+    invalid_arg
+      (Printf.sprintf "%s has too many maximal inputs to draw one (max_int)"
+         t.task_name);
+  t.nth_input (Random.State.full_int rng t.input_count)
 
 let sample_prefix t rng ~min_participants =
   let maximal = sample_input t rng in

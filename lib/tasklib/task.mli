@@ -20,6 +20,11 @@ type t = {
       (** processes may adopt each other's inputs/outputs (footnote 6) *)
   max_inputs : unit -> Vectors.t list;
       (** the maximal input vectors; finite, per the paper's assumption *)
+  input_count : int;
+      (** [List.length (max_inputs ())], saturating at [max_int] *)
+  nth_input : int -> Vectors.t;
+      (** [nth_input i = List.nth (max_inputs ()) i], built alone, for
+          [0 <= i < input_count] *)
   check : input:Vectors.t -> output:Vectors.t -> bool;
       (** is the (possibly partial) output compatible with Δ on [input]? *)
   choose : input:Vectors.t -> output:Vectors.t -> int -> Value.t;
@@ -38,7 +43,11 @@ val input_ok : t -> Vectors.t -> bool
 (** Is the vector a prefix of some maximal input vector? *)
 
 val sample_input : t -> Random.State.t -> Vectors.t
-(** A maximal input vector drawn uniformly. *)
+(** A maximal input vector drawn uniformly: [nth_input] of one
+    [Random.State.full_int] draw below [input_count], which for a count
+    below [2^30] is the draw [Random.State.int] makes. Raises
+    [Invalid_argument] when there is no input, or when [input_count] has
+    saturated at [max_int] (past one draw's range). *)
 
 val sample_prefix : t -> Random.State.t -> min_participants:int -> Vectors.t
 (** A random prefix (with at least [min_participants] non-⊥ slots) of a

@@ -1,7 +1,15 @@
+let vector assignment = Array.of_list (List.map Option.some assignment)
+
 let full_vectors ~n ~values =
   let value_set = List.map Value.int values in
-  Combinat.assignments (List.init n Fun.id) value_set
-  |> List.map (fun assignment -> Array.of_list (List.map Option.some assignment))
+  Combinat.assignments (List.init n Fun.id) value_set |> List.map vector
+
+let input_count ~n ~values =
+  Combinat.count_assignments ~slots:n ~values:(List.length values)
+
+let nth_input ~n ~values i =
+  let value_set = List.map Value.int values in
+  vector (Combinat.nth_assignment (List.init n Fun.id) value_set i)
 
 let identity ?(values = [ 0; 1 ]) ~n () =
   {
@@ -9,6 +17,8 @@ let identity ?(values = [ 0; 1 ]) ~n () =
     arity = n;
     colorless = false;
     max_inputs = (fun () -> full_vectors ~n ~values);
+    input_count = input_count ~n ~values;
+    nth_input = nth_input ~n ~values;
     check =
       (fun ~input ~output ->
         Array.for_all2
@@ -28,6 +38,8 @@ let constant ?(values = [ 0; 1 ]) ~n ~out () =
     arity = n;
     colorless = true;
     max_inputs = (fun () -> full_vectors ~n ~values);
+    input_count = input_count ~n ~values;
+    nth_input = nth_input ~n ~values;
     check =
       (fun ~input:_ ~output ->
         Array.for_all

@@ -1,13 +1,7 @@
 let make ~n ~j =
   if j < 2 || j >= n then invalid_arg "Wsb.make: need 2 <= j < n";
   let max_inputs () =
-    List.map
-      (fun subset ->
-        let v = Vectors.bottom n in
-        List.iter
-          (fun i -> v.(i) <- Some (Value.int (Renaming.original_name ~n i)))
-          subset;
-        v)
+    List.map (Renaming.participating ~n)
       (Combinat.subsets_of_size j (List.init n Fun.id))
   in
   let bits output =
@@ -34,6 +28,8 @@ let make ~n ~j =
     arity = n;
     colorless = false;
     max_inputs;
+    input_count = Renaming.input_count ~n ~j;
+    nth_input = Renaming.nth_input ~n ~j;
     check;
     choose;
     known_concurrency = None;

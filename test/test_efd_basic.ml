@@ -220,6 +220,59 @@ let test_prop3_negative_side () =
   check_bool "run does not decide" false r.Run.r_outcome.Schedule.all_decided;
   check_bool "wait-freedom violated" false r.Run.r_wait_free
 
+(* Leader consensus reserves its rounds: after the same allocation prefix,
+   each round's answer register and commit–adopt registers are the ones an
+   eager [alloc] of every block, in order, hands out, and so is the next
+   register taken after it. *)
+let test_leader_consensus_layout () =
+  List.iter
+    (fun (prefix, n_c, max_rounds) ->
+      let mem = Memory.create () and eager = Memory.create () in
+      ignore (Memory.alloc mem prefix);
+      ignore (Memory.alloc eager prefix);
+      let lc = Leader_consensus.create mem ~n_c ~max_rounds in
+      let _queries = Memory.alloc eager n_c in
+      let answers = Memory.alloc eager max_rounds in
+      let _decision = Memory.alloc1 eager () in
+      let rounds =
+        Array.init max_rounds (fun _ ->
+            let phase1 = Memory.alloc eager n_c in
+            let phase2 = Memory.alloc eager n_c in
+            (phase1, phase2))
+      in
+      check_int "size" (Memory.size eager) (Memory.size mem);
+      for r = 1 to max_rounds do
+        check_int "answer" answers.(r - 1) (Leader_consensus.answer_reg lc r);
+        Alcotest.(check (pair (array int) (array int)))
+          "commit-adopt" rounds.(r - 1)
+          (Bglib.Commit_adopt.registers (Leader_consensus.round lc r))
+      done;
+      let next = Memory.alloc1 mem () in
+      check_int "next register" (Memory.alloc1 eager ()) next)
+    [ (0, 1, 1); (3, 2, 5); (7, 3, 64) ]
+
+(* Set-up costs the same at any round budget: [make] allocates the same
+   heap words at 64 rounds as at 4096. Words are minor plus major minus
+   promoted, the minor ones read by [Gc.minor_words]: on OCaml 5.1 the
+   minor count of [Gc.counters] leaves out the current minor heap's fill. *)
+let test_ksa_setup_words () =
+  let words max_rounds =
+    let algo = Ksa.consensus ~max_rounds () in
+    let mem = Memory.create () in
+    let input_regs = Memory.alloc mem 3 in
+    let ctx = { Algorithm.mem; n_c = 3; n_s = 3; input_regs } in
+    let _, promoted0, major0 = Gc.counters () in
+    let minor0 = Gc.minor_words () in
+    let inst = algo.Algorithm.make ctx in
+    let minor1 = Gc.minor_words () in
+    let _, promoted1, major1 = Gc.counters () in
+    ignore (Sys.opaque_identity inst);
+    minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  in
+  let w64 = words 64 and w4096 = words 4096 in
+  if Float.abs (w4096 -. w64) > 4. then
+    Alcotest.failf "make: %.0f words at 64 rounds, %.0f at 4096" w64 w4096
+
 let suite =
   [
     Alcotest.test_case "E1: 1-concurrent solver on registry" `Quick
@@ -239,4 +292,8 @@ let suite =
     Alcotest.test_case "E5: partial participation" `Quick test_ksa_partial_participation;
     Alcotest.test_case "E4: Prop 3 positive (personified)" `Quick test_prop3_positive_side;
     Alcotest.test_case "E4: Prop 3 negative (EFD)" `Quick test_prop3_negative_side;
+    Alcotest.test_case "leader consensus: eager register layout" `Quick
+      test_leader_consensus_layout;
+    Alcotest.test_case "ksa: set-up words do not grow with rounds" `Quick
+      test_ksa_setup_words;
   ]

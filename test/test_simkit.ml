@@ -84,6 +84,112 @@ let test_memory () =
   Alcotest.check_raises "oob" (Invalid_argument "Memory: register out of range")
     (fun () -> ignore (Memory.read mem 1000))
 
+(* Random scripts of memory operations against a dense reference: an array
+   that makes every cell when it is allocated. Registers range past the
+   allocated size and below zero, so reads hit reserved cells that were
+   never written, cells of pages never made, and out-of-range ids. An
+   [init] of -1 stands for [~init:Value.unit]. *)
+type mem_op =
+  | Reserve of int
+  | Alloc of int * int option
+  | Write of int * int
+  | Read of int
+  | Read_many of int list
+  | Size
+
+type mem_obs =
+  | Base of int
+  | Regs of int array
+  | Done
+  | Got of Value.t
+  | Got_many of Value.t array
+  | Is of int
+  | Out_of_range
+
+let pp_mem_op = function
+  | Reserve n -> Printf.sprintf "reserve %d" n
+  | Alloc (n, None) -> Printf.sprintf "alloc %d" n
+  | Alloc (n, Some v) -> Printf.sprintf "alloc ~init:%d %d" v n
+  | Write (r, v) -> Printf.sprintf "write %d %d" r v
+  | Read r -> Printf.sprintf "read %d" r
+  | Read_many rs ->
+    Printf.sprintf "read_many [%s]"
+      (String.concat ";" (List.map string_of_int rs))
+  | Size -> "size"
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  let reg = int_range (-2) 700 and inits = opt (int_range (-1) 3) in
+  list_size (int_range 0 60)
+    (frequency
+       [
+         (2, map (fun n -> Reserve n) (int_range 0 150));
+         (2, map2 (fun n init -> Alloc (n, init)) (int_range 0 80) inits);
+         (4, map2 (fun r v -> Write (r, v)) reg (int_range 0 9));
+         (4, map (fun r -> Read r) reg);
+         (1, map (fun rs -> Read_many rs) (list_size (int_range 0 4) reg));
+         (1, return Size);
+       ])
+
+let value_of_init =
+  Option.map (fun v -> if v < 0 then Value.unit else Value.int v)
+
+let memory_script ops =
+  let mem = Memory.create () in
+  let guard f = try f () with Invalid_argument _ -> Out_of_range in
+  List.map
+    (function
+      | Reserve n -> Base (Memory.reserve mem n)
+      | Alloc (n, init) -> Regs (Memory.alloc mem ?init:(value_of_init init) n)
+      | Write (r, v) ->
+        guard (fun () ->
+            Memory.write mem r (Value.int v);
+            Done)
+      | Read r -> guard (fun () -> Got (Memory.read mem r))
+      | Read_many rs ->
+        guard (fun () -> Got_many (Memory.read_many mem (Array.of_list rs)))
+      | Size -> Is (Memory.size mem))
+    ops
+
+let dense_script ops =
+  let cells = ref [||] and used = ref 0 in
+  let take n init =
+    let base = !used in
+    let c = Array.make (base + n) Value.unit in
+    Array.blit !cells 0 c 0 base;
+    Array.fill c base n (Option.value init ~default:Value.unit);
+    cells := c;
+    used := base + n;
+    base
+  in
+  let cell r = if r < 0 || r >= !used then None else Some r in
+  List.map
+    (function
+      | Reserve n -> Base (take n None)
+      | Alloc (n, init) ->
+        let base = take n (value_of_init init) in
+        Regs (Array.init n (fun i -> base + i))
+      | Write (r, v) -> (
+        match cell r with
+        | Some r ->
+          !cells.(r) <- Value.int v;
+          Done
+        | None -> Out_of_range)
+      | Read r -> (
+        match cell r with Some r -> Got !cells.(r) | None -> Out_of_range)
+      | Read_many rs ->
+        if List.for_all (fun r -> cell r <> None) rs then
+          Got_many (Array.of_list (List.map (fun r -> !cells.(r)) rs))
+        else Out_of_range
+      | Size -> Is !used)
+    ops
+
+let prop_memory_matches_dense =
+  QCheck.Test.make ~name:"memory matches a dense reference" ~count:300
+    (QCheck.make gen_mem_ops
+       ~print:(fun ops -> String.concat "; " (List.map pp_mem_op ops)))
+    (fun ops -> memory_script ops = dense_script ops)
+
 (* --- Runtime basics --- *)
 
 let test_runtime_write_read () =
@@ -903,4 +1009,5 @@ let suite =
       test_snapshot_borrowed_view;
     Alcotest.test_case "collect vs scan" `Quick test_collect_vs_scan;
     Alcotest.test_case "nested runtimes" `Quick test_nested_runtime;
+    QCheck_alcotest.to_alcotest prop_memory_matches_dense;
   ]

@@ -211,6 +211,65 @@ let test_sampling () =
     check_bool "min participants respected" true (Vectors.count p >= 2)
   done
 
+(* [nth_input] unranks [max_inputs], which stays the reference: on every
+   registry task at small n, index i is the list's i-th vector, and a seed
+   draws the input it drew from the whole list. *)
+let test_unranking () =
+  let registry n =
+    List.map (fun e -> e.Registry.entry_task) (Registry.standard ~n)
+  in
+  let tasks =
+    registry 4 @ registry 5
+    @ [ Set_agreement.make ~u:[ 1; 3 ] ~values:[ 4; 7; 9 ] ~n:4 ~k:1 () ]
+  in
+  List.iter
+    (fun t ->
+      let name = t.Task.task_name in
+      let all = t.Task.max_inputs () in
+      check_int (name ^ " count") (List.length all) t.Task.input_count;
+      List.iteri
+        (fun i v ->
+          let label = Printf.sprintf "%s input %d" name i in
+          check_bool label true (Vectors.equal v (t.Task.nth_input i)))
+        all;
+      for seed = 1 to 20 do
+        let rng () = Random.State.make [| seed |] in
+        let from_list =
+          List.nth all (Random.State.int (rng ()) (List.length all))
+        in
+        let sampled = Task.sample_input t (rng ()) in
+        let label = Printf.sprintf "%s seed %d" name seed in
+        check_bool label true (Vectors.equal from_list sampled)
+      done)
+    tasks
+
+(* Counts saturate, and only a saturated count is refused, without building
+   an input: 2^61 consensus inputs are drawn from, 2^62 are not. *)
+let test_input_counts () =
+  check_int "C(1024, 512) saturates" max_int (Combinat.binomial 1024 512);
+  check_int "C(1024, 3)" 178_433_024 (Combinat.binomial 1024 3);
+  check_int "C(62, 31)" 465_428_353_255_261_088 (Combinat.binomial 62 31);
+  check_int "2^1024 saturates" max_int
+    (Combinat.count_assignments ~slots:1024 ~values:2);
+  check_int "4^12" 16_777_216 (Combinat.count_assignments ~slots:12 ~values:4);
+  let consensus61 = Set_agreement.consensus ~n:61 () in
+  check_int "2^61 inputs" (1 lsl 61) consensus61.Task.input_count;
+  let rng = Random.State.make [| 1 |] in
+  let v = Task.sample_input consensus61 rng in
+  check_int "2^61 inputs: one drawn" 61 (Vectors.count v);
+  List.iter
+    (fun t ->
+      match Task.sample_input t rng with
+      | _ -> Alcotest.failf "%s: drew an input" t.Task.task_name
+      | exception Invalid_argument _ -> ())
+    [
+      Set_agreement.consensus ~n:62 ();
+      Set_agreement.make ~n:1024 ~k:1023 ();
+      Renaming.make ~n:1024 ~j:512 ~l:600;
+      Wsb.make ~n:1024 ~j:512;
+      Trivial_tasks.identity ~n:1024 ();
+    ]
+
 (* qcheck: choice closure always yields valid outputs on sampled prefixes *)
 let prop_choice_closure task name =
   QCheck.Test.make ~name ~count:100 QCheck.small_int (fun seed ->
@@ -275,6 +334,8 @@ let suite =
     Alcotest.test_case "constant task" `Quick test_constant;
     Alcotest.test_case "input_ok" `Quick test_input_ok;
     Alcotest.test_case "sampling" `Quick test_sampling;
+    Alcotest.test_case "nth_input unranks max_inputs" `Quick test_unranking;
+    Alcotest.test_case "input counts and refusals" `Quick test_input_counts;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "weakest fd names" `Quick test_weakest_fd_names;
   ]
