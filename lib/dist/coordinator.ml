@@ -70,6 +70,9 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
   let* l =
     L.start ?split_depth ~reduce ?resume ~scenario:sc ~depth ~workers:n ()
   in
+  (* a write to a worker that died must fail with EPIPE, which retires
+     that worker's connection, and not end the process with SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* the sink is not thread-safe: past this event, it is only used under
      the lock that guards the ledger, the journal and [accepted] *)
   let emit name fields =

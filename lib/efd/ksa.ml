@@ -22,30 +22,36 @@ let make ?(max_rounds = 512) ~k () =
           Array.init k (fun _ ->
               Leader_consensus.create mem ~n_c:ctx.Algorithm.n_c ~max_rounds)
         in
+        (* Pump the clients in turn, from the first again after the
+           last, and decide the first decision a client returns. *)
         let c_run i input =
           let clients =
             Array.map (fun lc -> Leader_consensus.client lc ~me:i input) instances
           in
-          let rec loop () =
-            let decided = ref None in
-            Array.iter
-              (fun cl ->
-                if !decided = None then
-                  match Leader_consensus.pump cl with
-                  | Leader_consensus.Decided v -> decided := Some v
-                  | Leader_consensus.Pending | Leader_consensus.Exhausted -> ())
-              clients;
-            match !decided with Some v -> Op.decide v | None -> loop ()
+          let rec pump j =
+            if j = k then pump 0
+            else
+              match Leader_consensus.pump clients.(j) with
+              | Leader_consensus.Decided v -> Op.decide v
+              | Leader_consensus.Pending | Leader_consensus.Exhausted ->
+                pump (j + 1)
           in
-          loop ()
+          pump 0
         in
+        (* Serve the instances whose position names [me]. A bare leader
+           names it in every position, and no advice in none: only a
+           vector is decoded. *)
         let s_run me =
           let rec loop () =
-            let w = decode_leader_vector ~k (Op.query ()) in
-            Array.iteri
-              (fun j leader ->
-                if leader = me then Leader_consensus.serve instances.(j))
-              w;
+            (match Op.query () with
+            | Value.Unit -> ()
+            | Value.Int leader ->
+              if leader = me then Array.iter Leader_consensus.serve instances
+            | v ->
+              let w = decode_leader_vector ~k v in
+              for j = 0 to k - 1 do
+                if w.(j) = me then Leader_consensus.serve instances.(j)
+              done);
             loop ()
           in
           loop ()

@@ -97,11 +97,14 @@ let execute ?(budget = 400_000) ?(min_scheds = 2_000) ?(record_trace = false)
       ~c_code ~s_code
   in
   let rng = Random.State.make [| seed; 0x5eed |] in
-  let participant_idx = Vectors.participants input in
-  let participants = List.map Pid.c participant_idx in
+  let participants = List.map Pid.c (Vectors.participants input) in
   let pol = policy ~participants ~n_c ~n_s ~rng in
+  (* A C-process with no input returns without deciding: only
+     participants decide, so all of them have once the count reaches
+     their number *)
+  let n_participants = List.length participants in
   let all_participants_decided rt =
-    List.for_all (fun i -> Runtime.decision rt i <> None) participant_idx
+    Runtime.decided_count rt = n_participants
   in
   (* cancellation piggybacks on stop_when, so it is polled once per
      scheduling step; raising Cancelled instead of stopping means a

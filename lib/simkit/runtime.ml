@@ -104,8 +104,10 @@ type t = {
   s_procs : pstate array;
   mutable now : int;
   mutable steps_total : int;
+  mutable c_decided : int;  (* C-processes that have decided *)
   tr : Trace.t;
   obs : obs option;
+  observed : bool;  (* a trace is recorded or a hook installed *)
   mutable keys : Keys.t option;
   mutable mem_ids : int array;
       (* under [keys]: the value id of each register's content, filled on
@@ -136,8 +138,10 @@ let create ?obs cfg ~c_code ~s_code =
     s_procs = Array.init cfg.n_s (fun i -> mk (Pid.s i) (s_code i));
     now = 0;
     steps_total = 0;
+    c_decided = 0;
     tr = Trace.create ~enabled:cfg.record_trace;
     obs;
+    observed = cfg.record_trace || Option.is_some obs;
     keys = None;
     mem_ids = [||];
   }
@@ -194,6 +198,8 @@ let run_under (p : pstate) (f : unit -> unit) : unit =
           | _ -> None);
     }
 
+(* Callers test [t.observed] first, so that an unobserved step builds no
+   event. *)
 let record t p ev =
   Trace.record t.tr ~time:t.now ~pid:p.pid ev;
   match t.obs with
@@ -287,11 +293,17 @@ let advance t ks p op qv =
   | K_yield _ -> extend ks p k_yield 0 0
 
 (* Execute the pending operation of [p] at the current time, then resume the
-   code until its next suspension point. One call = one (non-null) step. *)
+   code until its next suspension point. One call = one (non-null) step.
+   Beyond the effect's own round trip, an unkeyed step pays constant
+   bookkeeping: it scans no processes, makes no polymorphic compare, and
+   allocates only a process's first-step time, a decision and, when the
+   run is observed, the trace event. *)
 let execute t (p : pstate) (op : pending) : unit =
   p.pending <- None;
   p.steps <- p.steps + 1;
-  if p.first_step = None then p.first_step <- Some t.now;
+  (match p.first_step with
+  | None -> p.first_step <- Some t.now
+  | Some _ -> ());
   let qv = queried t p op in
   (match t.keys with Some ks -> advance t ks p op qv | None -> ());
   (* The continuations below resume under the deep handler installed by
@@ -300,26 +312,29 @@ let execute t (p : pstate) (op : pending) : unit =
   match op with
   | K_read (r, k) ->
     let v = Memory.read t.cfg.memory r in
-    record t p (Trace.Read (r, v));
+    if t.observed then record t p (Trace.Read (r, v));
     Effect.Deep.continue k v
   | K_write (r, v, k) ->
     Memory.write t.cfg.memory r v;
-    record t p (Trace.Write (r, v));
+    if t.observed then record t p (Trace.Write (r, v));
     Effect.Deep.continue k ()
   | K_snapshot (rs, k) ->
     let vs = Memory.read_many t.cfg.memory rs in
-    record t p (Trace.Snapshot rs);
+    if t.observed then record t p (Trace.Snapshot rs);
     Effect.Deep.continue k vs
   | K_query k -> (
     match p.pid with
     | Pid.C _ -> raise (Forbidden_query p.pid)
     | Pid.S _ ->
-      record t p (Trace.Query qv);
+      if t.observed then record t p (Trace.Query qv);
       Effect.Deep.continue k qv)
   | K_decide (v, k) ->
     p.decided <- Some v;
     p.decide_at <- Some t.now;
-    record t p (Trace.Decide v);
+    (match p.pid with
+    | Pid.C _ -> t.c_decided <- t.c_decided + 1
+    | Pid.S _ -> ());
+    if t.observed then record t p (Trace.Decide v);
     Effect.Deep.discontinue k Halted
   | K_yield k -> Effect.Deep.continue k ()
 
@@ -387,7 +402,7 @@ let step t pid =
   p.scheds <- p.scheds + 1;
   t.steps_total <- t.steps_total + 1;
   (match t.obs with None -> () | Some o -> o.on_sched pid ~time:t.now);
-  if crashed t p then record t p Trace.Null
+  if crashed t p then (if t.observed then record t p Trace.Null)
   else begin
     (* A Fresh process first runs its code up to the first operation, then
        performs that operation within this same step, so that step #1 of a
@@ -398,7 +413,7 @@ let step t pid =
     start_if_fresh p;
     match p.pending with
     | Some op -> execute t p op
-    | None -> record t p Trace.Null
+    | None -> if t.observed then record t p Trace.Null
   end;
   t.now <- t.now + 1
 
@@ -439,9 +454,10 @@ let start_for_take_back p =
 
 (* A step moves the clock, the step total, the trace and the stepping
    process's sched count; a step that executes something also moves the
-   process's status, decision, step count, first-step and decide times and
-   history node, and a write the register with its value id. [undo] puts
-   each back. The continuation a real step parks cannot be put back, so it
+   process's status, decision (and with a C-process's, the count of
+   decided ones), step count, first-step and decide times and history
+   node, and a write the register with its value id. [undo] puts each
+   back. The continuation a real step parks cannot be put back, so it
    is discontinued: a process that had started is spent, and one that had
    not is restarted, having held no continuation before the step. A null
    step parks nothing and spends nothing. Refused where the step cannot be
@@ -455,6 +471,7 @@ let with_step t pid f =
   | _ -> (
     let null = inert_p t p in
     let now = t.now and total = t.steps_total and len = Trace.length t.tr in
+    let c_decided = t.c_decided in
     let status = p.status and decided = p.decided and steps = p.steps in
     let scheds = p.scheds and first_step = p.first_step in
     let decide_at = p.decide_at and node = p.node and ids = t.mem_ids in
@@ -477,6 +494,7 @@ let with_step t pid f =
         p.spent <- status <> Fresh;
         p.status <- status;
         p.decided <- decided;
+        t.c_decided <- c_decided;
         p.steps <- steps;
         p.first_step <- first_step;
         p.decide_at <- decide_at;
@@ -523,7 +541,8 @@ let decision t i =
   t.c_procs.(i).decided
 
 let decisions t = Array.map (fun p -> p.decided) t.c_procs
-let all_c_done t = Array.for_all (fun p -> p.decided <> None) t.c_procs
+let decided_count t = t.c_decided
+let all_c_done t = t.c_decided = t.cfg.n_c
 let participating t i = t.c_procs.(i).first_step <> None
 
 let undecided_participants t =

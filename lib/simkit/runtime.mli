@@ -119,7 +119,8 @@ val with_step : t -> Pid.t -> (unit -> 'a) -> 'a option
     [f] raised, every observable field is as before the step: {!time},
     {!steps_total}, the trace, [pid]'s {!status}, decision,
     {!steps_taken}, {!first_step_time}, {!decide_time}, {!sched_count} and
-    history node, and the register a write wrote, with its value id.
+    history node, {!decided_count} and {!all_c_done}, and the register a
+    write wrote, with its value id.
 
     A {e null} step ([pid] is {!inert}) executes nothing and spends
     nothing. A {e real} step executes [pid]'s parked operation (a [Fresh]
@@ -224,7 +225,16 @@ val decision : t -> int -> Value.t option
 (** Decision of C-process [p_i], if any. *)
 
 val decisions : t -> Value.t option array
+
+val decided_count : t -> int
+(** The number of C-processes that have decided. The runtime keeps it as
+    they decide, so reading it costs O(1); {!with_step} puts it back with
+    the decision it takes back. *)
+
 val all_c_done : t -> bool
+(** Every C-process has decided: {!decided_count} is {!n_c}. O(1), so a
+    run loop may test it on every step. *)
+
 val participating : t -> int -> bool
 (** Has C-process [p_i] executed at least one operation? Null steps (a
     scheduled process whose code performs no operation) do not count. *)

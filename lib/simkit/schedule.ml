@@ -1,13 +1,18 @@
 type t = { policy_name : string; next : Runtime.t -> Pid.t option }
 
-let shuffle rng a =
-  let a = Array.copy a in
+(* Fisher-Yates in place: one [Random.State.int] draw per position, from
+   the last down to the second. *)
+let permute rng a =
   for i = Array.length a - 1 downto 1 do
     let j = Random.State.int rng (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);
     a.(j) <- tmp
-  done;
+  done
+
+let shuffle rng a =
+  let a = Array.copy a in
+  permute rng a;
   a
 
 let round_robin ~n_c ~n_s =
@@ -28,20 +33,27 @@ let shuffled_rounds ?only ~n_c ~n_s rng =
     | Some pids -> Array.of_list pids
     | None -> Array.of_list (Pid.all ~n_c ~n_s)
   in
-  if Array.length base = 0 then invalid_arg "Schedule.shuffled_rounds: empty";
-  let queue = ref [] in
+  let n = Array.length base in
+  if n = 0 then invalid_arg "Schedule.shuffled_rounds: empty";
+  (* Each round permutes the base order afresh, as indices into [picks]:
+     the draws of shuffling a copy of [base], with nothing allocated. *)
+  let picks = Array.map Option.some base in
+  let order = Array.make n 0 in
+  let pos = ref n in
   {
     policy_name = "shuffled-rounds";
     next =
       (fun _ ->
-        (match !queue with
-        | [] -> queue := Array.to_list (shuffle rng base)
-        | _ -> ());
-        match !queue with
-        | p :: rest ->
-          queue := rest;
-          Some p
-        | [] -> assert false);
+        if !pos = n then begin
+          for i = 0 to n - 1 do
+            order.(i) <- i
+          done;
+          permute rng order;
+          pos := 0
+        end;
+        let p = picks.(order.(!pos)) in
+        incr pos;
+        p);
   }
 
 let explicit pids =

@@ -14,7 +14,10 @@ val round_robin : n_c:int -> n_s:int -> t
 
 val shuffled_rounds : ?only:Pid.t list -> n_c:int -> n_s:int -> Random.State.t -> t
 (** Repeats independent random permutations of all processes (or of [only]).
-    Fair within each round. *)
+    Fair within each round. Each round is a Fisher-Yates shuffle of the base
+    order, drawing [Random.State.int] once per position from the last down
+    to the second, so a seed fixes the pid sequence. The rounds are
+    permuted in an array made once, so a step allocates nothing. *)
 
 val explicit : Pid.t list -> t
 (** Follow the list, then stop. *)

@@ -27,4 +27,5 @@ let () =
       ("dist", Test_dist.suite);
       ("ckpt", Test_ckpt.suite);
       ("ledger", Test_ledger.suite);
+      ("solve-path", Test_solve_path.suite);
     ]
