@@ -411,15 +411,18 @@ let dist_report ~workers r =
       (fun w -> w.Dist.Coordinator.wk_dead)
       r.Dist.Coordinator.r_workers
   in
-  Fmt.pr "dist:   %d workers (%d failed), %d subtree jobs, %d re-dispatched@."
+  Fmt.pr
+    "dist:   %d workers (%d failed), %d subtree jobs at split depth %d, %d \
+     re-dispatched@."
     (List.length workers) (List.length dead) r.Dist.Coordinator.r_jobs
-    r.Dist.Coordinator.r_redispatched;
+    r.Dist.Coordinator.r_split_depth r.Dist.Coordinator.r_redispatched;
   [
     ( "dist",
       Obs.Json.Obj
         [
           ("workers", Obs.Json.Int (List.length workers));
           ("workers_dead", Obs.Json.Int (List.length dead));
+          ("split_depth", Obs.Json.Int r.Dist.Coordinator.r_split_depth);
           ("jobs", Obs.Json.Int r.Dist.Coordinator.r_jobs);
           ("redispatched", Obs.Json.Int r.Dist.Coordinator.r_redispatched);
           ( "frontier_pruned",

@@ -119,9 +119,11 @@ let dispatch l w id =
   if not (Hashtbl.mem l.tried (w, id)) then Hashtbl.add l.tried (w, id) false;
   l.jobs.(id)
 
+let stopped l = l.error <> None || l.cursor > last_needed l
+
 let take l ~worker ~max =
   let last = last_needed l in
-  if l.error <> None || l.cursor > last then Stop
+  if stopped l then Stop
   else
     let takes id =
       needed l id && l.inflight.(id) = 0

@@ -78,14 +78,20 @@ type take =
 
 val take : t -> worker:int -> max:int -> take
 
+val stopped : t -> bool
+(** Whether {!take} answers [Stop] now: the run is done or has failed.
+    Once [true], it stays so, and every dispatch still in flight is a copy
+    the run no longer needs. *)
+
 val answer : t -> Record.done_job -> bool
 (** Settle one dispatch of the job with its answer; [true] when the answer
     was credited. *)
 
 type failure =
   | Busy of string
-      (** says nothing about the job (the server is overloaded or shutting
-          down): the job is pending again, uncounted *)
+      (** says nothing about the job (the server is overloaded, shutting
+          down, or cancelled the run's copies once the run stopped): the
+          job is pending again if the run still needs it, uncounted *)
   | Failed of string  (** the job failed on this worker: counted *)
   | Refused of string
       (** every worker would refuse the job: the run ends with this error *)

@@ -8,6 +8,7 @@ type worker_report = { wk_addr : string; wk_jobs : int; wk_dead : bool }
 type report = {
   r_verdict : Exhaustive.verdict;
   r_stats : Exhaustive.stats;
+  r_split_depth : int;
   r_jobs : int;
   r_frontier_pruned : int;
   r_redispatched : int;
@@ -21,6 +22,40 @@ let window = 4
    generations at least this far apart *)
 let min_interval_s = 0.05
 let default_split_depth = L.default_split_depth
+
+(* the jobs a sized split deals each worker at least, where a split no
+   deeper than [default_split_depth] has that many *)
+let jobs_per_worker = 4
+
+(* The ledger at the given split depth, at a resumed record's, or else at
+   the shallowest depth up to [default_split_depth] whose frontier gives
+   every worker [jobs_per_worker] jobs: fewer, larger jobs cost fewer
+   round trips, replayed prefixes and memo tables, and each worker still
+   has a window's worth to pipeline. Shallower splits are cheap next to
+   the deepest one, so trying each in turn costs little. *)
+let sized_ledger ?split_depth ~reduce ?resume ~scenario ~depth ~workers () =
+  let start split_depth =
+    L.start ~split_depth ~reduce ?resume ~scenario ~depth ~workers ()
+  in
+  match (split_depth, resume) with
+  | Some d, _ -> start d
+  | None, Some r -> start r.Ckpt.Record.ck_config.Ckpt.Record.cf_split_depth
+  | None, None ->
+    let deepest = default_split_depth ~depth in
+    let rec go d =
+      Result.bind (start d) (fun l ->
+          let jobs = List.length (L.frontier l).Exhaustive.fr_jobs in
+          if d >= deepest || jobs >= jobs_per_worker * workers then Ok l
+          else go (d + 1))
+    in
+    go 1
+
+(* A worker's connection and the cancel the run's end sent on it. *)
+type link = {
+  lk_mutex : Mutex.t;
+  mutable lk_client : Svc.Client.t option;  (* while open *)
+  mutable lk_cancel : int;  (* the cancel's request id; -1 before *)
+}
 
 let run_params sc ~depth ~reduce =
   [
@@ -38,7 +73,9 @@ let reply ~wname id = function
     | Error msg -> Error (L.Failed ("bad result: " ^ msg)))
   | Error (Svc.Client.Server (P.Bad_request, msg)) ->
     Error (L.Refused (Printf.sprintf "refused by worker %s: %s" wname msg))
-  | Error (Svc.Client.Server ((P.Overloaded | P.Shutting_down), _) as e) ->
+  | Error
+      (Svc.Client.Server ((P.Overloaded | P.Shutting_down | P.Cancelled), _)
+       as e) ->
     Error (L.Busy (Svc.Client.error_string e))
   | Error e -> Error (L.Failed (Svc.Client.error_string e))
 
@@ -68,7 +105,7 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
   in
   let n = List.length workers in
   let* l =
-    L.start ?split_depth ~reduce ?resume ~scenario:sc ~depth ~workers:n ()
+    sized_ledger ?split_depth ~reduce ?resume ~scenario:sc ~depth ~workers:n ()
   in
   (* a write to a worker that died must fail with EPIPE, which retires
      that worker's connection, and not end the process with SIGPIPE *)
@@ -93,11 +130,17 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
   in
   let mutex = Mutex.create () and cond = Condition.create () in
   let accepted = Array.make n 0 in
+  (* worker threads still running *)
+  let live = ref n in
+  (* the run's end waits on [ended] alone, woken once the ledger stops or
+     the last worker thread ends, not by every transition *)
+  let ended = Condition.create () in
   (* every transition may let a waiting worker take a job, or stop *)
   let locked f =
     Mutex.protect mutex (fun () ->
         let x = f () in
         Condition.broadcast cond;
+        if L.stopped l || !live = 0 then Condition.signal ended;
         x)
   in
   (* Tags every subtree request of one run, so that each worker keeps one
@@ -110,6 +153,25 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
       ((("run", J.Str run_id) :: run_params sc ~depth ~reduce)
       @ [ ("job", Exhaustive.subtree_json sj) ])
   in
+  (* Each worker's connection, shared by its thread and by the run's end:
+     every send and the close happen under [lk_mutex], so a cancel never
+     writes to a closed (perhaps reused) descriptor nor between the bytes
+     of another request. *)
+  let links =
+    Array.init n (fun _ ->
+        { lk_mutex = Mutex.create (); lk_client = None; lk_cancel = -1 })
+  in
+  let on_link w f = Mutex.protect links.(w).lk_mutex (fun () -> f links.(w)) in
+  (* A link closes once its thread has read every reply it needed, or on
+     a failure: with a reset, since nothing left unsent or unread on it
+     matters (a cancel unsent then had nothing to stop), and a coordinator
+     running many short checks must not fill the host with TIME_WAIT
+     entries. *)
+  let close_link w =
+    on_link w (fun lk ->
+        Option.iter Svc.Client.discard lk.lk_client;
+        lk.lk_client <- None)
+  in
   (* One worker thread: connect, then loop pipelined batches until the run
      stops or the connection dies. A dead connection hands back whatever
      it still owed and retires the thread — the jobs live on elsewhere. *)
@@ -120,8 +182,8 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
       emit Obs.Event.Name.dist_redispatch
         [ ("job", J.Int id); ("reason", J.Str reason) ]
     in
-    let die client ids why =
-      Option.iter Svc.Client.close client;
+    let die ids why =
+      close_link w;
       let ids = ids @ List.of_seq (Hashtbl.to_seq_values outstanding) in
       locked (fun () ->
           emit Obs.Event.Name.dist_worker_dead
@@ -171,50 +233,100 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
         dispatch [ sj ]
       | L.Jobs sjs -> dispatch sjs
     in
+    (* [Ok false]: the run's end cancelled this connection's requests, and
+       the jobs not yet sent stay unsent; nothing needs them *)
+    let send_job client sj =
+      on_link w (fun lk ->
+          if lk.lk_cancel >= 0 then Ok false
+          else
+            Result.map
+              (fun rid ->
+                Hashtbl.replace outstanding rid sj.Exhaustive.sj_id;
+                true)
+              (Svc.Client.send ~params:(params sj) client P.Subtree))
+    in
+    let is_cancel rid = on_link w (fun lk -> rid = lk.lk_cancel) in
     (* workers get the binary codec when they speak it — subtree results
        are bulky and the hello downgrades transparently against an older
        fleet *)
     match Svc.Client.connect ~retries ~codec:P.Codec.Binary addr with
     | exception e ->
-      die None []
+      die []
         (match e with
         | Unix.Unix_error (err, _, _) -> Unix.error_message err
         | e -> Printexc.to_string e)
     | client -> (
+      on_link w (fun lk -> lk.lk_client <- Some client);
       let rec send = function
         | [] -> drain ()
         | sj :: rest as unsent -> (
-          match Svc.Client.send ~params:(params sj) client P.Subtree with
-          | Ok rid ->
-            Hashtbl.replace outstanding rid sj.Exhaustive.sj_id;
-            send rest
+          match send_job client sj with
+          | Ok true -> send rest
+          | Ok false -> drain ()
           | Error _ ->
             (* neither this job nor the rest of the batch reached the wire *)
-            die (Some client)
-              (List.map (fun sj -> sj.Exhaustive.sj_id) unsent)
-              "send failed")
+            die (List.map (fun sj -> sj.Exhaustive.sj_id) unsent) "send failed")
       and drain () =
         if Hashtbl.length outstanding = 0 then
           match locked batch with
-          | [] -> Svc.Client.close client
+          | [] -> close_link w
           | sjs -> send sjs
         else
           match Svc.Client.recv client with
-          | Error e -> die (Some client) [] (Svc.Client.error_string e)
+          | Error e -> die [] (Svc.Client.error_string e)
           | Ok (rid, payload) -> (
             match Hashtbl.find_opt outstanding rid with
+            | None when is_cancel rid -> drain ()
             | None ->
-              die (Some client) []
-                (Printf.sprintf "response for unknown request id %d" rid)
+              die [] (Printf.sprintf "response for unknown request id %d" rid)
             | Some id ->
               Hashtbl.remove outstanding rid;
               settle id (reply ~wname id payload);
               drain ())
       in
-      try drain () with e -> die (Some client) [] (Printexc.to_string e))
+      try drain () with e -> die [] (Printexc.to_string e))
   in
-  List.mapi (fun w addr -> Thread.create (worker w) addr) workers
-  |> List.iter Thread.join;
+  let threads =
+    List.mapi
+      (fun w addr ->
+        Thread.create
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () -> locked (fun () -> decr live))
+              (fun () -> worker w addr))
+          ())
+      workers
+  in
+  (* Once the ledger stops, whatever a worker still runs or queues for this
+     run is a copy nobody needs (a steal that lost, a job past the least
+     counterexample): [cancel] answers each with [cancelled] at the
+     worker's next engine poll, so the run ends without waiting for them
+     to finish. *)
+  let stopped =
+    Mutex.protect mutex (fun () ->
+        while not (L.stopped l || !live = 0) do
+          Condition.wait ended mutex
+        done;
+        L.stopped l)
+  in
+  let cancels = ref 0 in
+  if stopped then
+    Array.iter
+      (fun lk ->
+        Mutex.protect lk.lk_mutex (fun () ->
+            match lk.lk_client with
+            | Some client -> (
+              match
+                Svc.Client.send ~params:(P.cancel_params run_id) client
+                  P.Cancel
+              with
+              | Ok rid ->
+                lk.lk_cancel <- rid;
+                incr cancels
+              | Error _ -> (* its thread sees the broken connection *) ())
+            | None -> ()))
+      links;
+  List.iter Thread.join threads;
   journal ~force:true;
   let* verdict, stats = L.result l in
   let workers_r =
@@ -227,6 +339,7 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
     [
       ("jobs", J.Int jobs);
       ("redispatched", J.Int (L.redispatched l));
+      ("cancels", J.Int !cancels);
       ("workers", J.Int n);
       ( "dead",
         J.Int (List.length (List.filter (fun r -> r.wk_dead) workers_r)) );
@@ -235,6 +348,7 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
     {
       r_verdict = verdict;
       r_stats = stats;
+      r_split_depth = (L.config l).Ckpt.Record.cf_split_depth;
       r_jobs = jobs;
       r_frontier_pruned = fr.Exhaustive.fr_pruned;
       r_redispatched = L.redispatched l;

@@ -27,7 +27,15 @@
       {!Scenario.Spec.work_of_params};
     - an idle worker with no job to take {e steals} the least-covered
       in-flight job of another worker — straggler insurance, bounded by
-      never stealing the same job twice on the same worker.
+      never stealing the same job twice on the same worker;
+    - once the ledger stops ({!Ckpt.Ledger.stopped}), every dispatch still
+      queued or running is a copy the run does not need (a steal whose
+      other copy answered first, a job past the least counterexample): the
+      coordinator sends each connected worker a [cancel] naming the run,
+      the worker answers those copies [cancelled] at its engine's next
+      poll, and the run returns without waiting for them to finish. A
+      [cancelled] reply says nothing about its job: like [overloaded], it
+      is settled as {!Ckpt.Ledger.Busy}, not counted as a failure.
 
     Otherwise the run fails only when every worker is dead with jobs left. *)
 
@@ -41,6 +49,7 @@ type report = {
   r_verdict : Simkit.Exhaustive.verdict;
   r_stats : Simkit.Exhaustive.stats;
       (** splitter stats + accepted per-job stats, {!Simkit.Exhaustive.merge_stats}-summed *)
+  r_split_depth : int;  (** the depth the frontier was cut at *)
   r_jobs : int;  (** subtree jobs the frontier split into *)
   r_frontier_pruned : int;
       (** schedules credited above the frontier by the splitter itself *)
@@ -49,7 +58,11 @@ type report = {
 }
 
 val default_split_depth : depth:int -> int
-(** {!Ckpt.Ledger.default_split_depth}. *)
+(** {!Ckpt.Ledger.default_split_depth}: the deepest split {!run} makes
+    when it is given no [split_depth]. *)
+
+val jobs_per_worker : int
+(** 4: the jobs a split sized to the fleet deals each worker at least. *)
 
 val run :
   ?sink:Obs.Sink.t ->
@@ -64,7 +77,13 @@ val run :
   unit ->
   (report, string) result
 (** Check [scenario] to [depth] over [workers] (each an {!Svc.Addr} in
-    textual form). [reduce] enables the scenario's sleep+symmetry
+    textual form). [split_depth] cuts the frontier there; without it, a
+    resumed run cuts where its record did, and a new one at the
+    shallowest depth from 1 to {!default_split_depth} whose frontier holds
+    at least {!jobs_per_worker} jobs per worker (the deepest when none
+    does): fewer, larger jobs cost fewer round trips, prefix replays and
+    worker memo tables, and each worker still has a window's worth to
+    pipeline. [reduce] enables the scenario's sleep+symmetry
     reduction on splitter and workers alike. [retries] (default 5) is
     per-worker {!Svc.Client.connect} patience. Subtree requests carry no
     deadline of their own; a worker's default deadline applies. [sink]

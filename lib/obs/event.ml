@@ -25,6 +25,7 @@ module Name = struct
   let svc_done = "svc.done"
   let svc_timeout = "svc.timeout"
   let svc_drain = "svc.drain"
+  let svc_cancel = "svc.cancel"
   let dist_split = "dist.split"
   let dist_dispatch = "dist.dispatch"
   let dist_result = "dist.result"

@@ -83,6 +83,10 @@ module Name : sig
   (** Graceful shutdown began (field: pending — queued + in-flight jobs
       that will still be served). *)
 
+  val svc_cancel : string
+  (** A [cancel] was answered (fields: conn, run, stopped — the run's jobs
+      dropped from the queue or told to stop). *)
+
   (** {2 Distributed model checking ([Dist.Coordinator])} *)
 
   val dist_split : string
@@ -105,8 +109,9 @@ module Name : sig
       (fields: worker, error, requeued). *)
 
   val dist_done : string
-  (** The distributed run completed (fields: jobs, redispatched, workers,
-      dead). *)
+  (** The distributed run completed (fields: jobs, redispatched, cancels
+      — workers sent a [cancel] for the copies still queued or running —
+      workers, dead). *)
 
   (** {2 Checkpoint store ([Ckpt.Store])} *)
 

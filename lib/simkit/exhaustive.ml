@@ -413,6 +413,42 @@ let new_table ~sleep =
 
 let create_table () = new_table ~sleep:true
 
+(* A table past this many entries is cut back to its start size by
+   [clear_table] rather than wiped: one large search must not make every
+   later small one pay to wipe its capacity. *)
+let keep_entries = 1 lsl 16
+
+let clear_table t =
+  let wipe h =
+    if Hashtbl.length h > keep_entries then Hashtbl.reset h else Hashtbl.clear h
+  in
+  wipe t.counts;
+  wipe t.masks;
+  Keys.clear t.keys;
+  t.owner <- None
+
+(* The table this domain's last [run] used, empty, kept for its next one:
+   wiping it costs a pass over its buckets, where a new one costs two
+   4,096-bucket arrays and a key context regrown from nothing (in a
+   process of several domains, major-heap work for every run). A run
+   takes it out of the slot while it searches, so a run nested in a
+   [prop], or one on another thread of this domain, makes a table of its
+   own. *)
+let spare = Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let with_spare f =
+  let slot = Domain.DLS.get spare in
+  let t =
+    match Atomic.exchange slot None with
+    | Some t -> t
+    | None -> create_table ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      clear_table t;
+      Atomic.set slot (Some t))
+    (fun () -> f t)
+
 (* ------------------------------------------------------------------ *)
 (* The incremental engine: the one traversal behind [run], [split] and
    [run_subtree].
@@ -820,9 +856,11 @@ let search ~name rctx ~build ~prop ~mode ~table ~cancel root =
 let run ?(memo = true) ?(mode = Every) ?(reduce = no_reduction)
     ?(cancel = never_cancel) ~build ~pids ~depth ~prop () =
   let rctx = compile_reduction ~pids ~depth reduce in
-  let table = if memo then Some (new_table ~sleep:rctx.r_sleep) else None in
-  search ~name:"exhaustive.run" rctx ~build ~prop ~mode ~table ~cancel
-    whole_tree
+  let search table =
+    search ~name:"exhaustive.run" rctx ~build ~prop ~mode ~table ~cancel
+      whole_tree
+  in
+  if memo then with_spare (fun t -> search (Some t)) else search None
 
 let split ?(mode = Every) ?(reduce = no_reduction) ~build ~pids ~depth
     ~split_depth ~prop () =

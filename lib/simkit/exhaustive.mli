@@ -206,7 +206,11 @@ val run :
     moment it returns [true] the run raises {!Cancelled} instead of
     returning — the hook the service layer uses for per-request deadlines.
     A counterexample is the lex-least violating schedule (DFS order).
-    [?memo] (default [true]) enables the state-key memo. [?reduce]
+    [?memo] (default [true]) enables the state-key memo, in a table each
+    domain recycles ({!clear_table}) from one [run] to its next: a run
+    allocates a table of its own only while another run on its domain
+    holds that one (a run nested in [prop], or one on another thread).
+    [?reduce]
     (default {!no_reduction}) enables the reduction layers above; reduction
     forces every process to its first suspension point eagerly
     ({!Runtime.peek}), so [prop] must additionally not distinguish a
@@ -311,6 +315,15 @@ type table
 
 val create_table : unit -> table
 (** An empty table, bound to the configuration of its first job. *)
+
+val clear_table : table -> unit
+(** Empty a table for reuse: its entries, its key context ({!Keys.clear})
+    and its binding go, so the next search on it reads exactly what it
+    would read on a new table (verdict, effort counters, and keys numbered
+    from the start), while its hash tables and key context keep their
+    capacity, up to a bound past which they are cut back to their start
+    size. A search on a cleared table therefore allocates only for growth
+    past what the table held before. *)
 
 val run_subtree :
   ?memo:bool ->

@@ -36,6 +36,31 @@ let create () =
 
 let root = 0
 
+(* Past this many values or nodes, [clear] drops the tables instead of
+   wiping them: one large search must not make every later small one pay
+   to clear its capacity. *)
+let keep_max = 1 lsl 16
+
+let clear k =
+  if k.n_vals > keep_max then begin
+    k.vals <- [||];
+    k.vhash <- [||];
+    k.vslot <- [||]
+  end
+  else if k.n_vals > 0 then begin
+    (* [vhash] needs no wipe: a slot is read only when [vslot] marks it *)
+    Array.fill k.vslot 0 (Array.length k.vslot) 0;
+    Array.fill k.vals 0 (Array.length k.vals) Value.unit
+  end;
+  if k.n_nodes > keep_max then begin
+    k.edges <- [||];
+    k.kids <- [||]
+  end
+  else if k.n_nodes > 0 then Array.fill k.kids 0 (Array.length k.kids) 0;
+  k.n_vals <- 0;
+  k.n_nodes <- 0;
+  k.pos <- 0
+
 (* ------------------------------------------------------------ values *)
 
 let rec vprobe k v h mask i =

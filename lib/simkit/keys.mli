@@ -18,6 +18,13 @@ type t
 
 val create : unit -> t
 
+val clear : t -> unit
+(** Forget every value and node: ids and nodes start again from [0] and
+    {!root}, as in a context just created, so keys written afterwards
+    equal those a fresh context writes. The tables keep their capacity
+    (up to a bound), so a context reused for a search of the same size
+    grows nothing. Keys written before the clear mean nothing after it. *)
+
 val root : int
 (** The node of the empty history, the same in every context. *)
 

@@ -7,9 +7,13 @@ let page_bits = 6
 let page = 1 lsl page_bits
 let absent : Value.t array = [||]
 
-type t = { mutable pages : Value.t array array; mutable used : int }
+type t = {
+  mutable pages : Value.t array array;
+  mutable used : int;
+  mutable extent : int;  (* one past the highest register written *)
+}
 
-let create () = { pages = [||]; used = 0 }
+let create () = { pages = [||]; used = 0; extent = 0 }
 
 let reserve mem n =
   if n < 0 then invalid_arg "Memory.reserve";
@@ -18,6 +22,7 @@ let reserve mem n =
   base
 
 let size mem = mem.used
+let extent mem = mem.extent
 
 let check mem r =
   if r < 0 || r >= mem.used then invalid_arg "Memory: register out of range"
@@ -32,6 +37,7 @@ let read mem r =
 
 let write mem r v =
   check mem r;
+  if r >= mem.extent then mem.extent <- r + 1;
   let i = r lsr page_bits in
   let have = Array.length mem.pages in
   if i >= have then begin

@@ -35,6 +35,11 @@ val size : t -> int
 (** The number of registers taken so far; ids [0] to [size - 1] are in
     range. *)
 
+val extent : t -> int
+(** One past the highest register ever written ([0] before any write):
+    every register from it up reads [Value.unit]. A write that puts the
+    old value back does not lower it. *)
+
 val read : t -> reg -> Value.t
 (** Direct read — runtime/checker use only; inside process code use
     {!Runtime.Op.read}. Raises [Invalid_argument] out of range. *)

@@ -110,8 +110,11 @@ type t = {
   observed : bool;  (* a trace is recorded or a hook installed *)
   mutable keys : Keys.t option;
   mutable mem_ids : int array;
-      (* under [keys]: the value id of each register's content, filled on
-         first use and kept current by every write *)
+      (* under [keys]: the value id of each register's content, for the
+         registers below its length, filled on first use and kept current by
+         every write; it covers the registers written so far and grows as
+         writes reach past it *)
+  mutable unit_id : int;  (* under [keys]: the id of [Value.unit] *)
 }
 
 let create ?obs cfg ~c_code ~s_code =
@@ -144,6 +147,7 @@ let create ?obs cfg ~c_code ~s_code =
     observed = cfg.record_trace || Option.is_some obs;
     keys = None;
     mem_ids = [||];
+    unit_id = 0;
   }
 
 let proc t = function
@@ -228,23 +232,31 @@ and k_empty_snapshot = 6
 
 let edge_op kind r = kind + (8 * r)
 
-(* Register value ids for a memory that grew (or was never read) since
-   they were last taken: new cells hold what they were allocated with. *)
-let sync_mem t ks =
-  let mem = t.cfg.memory in
-  let have = Array.length t.mem_ids and n = Memory.size mem in
+(* Value ids for the registers below [n] at least, taken from memory for
+   those [mem_ids] did not cover yet: the array grows by doubling, up to
+   the memory's size, so writes that each reach one register further cost
+   amortized O(1). Registers from [Memory.extent] up were never written
+   and hold [Value.unit]: no key needs them covered. *)
+let cover t ks n =
+  let have = Array.length t.mem_ids in
   if n > have then begin
-    let ids = Array.make n 0 in
+    let mem = t.cfg.memory in
+    let n = max n (min (Memory.size mem) (2 * have)) in
+    let ids = Array.make n t.unit_id in
     Array.blit t.mem_ids 0 ids 0 have;
-    for r = have to n - 1 do
+    for r = have to min n (Memory.extent mem) - 1 do
       ids.(r) <- Keys.intern ks (Memory.read mem r)
     done;
     t.mem_ids <- ids
   end
 
 let mem_id t ks r =
-  if r >= Array.length t.mem_ids then sync_mem t ks;
-  t.mem_ids.(r)
+  if r < Array.length t.mem_ids then t.mem_ids.(r)
+  else if r >= Memory.extent t.cfg.memory then t.unit_id
+  else begin
+    cover t ks (r + 1);
+    t.mem_ids.(r)
+  end
 
 let extend ks p kind r vid =
   p.node <- Keys.child ks p.node ~op:(edge_op kind r) ~vid
@@ -254,7 +266,8 @@ let attach t ks =
   if Array.exists ran t.c_procs || Array.exists ran t.s_procs then
     invalid_arg "Runtime.attach: an operation has already executed";
   t.keys <- Some ks;
-  t.mem_ids <- [||]
+  t.mem_ids <- [||];
+  t.unit_id <- Keys.intern ks Value.unit
 
 (* What [p]'s parked query returns if it executes now; [Value.unit] for
    any other operation, and for a C-process's query, which [execute]
@@ -276,7 +289,7 @@ let advance t ks p op qv =
   | K_read (r, _) -> extend ks p k_read r (mem_id t ks r)
   | K_write (r, v, _) ->
     let vid = Keys.intern ks v in
-    if r >= Array.length t.mem_ids then sync_mem t ks;
+    cover t ks (r + 1);
     t.mem_ids.(r) <- vid;
     extend ks p k_write r vid
   | K_snapshot (rs, _) ->
@@ -557,10 +570,13 @@ let decide_time t i = t.c_procs.(i).decide_at
 let trace t = t.tr
 let steps_total t = t.steps_total
 
-(* The clock, every register's value id, and per process whether it has
-   started, whether it has been scheduled and its history node, or its
-   decision's value id once it has decided: what determines the future,
-   and the present as the checker reads it. A started process's node fixes
+(* The clock, the value ids of the registers up to the last one that does
+   not hold [Value.unit] (every register past it does, so the ids below it
+   fix the whole memory, and a block reserved but never written costs the
+   key nothing), and per process whether it has started, whether it has
+   been scheduled and its history node, or its decision's value id once it
+   has decided: what determines the future, and the present as the
+   checker reads it. A started process's node fixes
    whether it has returned, so its status needs no field of its own, and a
    step's key can be known before the step ([digest_after]). How often a
    process was scheduled is left out: a live process's count is fixed by
@@ -589,12 +605,16 @@ let digest t =
   match t.keys with
   | None -> invalid_arg "Runtime.digest: no key context attached"
   | Some ks ->
-    sync_mem t ks;
+    cover t ks (Memory.extent t.cfg.memory);
+    let ids = t.mem_ids in
+    let n = ref (Array.length ids) in
+    while !n > 0 && ids.(!n - 1) = t.unit_id do
+      decr n
+    done;
     Keys.start ks;
     Keys.add ks t.now;
-    let ids = t.mem_ids in
-    Keys.add ks (Array.length ids);
-    for r = 0 to Array.length ids - 1 do
+    Keys.add ks !n;
+    for r = 0 to !n - 1 do
       Keys.add ks ids.(r)
     done;
     add_procs ks t.c_procs;

@@ -273,7 +273,10 @@ val attach : t -> Keys.t -> unit
 
 val digest : t -> string
 (** The exact state key over the attached context: the clock, the value
-    id of every register, and per process whether it has started (left
+    ids of the registers up to the last that does not hold [Value.unit]
+    (every register past it does, so a block reserved but never written
+    costs the key nothing, and the key's length follows what a run wrote,
+    not {!Memory.size}), and per process whether it has started (left
     [Fresh]: scheduled or {!peek}ed), whether it has been scheduled at all
     and its history node (its executed operations with their results); a
     process that has decided gives its decision's value id in place of

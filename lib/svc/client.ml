@@ -29,6 +29,17 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
+(* SO_LINGER 0 turns the close into a reset: the kernel keeps no
+   TIME_WAIT entry, which a peer that opens connections by the hundred
+   each second would otherwise pile up by the ten thousand until they
+   crowd the ephemeral ports its later connects and binds search. *)
+let discard t =
+  if not t.closed then begin
+    (try Unix.setsockopt_optint t.fd Unix.SO_LINGER (Some 0)
+     with Unix.Unix_error _ -> ());
+    close t
+  end
+
 let codec t = t.codec
 
 (* Replies may be large (fuzz witnesses embed full run reports): read with a

@@ -43,6 +43,12 @@ val connect :
 val close : t -> unit
 (** Idempotent. *)
 
+val discard : t -> unit
+(** Close at once, with a reset rather than an orderly shutdown: bytes
+    not yet sent and replies not yet read are dropped, and the connection
+    leaves no TIME_WAIT entry behind. For a client done with a connection
+    whose every reply it needed has been read. Idempotent. *)
+
 val codec : t -> Protocol.Codec.t
 (** The codec this connection actually negotiated: [Binary] only after the
     server acked the offer, [Json] otherwise. *)

@@ -21,24 +21,18 @@ let encode payload =
   Bytes.blit_string payload 0 b 4 n;
   Bytes.unsafe_to_string b
 
+(* Header and payload leave in one [write], so a peer never wakes for a
+   lone header; the loop covers the kernel taking less. *)
 let write fd payload =
-  let n = String.length payload in
-  if n > max_wire_len then invalid_arg "Frame.write: payload too long";
-  let hdr = Bytes.create 4 in
-  Bytes.set_uint8 hdr 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 hdr 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 hdr 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 hdr 3 (n land 0xff);
-  let write_all buf off len =
-    let off = ref off and len = ref len in
-    while !len > 0 do
-      let w = Unix.write fd buf !off !len in
-      off := !off + w;
-      len := !len - w
-    done
-  in
-  write_all hdr 0 4;
-  write_all (Bytes.unsafe_of_string payload) 0 n
+  if String.length payload > max_wire_len then
+    invalid_arg "Frame.write: payload too long";
+  let buf = Bytes.unsafe_of_string (encode payload) in
+  let off = ref 0 and len = ref (Bytes.length buf) in
+  while !len > 0 do
+    let w = Unix.write fd buf !off !len in
+    off := !off + w;
+    len := !len - w
+  done
 
 (* Read exactly [len] bytes into [buf]; [`Eof n] reports how many arrived
    before the stream ended. *)

@@ -34,7 +34,8 @@ val encode : string -> string
     buffer. Raises [Invalid_argument] beyond {!max_wire_len}. *)
 
 val write : Unix.file_descr -> string -> unit
-(** Write one frame (header + payload), looping over partial writes.
+(** Write one frame (header + payload) in one [write] call, looping only
+    over a partial write.
     Raises [Unix.Unix_error] as the underlying syscalls do; raises
     [Invalid_argument] on a payload longer than {!max_wire_len}. *)
 

@@ -103,6 +103,34 @@ let pop t =
   Mutex.unlock t.mutex;
   r
 
+(* Keep the items of [q] that [f] refuses, in order; the rest go onto
+   [dropped], newest first. *)
+let filter_queue f q dropped =
+  let kept = Queue.create () in
+  Queue.iter
+    (fun x -> if f x then dropped := x :: !dropped else Queue.push x kept)
+    q;
+  Queue.clear q;
+  Queue.transfer kept q
+
+let drop t f =
+  Mutex.protect t.mutex (fun () ->
+      let dropped = ref [] in
+      (match t.key with
+      | None -> filter_queue f t.q dropped
+      | Some _ ->
+        let classes = Queue.copy t.rotation in
+        Queue.clear t.rotation;
+        Queue.iter
+          (fun k ->
+            let sub = Hashtbl.find t.per k in
+            filter_queue f sub dropped;
+            if Queue.is_empty sub then Hashtbl.remove t.per k
+            else Queue.push k t.rotation)
+          classes);
+      t.len <- t.len - List.length !dropped;
+      List.rev !dropped)
+
 let close t =
   Mutex.lock t.mutex;
   t.closed <- true;

@@ -33,6 +33,12 @@ val pop : 'a t -> 'a option
 (** Blocks while the queue is empty and open. [None] once the queue is
     closed {e and} drained — the consumer's signal to exit. *)
 
+val drop : 'a t -> ('a -> bool) -> 'a list
+(** Remove every queued item the predicate accepts and return them, in the
+    order they would have been popped within their class; the others keep
+    their places and the rotation its order. The predicate runs under the
+    queue's lock, once per queued item, and must not raise. *)
+
 val close : 'a t -> unit
 (** Idempotent. Pending and future {!try_push} calls see [`Closed]; blocked
     {!pop} calls wake and drain. *)

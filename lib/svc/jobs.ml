@@ -101,15 +101,23 @@ let modelcheck ~cancel (m : Spec.modelcheck) =
    under its key (run, scenario, n_s, depth, reduce). Consecutive jobs of
    one run share it, so states that converge across frontier prefixes are
    explored once per worker rather than once per job; a job of any other
-   key starts a fresh table. A soft cache: a restarted worker loses speed,
-   never correctness, and it holds at most one run's table per domain. *)
+   key clears the table ({!Exhaustive.clear_table}) and binds it to its own
+   key, so a worker grows one table once rather than one per run. A soft
+   cache: a restarted worker loses speed, never correctness, and it holds
+   at most one run's table per domain. *)
 let run_table = Domain.DLS.new_key (fun () -> None)
 
 let table_for key =
   match Domain.DLS.get run_table with
   | Some (k, t) when k = key -> t
-  | _ ->
-    let t = Exhaustive.create_table () in
+  | held ->
+    let t =
+      match held with
+      | Some (_, t) ->
+        Exhaustive.clear_table t;
+        t
+      | None -> Exhaustive.create_table ()
+    in
     Domain.DLS.set run_table (Some (key, t));
     t
 
@@ -219,7 +227,7 @@ let run_work ?(cancel = never_cancel) work =
 
 let run ?(cancel = never_cancel) verb params =
   match verb with
-  | P.Ping | P.Stats | P.Metrics | P.Shutdown | P.Hello ->
+  | P.Ping | P.Stats | P.Metrics | P.Shutdown | P.Hello | P.Cancel ->
     Error
       ( P.Internal,
         Printf.sprintf "verb %S is not a pool job" (P.verb_string verb) )

@@ -7,7 +7,8 @@
     the field path; an invalid request must never crash a worker. The
     pool's [cancel] hook reaches the cancellable engines, and
     {!Simkit.Exhaustive.Cancelled}, {!Efd.Adversary.Cancelled} and
-    {!Efd.Run.Cancelled} become [Deadline_exceeded]. An
+    {!Efd.Run.Cancelled} become [Deadline_exceeded] (which {!Pool} turns
+    into [Cancelled] when a [cancel] stopped the job). An
     [Invalid_argument] raised while building the task, algorithm,
     detector, pattern, input or fuzz target is [Bad_request], as is any
     out of the exhaustive engines (they check the tree and the job before
@@ -26,8 +27,9 @@ val run :
   Protocol.verb ->
   Obs.Json.t ->
   (Obs.Json.t, Protocol.err_code * string) result
-(** Dispatch on the verb. [Ping]/[Stats]/[Metrics]/[Shutdown]/[Hello] are
-    server-side verbs and return [Internal] here; the queued verbs accept:
+(** Dispatch on the verb. [Ping]/[Stats]/[Metrics]/[Shutdown]/[Hello]/
+    [Cancel] are server-side verbs and return [Internal] here; the queued
+    verbs accept:
 
     - [solve]: one {!Efd.Run.execute}; result
       [{ "ok": bool, "report": <run report> }]. Bounded by [budget] and
@@ -46,7 +48,8 @@ val run :
       "schedules", "cex"?, "stats" }] as for [modelcheck]. Jobs that carry
       the same [run] id, scenario, [n_s], [depth] and [reduce] share one
       memo table per pool domain (the table of the last such key the
-      domain served); without [run] a job gets a private memo.
+      domain served, cleared and reused when the key changes); without
+      [run] a job gets a private memo.
       Cancellable between schedules.
     - [scenario]: params are one {!Scenario.Spec} object, validated
       server-side (errors carry the JSON path; unknown names list the

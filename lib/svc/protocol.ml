@@ -11,6 +11,7 @@ type verb =
   | Shutdown
   | Hello
   | Scenario
+  | Cancel
 
 let verb_string = function
   | Ping -> "ping"
@@ -23,6 +24,7 @@ let verb_string = function
   | Shutdown -> "shutdown"
   | Hello -> "hello"
   | Scenario -> "scenario"
+  | Cancel -> "cancel"
 
 let verb_of_string = function
   | "ping" -> Some Ping
@@ -35,6 +37,7 @@ let verb_of_string = function
   | "shutdown" -> Some Shutdown
   | "hello" -> Some Hello
   | "scenario" -> Some Scenario
+  | "cancel" -> Some Cancel
   | _ -> None
 
 type err_code =
@@ -44,6 +47,7 @@ type err_code =
   | Deadline_exceeded
   | Shutting_down
   | Internal
+  | Cancelled
 
 let err_code_string = function
   | Bad_request -> "bad_request"
@@ -52,6 +56,7 @@ let err_code_string = function
   | Deadline_exceeded -> "deadline_exceeded"
   | Shutting_down -> "shutting_down"
   | Internal -> "internal"
+  | Cancelled -> "cancelled"
 
 let err_code_of_string = function
   | "bad_request" -> Some Bad_request
@@ -60,6 +65,7 @@ let err_code_of_string = function
   | "deadline_exceeded" -> Some Deadline_exceeded
   | "shutting_down" -> Some Shutting_down
   | "internal" -> Some Internal
+  | "cancelled" -> Some Cancelled
   | _ -> None
 
 type request = {
@@ -227,6 +233,7 @@ module Codec = struct
     | Shutdown -> 7
     | Hello -> 8
     | Scenario -> 9
+    | Cancel -> 10
 
   let verb_of_tag = function
     | 0 -> Some Ping
@@ -239,6 +246,7 @@ module Codec = struct
     | 7 -> Some Shutdown
     | 8 -> Some Hello
     | 9 -> Some Scenario
+    | 10 -> Some Cancel
     | _ -> None
 
   let err_tag = function
@@ -248,6 +256,7 @@ module Codec = struct
     | Deadline_exceeded -> 3
     | Shutting_down -> 4
     | Internal -> 5
+    | Cancelled -> 6
 
   let err_of_tag = function
     | 0 -> Some Bad_request
@@ -256,6 +265,7 @@ module Codec = struct
     | 3 -> Some Deadline_exceeded
     | 4 -> Some Shutting_down
     | 5 -> Some Internal
+    | 6 -> Some Cancelled
     | _ -> None
 
   (* -- binary writer: straight from the envelope record to bytes --------
@@ -457,3 +467,10 @@ let codec_of_hello_result result =
   match J.member "codec" result with
   | Some (J.Str s) -> Codec.of_string s
   | _ -> None
+
+(* ---------------------------------------------------------------- cancel *)
+
+let cancel_params run = J.Obj [ ("run", J.Str run) ]
+
+let run_of_params params =
+  match J.member "run" params with Some (J.Str run) -> Some run | _ -> None

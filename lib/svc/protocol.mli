@@ -6,12 +6,14 @@
     request  ::= { "v": 1, "id": <int>, "verb": <verb>,
                    "params": <object>?, "deadline_ms": <int>? }
     verb     ::= "ping" | "stats" | "metrics" | "solve" | "modelcheck"
-               | "subtree" | "fuzz" | "scenario" | "shutdown"
+               | "subtree" | "fuzz" | "scenario" | "shutdown" | "hello"
+               | "cancel"
     response ::= { "v": 1, "id": <int>, "ok": true,  "result": <value> }
                | { "v": 1, "id": <int>, "ok": false,
                    "error": { "code": <code>, "msg": <string> } }
     code     ::= "bad_request" | "oversized" | "overloaded"
                | "deadline_exceeded" | "shutting_down" | "internal"
+               | "cancelled"
     v}
 
     [id] is chosen by the client and echoed verbatim; responses to frames
@@ -37,6 +39,14 @@ type verb =
           validated server-side (a structured [bad_request] carrying the
           JSON path on anything malformed, never a crash), then dispatched
           to the solve / modelcheck / fuzz handler it describes *)
+  | Cancel
+      (** [{"run": <string>}]: stop the jobs that carry this [run] id
+          ({!run_of_params}; the coordinator tags every [subtree] job of a
+          run with one). Queued ones are dropped and running ones stop at
+          their engine's next cancellation poll; each answers [cancelled].
+          Answered inline with [{"cancelled": <jobs stopped>}]; a run with
+          no job queued or running is a no-op, and later jobs of the run
+          run as usual. *)
 
 val verb_string : verb -> string
 val verb_of_string : string -> verb option
@@ -48,6 +58,9 @@ type err_code =
   | Deadline_exceeded  (** deadline passed while queued or mid-execution *)
   | Shutting_down  (** server is draining; request was not accepted *)
   | Internal  (** handler raised; the message carries the exception *)
+  | Cancelled
+      (** a {!Cancel} for the job's [run] stopped it: says nothing about
+          the job itself *)
 
 val err_code_string : err_code -> string
 val err_code_of_string : string -> err_code option
@@ -157,3 +170,10 @@ val hello_result : Codec.t -> Obs.Json.t
 val codec_of_hello_result : Obs.Json.t -> Codec.t option
 (** Client side: parse the ack; [None] means an unintelligible ack and the
     client must stay on [Json]. *)
+
+val cancel_params : string -> Obs.Json.t
+(** [{"run": <id>}] — the {!Cancel} request params for a run id. *)
+
+val run_of_params : Obs.Json.t -> string option
+(** The [run] id a request's params carry, if it is a string: what
+    {!Cancel} matches queued and running jobs by. *)

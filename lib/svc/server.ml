@@ -143,6 +143,19 @@ type shard = {
   mutable s_thread : Thread.t option;
 }
 
+(* The registry handles the request path touches, each looked up at its
+   first use and kept: a lookup builds its registry key, and the metric
+   appears in the registry at the same point as when it was looked up per
+   request. Guarded by [obs_mutex], like the registry. *)
+type metrics = {
+  mutable m_accepted : Obs.Metrics.counter option;
+  mutable m_timeout : Obs.Metrics.counter option;
+  mutable m_depth : Obs.Metrics.gauge option;
+  mutable m_inflight : Obs.Metrics.gauge option;
+  m_latency : (P.verb, Obs.Metrics.histogram) Hashtbl.t;
+  m_rejected : (P.err_code, Obs.Metrics.counter) Hashtbl.t;
+}
+
 type t = {
   cfg : config;
   reply_cap : int;
@@ -166,6 +179,7 @@ type t = {
   inflight : int Atomic.t;
   sink : Obs.Sink.t option;
   registry : Obs.Metrics.registry;
+  metrics : metrics;
   obs_mutex : Mutex.t;
   mutable waited : bool;
   wait_mutex : Mutex.t;
@@ -182,28 +196,75 @@ let with_obs t f =
 let emit t sink name fields =
   with_obs t (fun () -> Obs.Sink.emit sink (Obs.Event.make name fields))
 
+let depth_gauge t =
+  match t.metrics.m_depth with
+  | Some g -> g
+  | None ->
+    let g = Obs.Metrics.gauge t.registry "svc.queue.depth" in
+    t.metrics.m_depth <- Some g;
+    g
+
+let inflight_gauge t =
+  match t.metrics.m_inflight with
+  | Some g -> g
+  | None ->
+    let g = Obs.Metrics.gauge t.registry "svc.inflight" in
+    t.metrics.m_inflight <- Some g;
+    g
+
+let accepted_counter t =
+  match t.metrics.m_accepted with
+  | Some c -> c
+  | None ->
+    let c = Obs.Metrics.counter t.registry "svc.requests.accepted" in
+    t.metrics.m_accepted <- Some c;
+    c
+
+let timeout_counter t =
+  match t.metrics.m_timeout with
+  | Some c -> c
+  | None ->
+    let c = Obs.Metrics.counter t.registry "svc.requests.timeout" in
+    t.metrics.m_timeout <- Some c;
+    c
+
+let rejected_counter t code =
+  match Hashtbl.find t.metrics.m_rejected code with
+  | c -> c
+  | exception Not_found ->
+    let c =
+      Obs.Metrics.counter t.registry
+        ~labels:[ ("code", P.err_code_string code) ]
+        "svc.requests.rejected"
+    in
+    Hashtbl.add t.metrics.m_rejected code c;
+    c
+
+let latency_histogram t verb =
+  match Hashtbl.find t.metrics.m_latency verb with
+  | h -> h
+  | exception Not_found ->
+    let h =
+      Obs.Metrics.histogram t.registry
+        ~labels:[ ("verb", P.verb_string verb) ]
+        "svc.latency_s"
+    in
+    Hashtbl.add t.metrics.m_latency verb h;
+    h
+
 let gauges t =
   with_obs t (fun () ->
-      Obs.Metrics.set
-        (Obs.Metrics.gauge t.registry "svc.queue.depth")
-        (float_of_int (Pool.queue_length t.pool));
-      Obs.Metrics.set
-        (Obs.Metrics.gauge t.registry "svc.inflight")
-        (float_of_int (Atomic.get t.inflight)))
+      Obs.Metrics.set (depth_gauge t) (float_of_int (Pool.queue_length t.pool));
+      Obs.Metrics.set (inflight_gauge t) (float_of_int (Atomic.get t.inflight)))
 
 let count_reject t code =
   Atomic.incr t.rejected;
-  with_obs t (fun () ->
-      Obs.Metrics.incr
-        (Obs.Metrics.counter t.registry
-           ~labels:[ ("code", P.err_code_string code) ]
-           "svc.requests.rejected"))
+  with_obs t (fun () -> Obs.Metrics.incr (rejected_counter t code))
 
 let count_accept t =
   Atomic.incr t.accepted;
   Atomic.incr t.inflight;
-  with_obs t (fun () ->
-      Obs.Metrics.incr (Obs.Metrics.counter t.registry "svc.requests.accepted"));
+  with_obs t (fun () -> Obs.Metrics.incr (accepted_counter t));
   gauges t
 
 let count_done t verb latency_s ~timeout =
@@ -211,14 +272,8 @@ let count_done t verb latency_s ~timeout =
   Atomic.incr t.served;
   if timeout then Atomic.incr t.timed_out;
   with_obs t (fun () ->
-      Obs.Metrics.observe
-        (Obs.Metrics.histogram t.registry
-           ~labels:[ ("verb", P.verb_string verb) ]
-           "svc.latency_s")
-        latency_s;
-      if timeout then
-        Obs.Metrics.incr
-          (Obs.Metrics.counter t.registry "svc.requests.timeout"));
+      Obs.Metrics.observe (latency_histogram t verb) latency_s;
+      if timeout then Obs.Metrics.incr (timeout_counter t));
   gauges t
 
 let listen_addr t = t.bound
@@ -349,10 +404,10 @@ let job_reply t shard conn_id codec rq rs latency_s =
         (base @ [ ("status", J.Str status); ("ms", ms) ]));
   shard_post shard { cp_conn = conn_id; cp_payload = encode_response t codec rs }
 
-(* Submit every job decoded during one poll wakeup as a single batch —
-   one queue-lock acquisition at the shard→pool boundary — then settle
-   the per-request bookkeeping from the verdicts. *)
-let submit_batch t shard batch =
+(* Submit jobs decoded during one poll wakeup as a single batch — one
+   queue-lock acquisition at the shard→pool boundary — then settle the
+   per-request bookkeeping from the verdicts. *)
+let submit_jobs t shard batch =
   let jobs =
     List.map
       (fun (conn, rq, codec) ->
@@ -361,6 +416,10 @@ let submit_batch t shard batch =
           jb_conn = conn.c_id;
           jb_enq_ns = Obs.Clock.now_ns ();
           jb_deadline_ns = deadline_of t rq;
+          jb_run =
+            (match rq.P.rq_verb with
+            | P.Subtree -> P.run_of_params rq.P.rq_params
+            | _ -> None);
           jb_reply = (fun rs lat -> job_reply t shard conn.c_id codec rq rs lat);
         })
       batch
@@ -389,6 +448,45 @@ let submit_batch t shard batch =
     batch
     (Pool.submit_many t.pool jobs)
 
+(* [cancel] stops the jobs of the run it names that are queued or running
+   ({!Pool.cancel}); each answers [cancelled] as it stops. *)
+let cancel t conn codec rq =
+  let id = rq.P.rq_id in
+  match P.run_of_params rq.P.rq_params with
+  | None ->
+    reject t conn ~codec ~id P.Bad_request
+      "cancel: param \"run\" is missing or not a string"
+  | Some run ->
+    let stopped = Pool.cancel t.pool run in
+    (match t.sink with
+    | None -> ()
+    | Some s ->
+      emit t s Obs.Event.Name.svc_cancel
+        [
+          ("conn", J.Int conn.c_id);
+          ("run", J.Str run);
+          ("stopped", J.Int stopped);
+        ]);
+    enqueue_response t codec conn
+      (P.ok ~id (J.Obj [ ("cancelled", J.Int stopped) ]))
+
+(* The wakeup's requests in arrival order: a cancel reaches the jobs that
+   arrived before it, so the jobs between two cancels go to the pool
+   before the later cancel is applied. *)
+let submit_batch t shard batch =
+  let flush jobs = if jobs <> [] then submit_jobs t shard (List.rev jobs) in
+  let rec go jobs = function
+    | [] -> flush jobs
+    | ((conn, rq, codec) as job) :: rest -> (
+      match rq.P.rq_verb with
+      | P.Cancel ->
+        flush jobs;
+        cancel t conn codec rq;
+        go [] rest
+      | _ -> go (job :: jobs) rest)
+  in
+  go [] batch
+
 let handle_frame t conn codec payload pending =
   match P.Codec.decode_request payload with
   | Error msg -> reject t conn ~codec ~id:(-1) P.Bad_request msg
@@ -410,6 +508,9 @@ let handle_frame t conn codec payload pending =
     | P.Shutdown ->
       enqueue_response t codec conn (P.ok ~id:rq.P.rq_id (J.Str "draining"));
       shutdown t
+    | P.Cancel ->
+      (* applied with the wakeup's batch, after the jobs read before it *)
+      pending := (conn, rq, codec) :: !pending
     | P.Solve | P.Modelcheck | P.Subtree | P.Fuzz | P.Scenario ->
       if Atomic.get t.stop then
         reject t conn ~codec ~id:rq.P.rq_id P.Shutting_down
@@ -827,6 +928,15 @@ let start ?sink ?registry cfg =
       inflight = Atomic.make 0;
       sink;
       registry = (match registry with Some r -> r | None -> Obs.Metrics.registry ());
+      metrics =
+        {
+          m_accepted = None;
+          m_timeout = None;
+          m_depth = None;
+          m_inflight = None;
+          m_latency = Hashtbl.create 16;
+          m_rejected = Hashtbl.create 8;
+        };
       obs_mutex = Mutex.create ();
       waited = false;
       wait_mutex = Mutex.create ();

@@ -16,7 +16,8 @@
     shard is the {e only} thread that ever reads, writes or closes the
     descriptor. [ping]/[stats]/[shutdown] are answered inline by the
     shard; job verbs are submitted to the pool in one batch per poll
-    wakeup, and workers hand finished responses (serialized on the
+    wakeup, and a [cancel] is answered by the shard once the jobs read
+    before it in that wakeup are queued ({!Pool.cancel}); workers hand finished responses (serialized on the
     worker) back to the owning shard through its wake pipe rather than
     touching the socket. A connection survives until its write queue is
     flushed and its in-flight jobs have completed, so a client that hangs

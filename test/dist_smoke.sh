@@ -3,7 +3,7 @@
 # `wfa serve` workers on kernel-chosen TCP ports, run the depth-8
 # safe-agreement check through the coordinator and diff the mirrored result
 # fields against the single-process anchor (plain; verdict and credited
-# count under --reduce), check the
+# count under --reduce, and at the split depth sized to the fleet), check the
 # depth-10 race-false counterexample is one lex-least schedule locally,
 # under --reduce and on the fleet, check the read-collision control finds
 # p2,p2,p1,p1 on the same three paths, then
@@ -88,6 +88,20 @@ for side in local dist; do
     exit 1
   }
 done
+
+echo "dist_smoke: depth-10 safe-agreement at the sized split depth == local"
+# No --split-depth: the coordinator cuts at the shallowest depth up to 3
+# whose frontier gives each of the two workers at least four jobs. Over
+# three pids that is depth 2 (nine jobs; depth 1 has three), and the
+# fleet must still credit every schedule the local run does.
+check_matches "--depth 10 --n-s 1" sized "verdict|schedules"
+grep -q '"schedules": 59049' "$D/sized-local.fields"
+grep -q '"split_depth": 2' "$D/sized-dist.json" \
+  && grep -q '"jobs": 9' "$D/sized-dist.json" || {
+  echo "dist_smoke: sized: want split depth 2 and 9 jobs" >&2
+  grep -E '"(split_depth|jobs)"' "$D/sized-dist.json" >&2
+  exit 1
+}
 
 echo "dist_smoke: race-false at depth 10: local, --reduce and fleet report one cex"
 # Depth 10 holds many null moves (decided clients, finished helpers); the

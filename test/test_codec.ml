@@ -16,13 +16,13 @@ module C = Svc.Protocol.Codec
 let verbs =
   [
     P.Ping; P.Stats; P.Metrics; P.Solve; P.Modelcheck; P.Subtree; P.Fuzz;
-    P.Shutdown; P.Hello;
+    P.Shutdown; P.Hello; P.Scenario; P.Cancel;
   ]
 
 let err_codes =
   [
     P.Bad_request; P.Oversized; P.Overloaded; P.Deadline_exceeded;
-    P.Shutting_down; P.Internal;
+    P.Shutting_down; P.Internal; P.Cancelled;
   ]
 
 (* printable strings keep the comparison about codecs, not about UTF-8

@@ -634,13 +634,13 @@ let test_coordinator_matches_local () =
       let expected, _ =
         Exhaustive.run ?reduce:red ~build ~pids ~depth ~prop ()
       in
-      let frontier =
+      let frontier split_depth =
         List.length
-          (Exhaustive.split ?reduce:red ~build ~pids ~depth
-             ~split_depth:(Dist.Coordinator.default_split_depth ~depth)
-             ~prop ())
+          (Exhaustive.split ?reduce:red ~build ~pids ~depth ~split_depth ~prop
+             ())
             .Exhaustive.fr_jobs
       in
+      let deepest = Dist.Coordinator.default_split_depth ~depth in
       List.iter
         (fun n ->
           with_tcp_workers n (fun servers ->
@@ -656,9 +656,22 @@ let test_coordinator_matches_local () =
                 in
                 check_string label (verdict_str expected)
                   (verdict_str r.Dist.Coordinator.r_verdict);
+                (* sized to the fleet: the shallowest split, up to the
+                   default depth, that deals every worker its share *)
+                let sd = r.Dist.Coordinator.r_split_depth in
+                let enough d =
+                  frontier d >= Dist.Coordinator.jobs_per_worker * n
+                in
+                check_bool
+                  (Printf.sprintf "%s: split depth %d sized to the fleet"
+                     label sd)
+                  true
+                  (sd >= 1 && sd <= deepest
+                  && (sd = deepest || enough sd)
+                  && (sd = 1 || not (enough (sd - 1))));
                 (* the early stop skips jobs but does not shrink the run *)
                 Alcotest.(check int) (label ^ ": r_jobs is the frontier")
-                  frontier r.Dist.Coordinator.r_jobs))
+                  (frontier sd) r.Dist.Coordinator.r_jobs))
         [ 1; 2; 4 ])
     [
       ("safe-agreement", 6, false);
@@ -805,6 +818,139 @@ let test_coordinator_retries_elsewhere () =
                   0 failing.Dist.Coordinator.wk_jobs)))
     [ "safe-agreement"; "race-false" ]
 
+(* A worker that answers [hello] and [cancel] and holds every [subtree] job
+   it is sent, unanswered, until a cancel names the run: the live worker
+   must steal each job it holds, and a run that did not cancel them would
+   never end. Serves one connection; returns its address and what it saw. *)
+let holding_worker () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 4;
+  let port =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> Alcotest.fail "no port"
+  in
+  let held = ref 0 and cancels = ref 0 in
+  let serve () =
+    let c, _ = Unix.accept fd in
+    let reply codec rs =
+      Svc.Frame.write c (Svc.Protocol.Codec.encode_response codec rs)
+    in
+    let rec loop pending =
+      match Svc.Frame.read c with
+      | Error _ -> ()
+      | Ok payload -> (
+        let codec = Svc.Protocol.Codec.detect payload in
+        match Svc.Protocol.Codec.decode_request payload with
+        | Error _ -> ()
+        | Ok rq -> (
+          let id = rq.Svc.Protocol.rq_id in
+          match rq.Svc.Protocol.rq_verb with
+          | Svc.Protocol.Hello ->
+            reply codec
+              (Svc.Protocol.ok ~id
+                 (Svc.Protocol.hello_result Svc.Protocol.Codec.Json));
+            loop pending
+          | Svc.Protocol.Subtree ->
+            incr held;
+            loop ((id, codec) :: pending)
+          | Svc.Protocol.Cancel ->
+            incr cancels;
+            List.iter
+              (fun (id, codec) ->
+                reply codec
+                  (Svc.Protocol.error ~id Svc.Protocol.Cancelled "cancelled"))
+              pending;
+            reply codec
+              (Svc.Protocol.ok ~id
+                 (Obs.Json.Obj
+                    [ ("cancelled", Obs.Json.Int (List.length pending)) ]));
+            loop []
+          | _ ->
+            reply codec
+              (Svc.Protocol.error ~id Svc.Protocol.Bad_request "unexpected");
+            loop pending))
+    in
+    (try loop [] with Unix.Unix_error _ -> ());
+    Unix.close c
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+            try serve () with Unix.Unix_error _ -> ()))
+      ()
+  in
+  (Printf.sprintf "tcp:127.0.0.1:%d" port, held, cancels, th)
+
+(* Every job the holding worker takes that the run needs is a forced steal
+   for the live one. The run must still return the local verdict, count
+   and counterexample,
+   cancel the copies it holds once the ledger stops, and count no failure
+   and no dead worker for their [cancelled] replies. *)
+let test_coordinator_cancels_losing_copies () =
+  List.iter
+    (fun (name, depth, reduce) ->
+      let sc = find_sc name ~n_s:2 in
+      let label = Printf.sprintf "%s depth %d reduce %b" name depth reduce in
+      let expected, _ =
+        Exhaustive.run
+          ?reduce:(Mcheck.Scenario.reduction sc ~reduce)
+          ~build:sc.Mcheck.Scenario.sc_build ~pids:sc.Mcheck.Scenario.sc_pids
+          ~depth ~prop:sc.Mcheck.Scenario.sc_prop ()
+      in
+      let addr, held, cancels, th = holding_worker () in
+      let reasons = ref [] in
+      let sink =
+        Obs.Sink.of_fn (fun ev ->
+            if ev.Obs.Event.name = Obs.Event.Name.dist_redispatch then
+              match List.assoc_opt "reason" ev.Obs.Event.fields with
+              | Some (Obs.Json.Str why) -> reasons := why :: !reasons
+              | _ -> ())
+      in
+      with_tcp_workers 1 (fun live ->
+          match
+            within ~seconds:60. (fun () ->
+                Dist.Coordinator.run ~sink ~reduce ~scenario:sc ~depth
+                  ~workers:(addr :: List.map snd live)
+                  ())
+          with
+          | Error e -> Alcotest.failf "%s: %s" label e
+          | Ok r ->
+            check_string (label ^ ": verdict") (verdict_str expected)
+              (verdict_str r.Dist.Coordinator.r_verdict);
+            List.iter
+              (fun w ->
+                check_bool
+                  (Printf.sprintf "%s: worker %s alive" label
+                     w.Dist.Coordinator.wk_addr)
+                  false w.Dist.Coordinator.wk_dead)
+              r.Dist.Coordinator.r_workers;
+            check_bool (label ^ ": the holding worker took jobs") true
+              (!held > 0);
+            (* a safe run needs every job, so each one held was stolen;
+               a violation may stop the run before the jobs held *)
+            (match expected with
+            | Exhaustive.Ok _ ->
+              check_bool (label ^ ": steals happened") true
+                (r.Dist.Coordinator.r_redispatched > 0)
+            | Exhaustive.Counterexample _ -> ());
+            Alcotest.(check (list string))
+              (label ^ ": every redispatch is a steal, none a failure")
+              (List.map (fun _ -> "steal") !reasons)
+              !reasons;
+            Alcotest.(check int)
+              (label ^ ": the holding worker answered nothing")
+              0 (List.hd r.Dist.Coordinator.r_workers).Dist.Coordinator.wk_jobs);
+      Thread.join th;
+      Alcotest.(check int) (label ^ ": one cancel reached it") 1 !cancels)
+    [
+      ("safe-agreement", 8, false);
+      ("safe-agreement", 8, true);
+      ("race-false", 8, false);
+    ]
+
 (* a store that cannot take the first generation stops both executors before
    any job runs *)
 let test_unwritable_store_refused () =
@@ -942,6 +1088,8 @@ let suite =
       `Quick test_coordinator_gives_up_on_failing_job;
     Alcotest.test_case "coordinator retries a failed job elsewhere" `Quick
       test_coordinator_retries_elsewhere;
+    Alcotest.test_case "coordinator cancels the copies it no longer needs"
+      `Quick test_coordinator_cancels_losing_copies;
     Alcotest.test_case "unwritable store refused by both executors" `Quick
       test_unwritable_store_refused;
     Alcotest.test_case "read-collision control on every engine" `Quick

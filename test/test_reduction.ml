@@ -656,6 +656,99 @@ let test_programs_hit_memo_under_sleep () =
     (Printf.sprintf "%d of 200 reduced searches hit the memo" hits)
     true (hits >= 30)
 
+(* --- recycled memo tables --- *)
+
+(* One search: a program, a mode, and a reduction (random programs give
+   their processes different code, so sleep sets are the only sound one). *)
+type search = {
+  s_prog : program;
+  s_mode : Exhaustive.mode;
+  s_reduce : Exhaustive.reduction option;
+}
+
+let gen_searches =
+  let open QCheck.Gen in
+  let search =
+    let* s_prog = gen_program in
+    let* s_mode = oneofl [ Exhaustive.Every; Exhaustive.Final ] in
+    let* s_reduce = oneofl [ None; Some sleep_only ] in
+    return { s_prog; s_mode; s_reduce }
+  in
+  list_size (int_range 2 4) search
+
+let print_search s =
+  Printf.sprintf "%s, %s%s" (print_program s.s_prog) (mode_name s.s_mode)
+    (if s.s_reduce = None then "" else ", reduced")
+
+(* What a search reports, wall time aside, and a fingerprint of every key
+   it read: a table that kept its old key numbering writes other keys. *)
+let search_outcome ~on s =
+  let keys = ref 0 in
+  let prop rt =
+    (* the splitter keeps no memo, so its runtimes have no key context *)
+    (match Runtime.digest rt with
+    | key -> keys := Hashtbl.hash (!keys, key)
+    | exception Invalid_argument _ -> ());
+    program_prop s.s_prog rt
+  in
+  let v, st =
+    on ~mode:s.s_mode ~reduce:s.s_reduce ~build:(program_build s.s_prog)
+      ~pids:(program_pids s.s_prog) ~depth:s.s_prog.depth ~prop
+  in
+  (verdict_str v, { st with Exhaustive.wall_s = 0. }, !keys)
+
+let whole ~mode ~reduce ~build ~pids ~depth ~prop =
+  Exhaustive.run ~mode ?reduce ~build ~pids ~depth ~prop ()
+
+(* split at depth 1, every job on [table] in DFS order *)
+let jobs_on table ~mode ~reduce ~build ~pids ~depth ~prop =
+  let fr =
+    Exhaustive.split ~mode ?reduce ~build ~pids ~depth ~split_depth:1 ~prop ()
+  in
+  Exhaustive.merge_frontier ~pids fr
+    (List.map
+       (Exhaustive.run_subtree ~table ~mode ?reduce ~build ~pids ~depth ~prop)
+       fr.Exhaustive.fr_jobs)
+
+(* Searches of different programs, depths, modes and reductions, one after
+   another on this domain: [Exhaustive.run] on the table the domain
+   recycles, and a split's jobs on one table cleared between searches,
+   must each report what they report on a new table (a new domain's first
+   [run]; [create_table]): verdict, credited count or counterexample,
+   every effort counter, and the keys read. *)
+let prop_recycled_tables =
+  let recycled = Exhaustive.create_table () in
+  QCheck.Test.make ~name:"a recycled memo table searches as a new one"
+    ~count:60
+    (QCheck.make
+       ~print:(fun ss -> String.concat "; then " (List.map print_search ss))
+       gen_searches)
+    (fun searches ->
+      List.for_all
+        (fun s ->
+          let agree what fresh got =
+            fresh = got
+            || QCheck.Test.fail_reportf "%s: %s\nnew table: %s (keys %d)\nrecycled: %s (keys %d)"
+                 what (print_search s)
+                 (let v, st, _ = fresh in
+                  v ^ ", " ^ Fmt.str "%a" Exhaustive.pp_stats st)
+                 (let _, _, k = fresh in k)
+                 (let v, st, _ = got in
+                  v ^ ", " ^ Fmt.str "%a" Exhaustive.pp_stats st)
+                 (let _, _, k = got in k)
+          in
+          let fresh_run =
+            Domain.join
+              (Domain.spawn (fun () -> search_outcome ~on:whole s))
+          in
+          agree "run" fresh_run (search_outcome ~on:whole s)
+          &&
+          (Exhaustive.clear_table recycled;
+           agree "split jobs"
+             (search_outcome ~on:(jobs_on (Exhaustive.create_table ())) s)
+             (search_outcome ~on:(jobs_on recycled) s)))
+        searches)
+
 (* --- predicted keys: [Runtime.digest_after] is the key the step reaches --- *)
 
 (* A reachable state of a wide program: [prefix] taken from the start,
@@ -1365,6 +1458,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_programs_agree;
     Alcotest.test_case "random programs hit the memo under sleep sets" `Quick
       test_programs_hit_memo_under_sleep;
+    QCheck_alcotest.to_alcotest prop_recycled_tables;
     QCheck_alcotest.to_alcotest prop_prediction_exact;
     Alcotest.test_case "predicted keys: every kind of step covered" `Quick
       test_prediction_covers_every_step;

@@ -433,6 +433,41 @@ let test_digest_convergence () =
   check_bool "different progress differs" true
     (after [ Pid.c 0; Pid.c 0 ] <> after [ Pid.c 0; Pid.c 1 ])
 
+(* A key holds the registers up to the last one written, not every one
+   reserved: a keyed k-set agreement runtime that reserves 8 or 512
+   rounds keys the same state in the same bytes, and the key stays exact
+   (a write still moves it). *)
+let test_key_ignores_reserved_rounds () =
+  let after ~max_rounds sched =
+    let mem = Memory.create () in
+    let input_regs = Memory.alloc mem 2 in
+    let ctx = { Efd.Algorithm.mem; n_c = 2; n_s = 2; input_regs } in
+    let inst = (Efd.Ksa.consensus ~max_rounds ()).Efd.Algorithm.make ctx in
+    let c_code i () =
+      let v = Value.int (10 + i) in
+      Runtime.Op.write input_regs.(i) v;
+      inst.Efd.Algorithm.c_run i v
+    in
+    let rt =
+      Runtime.create (mk_config mem) ~c_code ~s_code:(fun i () ->
+          inst.Efd.Algorithm.s_run i)
+    in
+    Runtime.attach rt (Keys.create ());
+    List.iter (Runtime.step rt) sched;
+    let key = Runtime.digest rt in
+    Runtime.destroy rt;
+    (Memory.size mem, key)
+  in
+  let sched = [ Pid.c 0; Pid.c 1; Pid.s 0 ] in
+  let small, k8 = after ~max_rounds:8 sched in
+  let large, k512 = after ~max_rounds:512 sched in
+  check_bool "512 rounds reserve more registers" true (large > small);
+  Alcotest.(check int) "the key does not grow with max_rounds"
+    (String.length k8) (String.length k512);
+  Alcotest.(check string) "the same state keys the same" k8 k512;
+  check_bool "a step that writes moves the key" true
+    (snd (after ~max_rounds:512 [ Pid.c 0 ]) <> snd (after ~max_rounds:512 []))
+
 (* The key context: a digest needs one, attaching is refused once an
    operation has executed, and two states that differ only in which of
    two ints a process read (ints a 30-bit hash confuses) key apart. *)
@@ -986,6 +1021,8 @@ let suite =
     Alcotest.test_case "state digest convergence" `Quick test_digest_convergence;
     Alcotest.test_case "key context: attach, refusal, exactness" `Quick
       test_key_context;
+    Alcotest.test_case "a key does not grow with reserved rounds" `Quick
+      test_key_ignores_reserved_rounds;
     Alcotest.test_case "trace recording" `Quick test_trace_recording;
     Alcotest.test_case "null move taken back" `Quick test_null_move_taken_back;
     Alcotest.test_case "null move refused" `Quick test_null_move_refused;

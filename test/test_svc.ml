@@ -675,6 +675,123 @@ let test_server_pipelining_out_of_order () =
         order;
       Unix.close fd)
 
+(* One subtree job of a [run]: safe-agreement over 5 pids below [p1]. At
+   depth 20 it runs far longer than any test waits; at depth 6 it takes
+   milliseconds. *)
+let subtree_job ~run ~depth =
+  J.Obj
+    [
+      ("scenario", J.Str "safe-agreement");
+      ("n_s", J.Int 3);
+      ("depth", J.Int depth);
+      ("reduce", J.Bool false);
+      ("run", J.Str run);
+      ( "job",
+        Simkit.Exhaustive.subtree_json
+          {
+            Simkit.Exhaustive.sj_id = 0;
+            sj_prefix = [ Simkit.Pid.c 0 ];
+            sj_sleep = [];
+            sj_factor = 1;
+            sj_used = [];
+          } );
+    ]
+
+let int_member name j =
+  match Option.bind (J.member name j) J.to_int_opt with
+  | Some n -> n
+  | None -> Alcotest.failf "no integer %S in %s" name (J.to_string j)
+
+(* Poll [stats] on [c] until [f] holds of it: the pool has reached a
+   state the test needs (a job running, jobs queued). *)
+let await_stats c what f =
+  let rec go tries =
+    match Svc.Client.call c P.Stats with
+    | Ok st when f st -> ()
+    | Ok st when tries = 0 ->
+      Alcotest.failf "%s never held: %s" what (J.to_string st)
+    | Ok _ ->
+      Thread.delay 0.005;
+      go (tries - 1)
+    | Error e -> Alcotest.failf "stats: %s" (Svc.Client.error_string e)
+  in
+  go 2000
+
+(* A cancel names a run: it drops that run's queued jobs, stops its
+   running one at the engine's next poll (each answers [cancelled]),
+   leaves another run's job alone, and is a no-op for a run with nothing
+   queued or running. Over both codecs. *)
+let test_server_cancel () =
+  List.iter
+    (fun codec ->
+      let cname = P.Codec.to_string codec in
+      let path = socket_path () in
+      with_server (default_cfg path) (fun _ ->
+          let jobs = Svc.Client.connect ~codec path in
+          let ctl = Svc.Client.connect ~codec path in
+          let send params =
+            match Svc.Client.send ~params jobs P.Subtree with
+            | Ok id -> id
+            | Error e -> Alcotest.failf "send: %s" (Svc.Client.error_string e)
+          in
+          let cancel run =
+            match
+              Svc.Client.call ~params:(P.cancel_params run) ctl P.Cancel
+            with
+            | Ok r -> int_member "cancelled" r
+            | Error e -> Alcotest.failf "cancel: %s" (Svc.Client.error_string e)
+          in
+          let running = send (subtree_job ~run:"r1" ~depth:20) in
+          await_stats ctl "one job running" (fun st ->
+              int_member "inflight" st = 1 && int_member "queue_depth" st = 0);
+          let queued = [ send (subtree_job ~run:"r1" ~depth:20) ] in
+          let other = send (subtree_job ~run:"r2" ~depth:6) in
+          let queued = send (subtree_job ~run:"r1" ~depth:20) :: queued in
+          await_stats ctl "three jobs queued" (fun st ->
+              int_member "queue_depth" st = 3);
+          check_int (cname ^ ": unknown run is a no-op") 0 (cancel "r3");
+          check_int (cname ^ ": still queued") 3
+            (int_member "queue_depth"
+               (Result.get_ok (Svc.Client.call ctl P.Stats)));
+          let t0 = Unix.gettimeofday () in
+          check_int (cname ^ ": r1's running and queued jobs") 3 (cancel "r1");
+          let replies = Hashtbl.create 4 in
+          for _ = 1 to 4 do
+            match Svc.Client.recv jobs with
+            | Ok (id, r) ->
+              Hashtbl.replace replies id (r, Unix.gettimeofday () -. t0)
+            | Error e -> Alcotest.failf "recv: %s" (Svc.Client.error_string e)
+          done;
+          let cancelled id =
+            match Hashtbl.find_opt replies id with
+            | Some (Error (Svc.Client.Server (P.Cancelled, _)), s) -> Some s
+            | _ -> None
+          in
+          List.iter
+            (fun id ->
+              check_bool (cname ^ ": queued r1 job cancelled") true
+                (cancelled id <> None))
+            queued;
+          (match cancelled running with
+          | Some s ->
+            check_bool
+              (Printf.sprintf "%s: running job stopped (%.3f s)" cname s)
+              true (s < 5.)
+          | None -> Alcotest.failf "%s: the running r1 job was not cancelled" cname);
+          (match Hashtbl.find_opt replies other with
+          | Some (Ok r, _) ->
+            check_bool (cname ^ ": r2's job ran to its verdict") true
+              (J.member "verdict" r = Some (J.Str "ok"))
+          | _ -> Alcotest.failf "%s: r2's job did not answer ok" cname);
+          (match Svc.Client.call ~params:(J.Obj []) ctl P.Cancel with
+          | Error (Svc.Client.Server (P.Bad_request, _)) -> ()
+          | _ -> Alcotest.failf "%s: a cancel without a run is refused" cname);
+          check_int (cname ^ ": a finished run has nothing to cancel") 0
+            (cancel "r1");
+          Svc.Client.close jobs;
+          Svc.Client.close ctl))
+    [ P.Codec.Json; P.Codec.Binary ]
+
 let test_server_reply_cap () =
   let path = socket_path () in
   let cfg = { (default_cfg path) with max_reply = 256 } in
@@ -1320,6 +1437,8 @@ let suite =
       test_deadline_cancel_first_poll;
     Alcotest.test_case "server: pipelined requests complete out of order"
       `Quick test_server_pipelining_out_of_order;
+    Alcotest.test_case "server: cancel stops a run's queued and running jobs"
+      `Quick test_server_cancel;
     Alcotest.test_case "server: overlong reply degrades to oversized" `Quick
       test_server_reply_cap;
     Alcotest.test_case "server: run twice, signal handlers restored" `Quick
