@@ -713,93 +713,6 @@ let checker () =
         vs_baseline vs_memo)
     configs
 
-(* ------------------------------------------------------- fuzzer bench *)
-
-(* Seeds/sec of the domain-parallel adversary fuzzer on the Lemma-11 /
-   Theorem-12 searches, 1 vs 4 domains, in exhaust mode (no first-witness
-   cancellation, so both runs execute exactly the same [trials] trials and
-   the ratio is a pure throughput comparison). The speedup row is the
-   headline: on a machine with >= 4 cores the sharding should yield >= 2x;
-   the committed record also carries [meta.cores] so a 1-core container's
-   ~1x is legible as hardware-bound, not a regression. The shrink rows
-   demonstrate the delta-debugging minimizer on a fixed witness. *)
-let fuzz_bench () =
-  header "fuzz" "adversary fuzzer: domain-parallel seeds/sec + witness shrinking";
-  Rec.meta "cores" (jint (Domain.recommended_domain_count ()));
-  let trials = 5_000 in
-  Fmt.pr "  %-24s %8s %8s %10s %12s@." "target" "domains" "found" "wall"
-    "seeds/s";
-  line ();
-  let throughput target requested =
-    (* never oversubscribe: domains beyond the hardware only add minor-GC
-       synchronization stalls, which would make the 4-domain row measure
-       scheduler thrash instead of sharding *)
-    let domains =
-      max 1 (min requested (Domain.recommended_domain_count ()))
-    in
-    let res =
-      Adversary.fuzz_target ~domains ~exhaust:true ~seed:7 ~budget:trials
-        target ()
-    in
-    let rate =
-      float_of_int res.Adversary.f_trials /. Float.max 1e-9 res.Adversary.f_wall_s
-    in
-    Rec.row
-      ~labels:
-        [
-          ("target", target.Adversary.t_name);
-          ("domains", string_of_int requested);
-        ]
-      [
-        ("domains_used", jint res.Adversary.f_domains);
-        ("trials", jint res.Adversary.f_trials);
-        ("witnesses", jint res.Adversary.f_witnesses);
-        ("wall_s", jfloat res.Adversary.f_wall_s);
-        ("seeds_per_s", jfloat rate);
-      ];
-    Fmt.pr "  %-24s %4d(%d) %8d %9.3fs %12.0f@." target.Adversary.t_name
-      requested res.Adversary.f_domains res.Adversary.f_witnesses
-      res.Adversary.f_wall_s rate;
-    rate
-  in
-  List.iter
-    (fun target ->
-      let rate1 = throughput target 1 in
-      let rate4 = throughput target 4 in
-      let speedup = rate4 /. Float.max 1e-9 rate1 in
-      Rec.row
-        ~labels:[ ("target", target.Adversary.t_name); ("domains", "4v1") ]
-        [ ("speedup_vs_1_domain", jfloat speedup) ];
-      Fmt.pr "  %-24s %8s %8s %10s %11.2fx@." target.Adversary.t_name "4v1" ""
-        "" speedup)
-    [
-      Adversary.strong_renaming_target ~n:5 ~j:3;
-      Adversary.consensus_reduction_target ~n:4;
-    ];
-  Fmt.pr "@.  shrinking (strong-renaming, root seed 4):@.";
-  let target = Adversary.strong_renaming_target ~n:5 ~j:3 in
-  let res = Adversary.fuzz_target ~seed:4 ~budget:trials target () in
-  match res.Adversary.f_witness with
-  | None ->
-    Rec.row ~labels:[ ("target", "shrink") ] [ ("found", jbool false) ];
-    Fmt.pr "  no witness found (unexpected)@."
-  | Some w ->
-    let w', sh = Adversary.shrink_target target w in
-    Rec.row
-      ~labels:[ ("target", "shrink") ]
-      [
-        ("found", jbool true);
-        ("shrink_steps", jint w'.Adversary.w_shrink_steps);
-        ("attempts", jint sh.Adversary.sh_attempts);
-        ("sched_before", jint (fst sh.Adversary.sh_sched));
-        ("sched_after", jint (snd sh.Adversary.sh_sched));
-        ("crashes_before", jint (fst sh.Adversary.sh_crashes));
-        ("crashes_after", jint (snd sh.Adversary.sh_crashes));
-        ("input_before", jint (fst sh.Adversary.sh_input));
-        ("input_after", jint (snd sh.Adversary.sh_input));
-      ];
-    Fmt.pr "  %a@." Adversary.pp_shrink_report sh
-
 (* ------------------------------------------------------- micro-benches *)
 
 let micro () =
@@ -1184,462 +1097,6 @@ let obs_overhead () =
     ];
   assert within_noise
 
-(* --------------------------------------------------------- serve bench *)
-
-(* The job-server subsystem (lib/svc, DESIGN.md §5): solve req/s at 1 and 4
-   workers, the bounded queue's saturation behaviour (reject-fast, so
-   accepted requests keep a bounded wait), a zero-loss drain check, and the
-   per-request allocation cost of the event paths under a null sink. *)
-
-let serve_bench () =
-  header "serve" "job server: req/s vs workers, saturation, drain, alloc";
-  Rec.meta "cores" (jint (Domain.recommended_domain_count ()));
-  let sock_n = ref 0 in
-  let cfg ?(workers = 1) ?(queue = 64) () =
-    incr sock_n;
-    let socket_path =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "wfa-bench-%d-%d.sock" (Unix.getpid ()) !sock_n)
-    in
-    {
-      (Svc.Server.default_config ~listen:(Svc.Addr.Unix_path socket_path)) with
-      Svc.Server.workers;
-      queue_bound = queue;
-    }
-  in
-  let sock c = Svc.Addr.to_string c.Svc.Server.listen in
-  let solve_params =
-    Obs.Json.Obj
-      [
-        ("task", Obs.Json.Str "consensus");
-        ("n", Obs.Json.Int 3);
-        ("fd", Obs.Json.Str "omega");
-        ("seed", Obs.Json.Int 1);
-      ]
-  in
-  (* [threads] synchronous clients, [per_thread] solve calls each; returns
-     (ok, overloaded, other, max ok-latency, wall) *)
-  let blast ~threads ~per_thread ~params path =
-    let ok = Atomic.make 0
-    and overloaded = Atomic.make 0
-    and other = Atomic.make 0 in
-    let lat_max = Array.make threads 0. in
-    let sp = Obs.Span.start () in
-    let run t () =
-      let c = Svc.Client.connect path in
-      for _ = 1 to per_thread do
-        let q = Obs.Span.start () in
-        match Svc.Client.call ~params c Svc.Protocol.Solve with
-        | Ok _ ->
-          let s = Obs.Span.elapsed_s q in
-          if s > lat_max.(t) then lat_max.(t) <- s;
-          Atomic.incr ok
-        | Error (Svc.Client.Server (Svc.Protocol.Overloaded, _)) ->
-          Atomic.incr overloaded
-        | Error _ -> Atomic.incr other
-      done;
-      Svc.Client.close c
-    in
-    let ts = List.init threads (fun t -> Thread.create (run t) ()) in
-    List.iter Thread.join ts;
-    let wall = Obs.Span.elapsed_s sp in
-    ( Atomic.get ok,
-      Atomic.get overloaded,
-      Atomic.get other,
-      Array.fold_left Float.max 0. lat_max,
-      wall )
-  in
-  Fmt.pr "  solve throughput (consensus n=3, 4 clients x 40 requests):@.";
-  Fmt.pr "  %-10s %8s %8s %10s %12s@." "workers" "used" "ok" "wall" "req/s";
-  line ();
-  let throughput requested =
-    (* same clamp as the fuzz bench: worker domains beyond the hardware
-       measure scheduler thrash, not pool sharding *)
-    let used = max 1 (min requested (Domain.recommended_domain_count ())) in
-    let c = cfg ~workers:used ~queue:128 () in
-    let t = Svc.Server.start c in
-    let ok, over, other, _lat, wall =
-      blast ~threads:4 ~per_thread:40 ~params:solve_params (sock c)
-    in
-    Svc.Server.shutdown t;
-    Svc.Server.wait t;
-    (* queue 128 >> 4 in flight: nothing may be rejected here *)
-    assert (over = 0 && other = 0);
-    let rate = float_of_int ok /. Float.max 1e-9 wall in
-    Rec.row
-      ~labels:[ ("verb", "solve"); ("workers", string_of_int requested) ]
-      [
-        ("workers_requested", jint requested);
-        ("workers_used", jint used);
-        ("ok", jint ok);
-        ("wall_s", jfloat wall);
-        ("req_per_s", jfloat rate);
-      ];
-    Fmt.pr "  %-10d %8d %8d %9.3fs %12.0f@." requested used ok wall rate;
-    rate
-  in
-  let r1 = throughput 1 in
-  let r4 = throughput 4 in
-  let speedup = r4 /. Float.max 1e-9 r1 in
-  Rec.row
-    ~labels:[ ("verb", "solve"); ("workers", "4v1") ]
-    [ ("speedup_vs_1_worker", jfloat speedup) ];
-  Fmt.pr "  %-10s %8s %8s %10s %11.2fx@." "4v1" "" "" "" speedup;
-
-  Fmt.pr "@.  saturation (1 worker, queue bound 2, 8 clients x 6 requests):@.";
-  let c = cfg ~workers:1 ~queue:2 () in
-  let t = Svc.Server.start c in
-  let ok, over, other, lat, wall =
-    blast ~threads:8 ~per_thread:6 ~params:solve_params (sock c)
-  in
-  Svc.Server.shutdown t;
-  Svc.Server.wait t;
-  Rec.row
-    ~labels:[ ("verb", "solve"); ("scenario", "saturation") ]
-    [
-      ("queue_bound", jint 2);
-      ("ok", jint ok);
-      ("overloaded", jint over);
-      ("other", jint other);
-      ("max_ok_latency_s", jfloat lat);
-      ("wall_s", jfloat wall);
-    ];
-  Fmt.pr "  ok %d, overloaded %d, other %d, max ok-latency %.4fs@." ok over
-    other lat;
-  (* the backpressure contract: beyond the high-watermark the queue rejects
-     instead of buffering, so overload shows up as explicit [overloaded]
-     errors while accepted requests wait at most (bound+1) job times *)
-  assert (ok >= 1 && over >= 1 && ok + over + other = 48);
-
-  Fmt.pr "@.  drain (shutdown with accepted jobs in flight):@.";
-  let c = cfg ~workers:1 ~queue:8 () in
-  let t = Svc.Server.start c in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Svc.Addr.sockaddr c.Svc.Server.listen);
-  let jobs = 4 in
-  for id = 1 to jobs do
-    Svc.Frame.write fd
-      (Obs.Json.to_string
-         (Svc.Protocol.request_json
-            (Svc.Protocol.request ~params:solve_params ~id Svc.Protocol.Solve)))
-  done;
-  let accepted () =
-    match Svc.Server.stats_json t with
-    | Obs.Json.Obj kvs -> (
-      match List.assoc_opt "accepted" kvs with
-      | Some (Obs.Json.Int n) -> n
-      | _ -> 0)
-    | _ -> 0
-  in
-  let t0 = Unix.gettimeofday () in
-  while accepted () < jobs && Unix.gettimeofday () -. t0 < 10. do
-    Unix.sleepf 0.002
-  done;
-  Svc.Server.shutdown t;
-  let answered = ref 0 in
-  (try
-     for _ = 1 to jobs do
-       match Svc.Frame.read fd with
-       | Ok _ -> incr answered
-       | Error _ -> raise Exit
-     done
-   with Exit | Unix.Unix_error _ -> ());
-  Svc.Server.wait t;
-  Unix.close fd;
-  let lost = jobs - !answered in
-  Rec.row
-    ~labels:[ ("scenario", "drain") ]
-    [ ("accepted", jint jobs); ("answered", jint !answered); ("lost", jint lost) ];
-  Fmt.pr "  accepted %d, answered %d, lost %d@." jobs !answered lost;
-  assert (lost = 0);
-
-  Fmt.pr "@.  pipelined ping throughput, codec A/B (1 conn, window 256):@.";
-  (* the shard answers pings inline, so a windowed client measures the
-     whole I/O path — poll wakeup, incremental decode, write batching —
-     with no worker in the loop. Both codecs run the exact same harness
-     against the same server: one raw fd, the same id-1 ping frame
-     pre-encoded once and repeated [window] times per batch, replies
-     counted by byte length (every reply to an id-1 ping is
-     byte-identical). The client does no per-request work, so the measured
-     difference is the server-side codec cost — and a batch round-trip is
-     the latency of a full window in flight. *)
-  let c = cfg ~workers:1 () in
-  let t = Svc.Server.start c in
-  let addr = Svc.Addr.sockaddr c.Svc.Server.listen in
-  let window = 256 and batches = 120 in
-  let write_all fd b len =
-    let off = ref 0 in
-    while !off < len do
-      match Unix.write fd b !off (len - !off) with
-      | n -> off := !off + n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
-  let read_exactly fd scratch need =
-    let got = ref 0 in
-    while !got < need do
-      match
-        Unix.read fd scratch 0 (min (Bytes.length scratch) (need - !got))
-      with
-      | 0 -> failwith "server closed mid-batch"
-      | n -> got := !got + n
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
-  let ping_frame codec =
-    Svc.Frame.encode
-      (Svc.Protocol.Codec.encode_request codec
-         (Svc.Protocol.request ~id:1 Svc.Protocol.Ping))
-  in
-  let pong_len codec =
-    4
-    + String.length
-        (Svc.Protocol.Codec.encode_response codec
-           (Svc.Protocol.ok ~id:1 (Obs.Json.Str "pong")))
-  in
-  let ping_batch codec =
-    let frame = ping_frame codec in
-    let flen = String.length frame in
-    let batch = Bytes.create (window * flen) in
-    for i = 0 to window - 1 do
-      Bytes.blit_string frame 0 batch (i * flen) flen
-    done;
-    batch
-  in
-  let ping_codec codec =
-    let name = Svc.Protocol.Codec.to_string codec in
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd addr;
-    let batch = ping_batch codec in
-    let reply_bytes = window * pong_len codec in
-    let scratch = Bytes.create (max 65536 reply_bytes) in
-    let round () =
-      write_all fd batch (Bytes.length batch);
-      read_exactly fd scratch reply_bytes
-    in
-    for _ = 1 to 10 do
-      round ()
-    done;
-    let lats = Array.make batches 0. in
-    let sp = Obs.Span.start () in
-    for b = 0 to batches - 1 do
-      let q = Obs.Span.start () in
-      round ();
-      lats.(b) <- Obs.Span.elapsed_s q
-    done;
-    let wall = Obs.Span.elapsed_s sp in
-    Unix.close fd;
-    let n = window * batches in
-    let rate = float_of_int n /. Float.max 1e-9 wall in
-    Array.sort compare lats;
-    let pct q =
-      lats.(min (batches - 1) (int_of_float (q *. float_of_int batches)))
-    in
-    let p50 = pct 0.5 and p99 = pct 0.99 in
-    Rec.row
-      ~labels:[ ("verb", "ping"); ("mode", "pipelined"); ("codec", name) ]
-      [
-        ("window", jint window);
-        ("ok", jint n);
-        ("wall_s", jfloat wall);
-        ("req_per_s", jfloat rate);
-        ("p50_latency_s", jfloat p50);
-        ("p99_latency_s", jfloat p99);
-      ];
-    Fmt.pr
-      "  %-8s ok %d, wall %.3fs, %.0f req/s, batch p50 %.0fus, p99 %.0fus@."
-      name n wall rate (p50 *. 1e6) (p99 *. 1e6);
-    rate
-  in
-  let rate_json = ping_codec Svc.Protocol.Codec.Json in
-  let rate_bin = ping_codec Svc.Protocol.Codec.Binary in
-  Svc.Server.shutdown t;
-  Svc.Server.wait t;
-  let ratio = rate_bin /. Float.max 1e-9 rate_json in
-  Rec.row
-    ~labels:
-      [ ("verb", "ping"); ("mode", "pipelined"); ("codec", "binary_v_json") ]
-    [ ("speedup_vs_json", jfloat ratio) ];
-  Fmt.pr "  binary/json %28.1fx@." ratio;
-  (* the seed gate (10x the thread-per-connection ~800 req/s) plus this
-     PR's gate: the binary fast path must clear 10x the JSON codec at
-     identical response payloads *)
-  assert (rate_json >= 8000.);
-  assert (ratio >= 10.);
-
-  Fmt.pr "@.  open connections (poll scaling, 2 shards):@.";
-  (* as many concurrent connections as the fd budget allows, aiming for
-     10k: both endpoints live in this process, so each connection costs
-     two descriptors against the soft limit *)
-  let max_files =
-    let parse_line line =
-      if String.length line >= 14 && String.sub line 0 14 = "Max open files"
-      then
-        match
-          String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-        with
-        | "Max" :: "open" :: "files" :: soft :: _ -> int_of_string_opt soft
-        | _ -> None
-      else None
-    in
-    match open_in "/proc/self/limits" with
-    | exception Sys_error _ -> 1024
-    | ic ->
-      let rec go () =
-        match input_line ic with
-        | exception End_of_file ->
-          close_in ic;
-          1024
-        | line -> (
-          match parse_line line with
-          | Some n ->
-            close_in ic;
-            n
-          | None -> go ())
-      in
-      go ()
-  in
-  let target = min 10_000 ((max_files - 64) / 2) in
-  let c = cfg ~workers:1 () in
-  let t = Svc.Server.start c in
-  let addr = Svc.Addr.sockaddr c.Svc.Server.listen in
-  let sp = Obs.Span.start () in
-  let fds =
-    Array.init target (fun _ ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (* a full backlog surfaces as EAGAIN/ECONNREFUSED on Linux while
-           the accept thread catches up: retry, don't fail the row *)
-        let rec conn tries =
-          match Unix.connect fd addr with
-          | () -> ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.ECONNREFUSED | Unix.EINTR), _, _)
-            when tries < 200 ->
-            Unix.sleepf 0.005;
-            conn (tries + 1)
-        in
-        conn 0;
-        fd)
-  in
-  let connect_wall = Obs.Span.elapsed_s sp in
-  (* one ping on every connection proves each fd is live in a poll set;
-     reading every reply before shutdown is the lost=0 drain check *)
-  let sp = Obs.Span.start () in
-  Array.iteri
-    (fun i fd ->
-      Svc.Frame.write fd
-        (Obs.Json.to_string
-           (Svc.Protocol.request_json (Svc.Protocol.request ~id:i Svc.Protocol.Ping))))
-    fds;
-  let answered = ref 0 in
-  Array.iter
-    (fun fd -> match Svc.Frame.read fd with Ok _ -> incr answered | Error _ -> ())
-    fds;
-  let ping_wall = Obs.Span.elapsed_s sp in
-  Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds;
-  Svc.Server.shutdown t;
-  Svc.Server.wait t;
-  let lost = target - !answered in
-  Rec.row
-    ~labels:[ ("scenario", "connections") ]
-    [
-      ("fd_soft_limit", jint max_files);
-      ("connections", jint target);
-      ("answered", jint !answered);
-      ("lost", jint lost);
-      ("connect_wall_s", jfloat connect_wall);
-      ("ping_wall_s", jfloat ping_wall);
-    ];
-  Fmt.pr
-    "  %d connections (fd limit %d): connect %.2fs, ping-all %.2fs, lost %d@."
-    target max_files connect_wall ping_wall lost;
-  assert (lost = 0);
-
-  Fmt.pr "@.  per-request allocation, ping (inline domain-0 path):@.";
-  let pings path n =
-    let cl = Svc.Client.connect path in
-    for _ = 1 to n do
-      match Svc.Client.call cl Svc.Protocol.Ping with
-      | Ok _ -> ()
-      | Error e -> failwith (Svc.Client.error_string e)
-    done;
-    Svc.Client.close cl
-  in
-  (* client, conn thread and accept thread all run on domain 0, so the
-     domain-local minor counter sees the whole request path; the idle
-     worker domain contributes nothing *)
-  let words_per_req ?sink () =
-    let c = cfg ~workers:1 () in
-    let t = Svc.Server.start ?sink c in
-    pings (sock c) 50;
-    let n = 400 in
-    let w0 = Gc.minor_words () in
-    pings (sock c) n;
-    let w1 = Gc.minor_words () in
-    Svc.Server.shutdown t;
-    Svc.Server.wait t;
-    (w1 -. w0) /. float_of_int n
-  in
-  let bare = words_per_req () in
-  let null = words_per_req ~sink:(Obs.Sink.null ()) () in
-  let delta = null -. bare in
-  Fmt.pr "  no sink   %8.1f words/req@." bare;
-  Fmt.pr "  null sink %8.1f words/req (delta %+.1f)@." null delta;
-  Rec.row
-    ~labels:[ ("verb", "ping"); ("sink", "none") ]
-    [ ("minor_words_per_req", jfloat bare) ];
-  Rec.row
-    ~labels:[ ("verb", "ping"); ("sink", "null") ]
-    [ ("minor_words_per_req", jfloat null) ];
-  Rec.meta "alloc_delta_words_per_req" (jfloat delta);
-  (* a sink may add at most a small constant per request (ping emits no
-     events; conn open/close amortize over the run) — anything larger is a
-     hotspot on the hot path *)
-  assert (delta < 128.);
-
-  Fmt.pr "@.  per-request allocation, binary ping (batched fast path):@.";
-  (* the canonical binary ping hits the in-place fast path: no decode, no
-     JSON tree, no response encode — the request's id bytes are blitted
-     into the shard's preserialized pong and appended to the connection's
-     reusable write buffer. Client, shards and the accept thread all
-     allocate into domain 0's minor heap, so the counter bounds the whole
-     path; batching amortizes the per-poll-iteration bookkeeping the same
-     way a pipelining client does. *)
-  let c = cfg ~workers:1 () in
-  let t = Svc.Server.start ~sink:(Obs.Sink.null ()) c in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Svc.Addr.sockaddr c.Svc.Server.listen);
-  let batch = ping_batch Svc.Protocol.Codec.Binary in
-  let reply_bytes = window * pong_len Svc.Protocol.Codec.Binary in
-  let scratch = Bytes.create (max 65536 reply_bytes) in
-  let round () =
-    write_all fd batch (Bytes.length batch);
-    read_exactly fd scratch reply_bytes
-  in
-  for _ = 1 to 20 do
-    round ()
-  done;
-  let rounds = 200 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to rounds do
-    round ()
-  done;
-  let w1 = Gc.minor_words () in
-  Unix.close fd;
-  Svc.Server.shutdown t;
-  Svc.Server.wait t;
-  let per_req = (w1 -. w0) /. float_of_int (rounds * window) in
-  Fmt.pr "  null sink %8.2f words/req@." per_req;
-  Rec.row
-    ~labels:[ ("verb", "ping"); ("codec", "binary"); ("sink", "null") ]
-    [ ("minor_words_per_req", jfloat per_req) ];
-  (* the allocation-free claim, as a number: the fast path itself allocates
-     nothing, so what remains is shared bookkeeping amortized across the
-     window — well under 16 minor words per request *)
-  assert (per_req < 16.)
-
 (* Distributed model checking (lib/dist, DESIGN.md §6): the deep-check
    config (safe-agreement, depth 10, n_s 2, --reduce) fanned out over
    in-process TCP worker fleets of 1/2/4 servers. Every fleet size must
@@ -1664,8 +1121,8 @@ let dist_bench () =
     "wall" "subtrees/s";
   line ();
   let fleet_run requested =
-    (* the fuzz/serve clamp again: server pools beyond the hardware measure
-       domain thrash, not distribution *)
+    (* server pools beyond the hardware measure domain thrash, not
+       distribution *)
     let used = max 1 (min requested cores) in
     let fleet =
       List.init used (fun _ ->
@@ -1897,8 +1354,8 @@ let all : (string * (unit -> unit)) list =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("ablations", ablations); ("checker", checker);
-    ("fuzz", fuzz_bench); ("micro", micro); ("obs", obs_overhead);
-    ("serve", serve_bench); ("dist", dist_bench); ("ckpt", ckpt_bench);
+    ("micro", micro); ("obs", obs_overhead); ("dist", dist_bench);
+    ("ckpt", ckpt_bench);
   ]
 
 let () =

@@ -577,113 +577,6 @@ let resume dir workers checkpoint_interval_s json =
           ~dist_fields:(dist_report ~workers rep @ [ resumed ])
           rep.Dist.Coordinator.r_verdict rep.Dist.Coordinator.r_stats))
 
-(* A fast, machine-readable slice of the bench suite (the full tables live
-   in bench/main.exe --record): an E1-style batch, an E5-style batch and a
-   low-depth exhaustive-engine comparison, serialized as one wfa.bench
-   record. *)
-let bench json =
-  let record =
-    Obs.Bench_record.create ~id:"smoke"
-      ~title:"wfa bench smoke: 1-concurrent, ksa, exhaustive engines" ()
-  in
-  let failures = ref 0 in
-  let batch ~section ~policy ~task ~algo ~fd ~env ~n_seeds () =
-    let results =
-      List.init n_seeds (fun i ->
-          let seed = i + 1 in
-          let rng = Random.State.make [| seed; 0xbe |] in
-          let pattern = env.Failure.sample rng ~horizon:2_000 in
-          let input = Task.sample_input task rng in
-          Run.execute ~policy ~task ~algo ~fd ~pattern ~input ~seed ())
-    in
-    let pass = List.length (List.filter Run.ok results) in
-    let total = List.length results in
-    if pass < total then incr failures;
-    Obs.Bench_record.row record
-      ~labels:
-        [
-          ("section", section);
-          ("task", task.Task.task_name);
-          ("fd", Fdlib.Fd.name fd);
-        ]
-      [ ("pass", Obs.Json.Int pass); ("total", Obs.Json.Int total) ];
-    Fmt.pr "%-16s %-28s %d/%d@." section task.Task.task_name pass total
-  in
-  let consensus = Set_agreement.consensus ~n:3 () in
-  batch ~section:"1-concurrent"
-    ~policy:(Run.k_concurrent_policy 1)
-    ~task:consensus
-    ~algo:(One_concurrent.make consensus)
-    ~fd:Fdlib.Fd.trivial
-    ~env:(Failure.wait_free_env 3) ~n_seeds:4 ();
-  let ksa = Set_agreement.make ~n:3 ~k:1 () in
-  batch ~section:"ksa" ~policy:Run.fair_policy ~task:ksa
-    ~algo:(Ksa.make ~k:1 ())
-    ~fd:(Fdlib.Leader_fds.vector_omega_k ~max_stab:40 ~k:1 ())
-    ~env:(Failure.e_t ~n_s:3 ~t:2)
-    ~n_seeds:4 ();
-  (* low-depth checker comparison: replay baseline vs incremental+memo *)
-  let build () =
-    let mem = Memory.create () in
-    let sa = Bglib.Safe_agreement.create mem ~n:2 in
-    let c_code i () =
-      Bglib.Safe_agreement.propose sa ~me:i (Value.int (100 + i));
-      let rec resolve () =
-        match Bglib.Safe_agreement.try_resolve sa with
-        | Some v -> Runtime.Op.decide v
-        | None -> resolve ()
-      in
-      resolve ()
-    in
-    Runtime.create
-      {
-        Runtime.n_c = 2;
-        n_s = 1;
-        memory = mem;
-        pattern = Failure.failure_free 1;
-        history = History.trivial;
-        record_trace = false;
-      }
-      ~c_code
-      ~s_code:(fun _ () -> ())
-  in
-  let prop rt =
-    match (Runtime.decision rt 0, Runtime.decision rt 1) with
-    | Some a, Some b -> Value.equal a b
-    | _ -> true
-  in
-  let pids = [ Pid.c 0; Pid.c 1 ] in
-  let engine label run =
-    let verdict, st = run () in
-    let ok = match verdict with Exhaustive.Ok _ -> true | _ -> false in
-    if not ok then incr failures;
-    Obs.Bench_record.row record
-      ~labels:[ ("section", "checker"); ("engine", label) ]
-      [
-        ( "schedules",
-          match verdict with
-          | Exhaustive.Ok n -> Obs.Json.Int n
-          | Exhaustive.Counterexample _ -> Obs.Json.Null );
-        ("steps_executed", Obs.Json.Int st.Exhaustive.steps_executed);
-        ("memo_hits", Obs.Json.Int st.Exhaustive.memo_hits);
-      ];
-    Fmt.pr "%-16s %-28s %d steps@." "checker" label
-      st.Exhaustive.steps_executed
-  in
-  engine "replay-baseline" (fun () ->
-      Exhaustive.run_replay ~build ~pids ~depth:6 ~prop ());
-  engine "incremental-memo" (fun () ->
-      Exhaustive.run ~memo:true ~build ~pids ~depth:6 ~prop ());
-  let path =
-    match json with
-    | Some p ->
-      write_json p (Obs.Bench_record.to_json record);
-      p
-    | None -> Obs.Bench_record.write record
-  in
-  Fmt.pr "recorded %d rows -> %s@." (Obs.Bench_record.rows record) path;
-  if !failures = 0 then 0 else 1
-
 (* ------------------------------------------------------- serve / call *)
 
 (* The server's major-heap overhead, in percent of live data (OCaml's
@@ -1099,16 +992,10 @@ let call_cmd =
                         ("binary", Svc.Protocol.Codec.Binary) ])
                  Svc.Protocol.Codec.Json
              & info [ "codec" ] ~docv:"CODEC"
-                 ~doc:"Wire codec to offer: json (default, the debug path) \
-                       or binary (negotiated via hello; downgrades to json \
-                       against a server without binary support). The \
-                       printed result is identical either way."))
-
-let bench_cmd =
-  let doc =
-    "Run the bench smoke suite and record it as a wfa.bench JSON file."
-  in
-  Cmd.v (Cmd.info "bench" ~doc) Term.(const bench $ json_arg)
+                 ~doc:"Wire codec to send: json (default, the debug path) \
+                       or binary. The server answers in the codec it was \
+                       sent, and the printed result is identical either \
+                       way."))
 
 let campaign_cmd =
   let doc =
@@ -1155,5 +1042,4 @@ let () =
        (Cmd.group info
           [ solve_cmd; classify_cmd; witness_cmd; fuzz_cmd; extract_cmd;
             emulate_cmd; modelcheck_cmd; resume_cmd; serve_cmd; call_cmd;
-            bench_cmd;
             campaign_cmd ]))

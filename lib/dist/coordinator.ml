@@ -246,9 +246,8 @@ let run ?sink ?split_depth ?(reduce = false) ?(retries = 5) ?checkpoint
               (Svc.Client.send ~params:(params sj) client P.Subtree))
     in
     let is_cancel rid = on_link w (fun lk -> rid = lk.lk_cancel) in
-    (* workers get the binary codec when they speak it — subtree results
-       are bulky and the hello downgrades transparently against an older
-       fleet *)
+    (* workers get the binary codec from the first frame: subtree
+       results are bulky *)
     match Svc.Client.connect ~retries ~codec:P.Codec.Binary addr with
     | exception e ->
       die []

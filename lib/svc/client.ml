@@ -4,7 +4,7 @@ type t = {
   fd : Unix.file_descr;
   mutable next_id : int;
   mutable closed : bool;
-  mutable codec : P.Codec.t;
+  codec : P.Codec.t;
 }
 
 type error = Server of P.err_code * string | Transport of string
@@ -40,8 +40,6 @@ let discard t =
     close t
   end
 
-let codec t = t.codec
-
 (* Replies may be large (fuzz witnesses embed full run reports): read with a
    generous frame cap rather than the server-side default. *)
 let reply_max_len = 64 * 1024 * 1024
@@ -63,29 +61,14 @@ let recv t =
     Error (Transport ("read: " ^ Unix.error_message e))
   | Error e -> Error (Transport (Frame.error_string e))
   | Ok payload -> (
-    (* codec-detecting, so a JSON error reply (or a downgraded server)
-       parses fine on a binary-negotiated connection *)
+    (* codec-detecting, so a JSON error reply parses fine on a binary
+       connection *)
     match P.Codec.decode_response payload with
     | Error msg -> Error (Transport msg)
     | Ok rs -> (
       match rs.P.rs_result with
       | Ok result -> Ok (rs.P.rs_id, Ok result)
       | Error (code, msg) -> Ok (rs.P.rs_id, Error (Server (code, msg)))))
-
-(* Offer the codec over JSON, switch only on an explicit ack. Every failure
-   mode — bad_request from a pre-hello server, an unintelligible ack, a
-   transport hiccup — leaves the connection on JSON: negotiation downgrades,
-   it never breaks an otherwise healthy connection. *)
-let negotiate t offered =
-  match send ~params:(P.hello_params offered) t P.Hello with
-  | Error _ -> ()
-  | Ok _ -> (
-    match recv t with
-    | Ok (_, Ok result) -> (
-      match P.codec_of_hello_result result with
-      | Some acked -> t.codec <- acked
-      | None -> ())
-    | Ok (_, Error _) | Error _ -> ())
 
 let connect ?(retries = 0) ?(backoff_ms = 50) ?deadline_ms
     ?(codec = P.Codec.Json) target =
@@ -112,7 +95,7 @@ let connect ?(retries = 0) ?(backoff_ms = 50) ?deadline_ms
         try Unix.setsockopt fd Unix.TCP_NODELAY true
         with Unix.Unix_error _ -> ())
       | Addr.Unix_path _ -> ());
-      { fd; next_id = 0; closed = false; codec = P.Codec.Json }
+      { fd; next_id = 0; closed = false; codec }
     | exception e -> (
       (try Unix.close fd with Unix.Unix_error _ -> ());
       match e with
@@ -125,11 +108,7 @@ let connect ?(retries = 0) ?(backoff_ms = 50) ?deadline_ms
         attempt (left - 1) (min (backoff * 2) backoff_cap_ms)
       | e -> raise e)
   in
-  let t = attempt (max 0 retries) (max 1 backoff_ms) in
-  (match codec with
-  | P.Codec.Json -> ()
-  | P.Codec.Binary -> negotiate t codec);
-  t
+  attempt (max 0 retries) (max 1 backoff_ms)
 
 (* -- one blocking round-trip --------------------------------------------- *)
 

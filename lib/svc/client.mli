@@ -34,11 +34,10 @@ val connect :
     [Unix.Unix_error] once the budget is exhausted or on a non-retryable
     error, and [Invalid_argument] if the address does not parse.
 
-    [codec] (default [Json]) is the wire codec to offer: [Binary] sends a
-    [hello] round-trip after connecting and switches only on an explicit
-    ack — a server without binary support (or without [hello] at all)
-    downgrades the connection to JSON rather than failing it. Check what
-    was negotiated with {!codec}. *)
+    [codec] (default [Json]) is the wire codec every request is sent in,
+    from the first: a frame names its codec by its first byte and the
+    server answers in the codec the request arrived in, so connecting
+    costs no round trip. *)
 
 val close : t -> unit
 (** Idempotent. *)
@@ -48,10 +47,6 @@ val discard : t -> unit
     not yet sent and replies not yet read are dropped, and the connection
     leaves no TIME_WAIT entry behind. For a client done with a connection
     whose every reply it needed has been read. Idempotent. *)
-
-val codec : t -> Protocol.Codec.t
-(** The codec this connection actually negotiated: [Binary] only after the
-    server acked the offer, [Json] otherwise. *)
 
 val call :
   ?deadline_ms:int -> ?params:Obs.Json.t -> t -> Protocol.verb ->

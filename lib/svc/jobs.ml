@@ -227,7 +227,7 @@ let run_work ?(cancel = never_cancel) work =
 
 let run ?(cancel = never_cancel) verb params =
   match verb with
-  | P.Ping | P.Stats | P.Metrics | P.Shutdown | P.Hello | P.Cancel ->
+  | P.Ping | P.Stats | P.Metrics | P.Shutdown | P.Cancel ->
     Error
       ( P.Internal,
         Printf.sprintf "verb %S is not a pool job" (P.verb_string verb) )

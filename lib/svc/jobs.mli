@@ -27,8 +27,8 @@ val run :
   Protocol.verb ->
   Obs.Json.t ->
   (Obs.Json.t, Protocol.err_code * string) result
-(** Dispatch on the verb. [Ping]/[Stats]/[Metrics]/[Shutdown]/[Hello]/
-    [Cancel] are server-side verbs and return [Internal] here; the queued
+(** Dispatch on the verb. [Ping]/[Stats]/[Metrics]/[Shutdown]/[Cancel]
+    are server-side verbs and return [Internal] here; the queued
     verbs accept:
 
     - [solve]: one {!Efd.Run.execute}; result

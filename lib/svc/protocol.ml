@@ -9,7 +9,6 @@ type verb =
   | Subtree
   | Fuzz
   | Shutdown
-  | Hello
   | Scenario
   | Cancel
 
@@ -22,7 +21,6 @@ let verb_string = function
   | Subtree -> "subtree"
   | Fuzz -> "fuzz"
   | Shutdown -> "shutdown"
-  | Hello -> "hello"
   | Scenario -> "scenario"
   | Cancel -> "cancel"
 
@@ -35,7 +33,6 @@ let verb_of_string = function
   | "subtree" -> Some Subtree
   | "fuzz" -> Some Fuzz
   | "shutdown" -> Some Shutdown
-  | "hello" -> Some Hello
   | "scenario" -> Some Scenario
   | "cancel" -> Some Cancel
   | _ -> None
@@ -206,11 +203,6 @@ module Codec = struct
 
   let to_string = function Json -> "json" | Binary -> "binary"
 
-  let of_string = function
-    | "json" -> Some Json
-    | "binary" -> Some Binary
-    | _ -> None
-
   (* 0xB1 can never open a JSON envelope (the writer emits '{' = 0x7B, the
      parser skips only ASCII whitespace), so one byte of lookahead is enough
      to tell the codecs apart — reads never need per-connection state. *)
@@ -231,7 +223,8 @@ module Codec = struct
     | Subtree -> 5
     | Fuzz -> 6
     | Shutdown -> 7
-    | Hello -> 8
+    (* 8 stays unassigned: a client from before [hello] was retired may
+       still send it, and must get bad_request *)
     | Scenario -> 9
     | Cancel -> 10
 
@@ -244,7 +237,6 @@ module Codec = struct
     | 5 -> Some Subtree
     | 6 -> Some Fuzz
     | 7 -> Some Shutdown
-    | 8 -> Some Hello
     | 9 -> Some Scenario
     | 10 -> Some Cancel
     | _ -> None
@@ -443,30 +435,6 @@ module Codec = struct
       let* j = parse_json s in
       response_of_json j
 end
-
-(* ---------------------------------------------------- codec negotiation *)
-
-(* The hello verb: the client offers a codec by name, the server acks with
-   the best codec it supports — an unknown offer downgrades to "json", and
-   on a server predating hello the bad_request reply downgrades the client
-   the same way. Hello itself always travels as JSON (the client cannot
-   know binary is understood before the ack), so the default path never
-   changes. *)
-
-let hello_params codec = J.Obj [ ("codec", J.Str (Codec.to_string codec)) ]
-
-let hello_ack params =
-  match J.member "codec" params with
-  | Some (J.Str s) -> (
-    match Codec.of_string s with Some c -> c | None -> Codec.Json)
-  | _ -> Codec.Json
-
-let hello_result codec = J.Obj [ ("codec", J.Str (Codec.to_string codec)) ]
-
-let codec_of_hello_result result =
-  match J.member "codec" result with
-  | Some (J.Str s) -> Codec.of_string s
-  | _ -> None
 
 (* ---------------------------------------------------------------- cancel *)
 

@@ -6,8 +6,7 @@
     request  ::= { "v": 1, "id": <int>, "verb": <verb>,
                    "params": <object>?, "deadline_ms": <int>? }
     verb     ::= "ping" | "stats" | "metrics" | "solve" | "modelcheck"
-               | "subtree" | "fuzz" | "scenario" | "shutdown" | "hello"
-               | "cancel"
+               | "subtree" | "fuzz" | "scenario" | "shutdown" | "cancel"
     response ::= { "v": 1, "id": <int>, "ok": true,  "result": <value> }
                | { "v": 1, "id": <int>, "ok": false,
                    "error": { "code": <code>, "msg": <string> } }
@@ -31,9 +30,6 @@ type verb =
   | Subtree  (** pool job: one frontier subtree ({!Simkit.Exhaustive.split}) *)
   | Fuzz  (** pool job: randomized schedule search *)
   | Shutdown  (** begin graceful drain *)
-  | Hello
-      (** codec negotiation: offer a codec by name, the server acks with
-          the best codec it supports; answered inline *)
   | Scenario
       (** pool job: one caller-supplied {!Scenario.Spec} object as params —
           validated server-side (a structured [bad_request] carrying the
@@ -101,11 +97,12 @@ val parse : string -> (Obs.Json.t, string) result
 
 (** The two wire codecs behind the framed envelope. [Json] is the default,
     the debug path, and the canonical semantics; [Binary] is the compact
-    hot-path encoding, negotiated per connection via {!Hello} but
-    self-describing per frame: a binary envelope opens with the magic byte
-    [0xB1], which no JSON envelope can ({!Obs.Json.to_string} emits ['{'}]),
-    so {!Codec.detect} needs one byte of lookahead and readers keep no
-    codec state. Responses travel in the codec their request arrived in.
+    hot-path encoding. A client picks its codec and sends it from its
+    first frame, with no handshake: each frame names its codec by its
+    first byte. A binary envelope opens with the magic byte [0xB1], which
+    no JSON envelope can ({!Obs.Json.to_string} emits ['{'}]), so
+    {!Codec.detect} needs one byte of lookahead and readers keep no codec
+    state. Responses travel in the codec their request arrived in.
 
     Binary envelope (all integers big-endian):
     {v
@@ -114,6 +111,9 @@ val parse : string -> (Obs.Json.t, string) result
     byte 2      kind: 0 request | 1 ok-response | 2 error-response
     request:    byte 3 verb tag, byte 4 flags (bit 0: deadline present),
                 bytes 5..12 id, [bytes 13..20 deadline_ms,] params value
+    verb tag:   0 ping | 1 stats | 2 metrics | 3 solve | 4 modelcheck
+              | 5 subtree | 6 fuzz | 7 shutdown | 9 scenario | 10 cancel
+                (8 is unassigned: it was the retired hello's)
     ok:         byte 3 reserved, bytes 4..11 id, result value
     error:      byte 3 code tag, bytes 4..11 id, u32 msg length, msg bytes
     value:      0 null | 1 false | 2 true | 3 int (8B) | 4 float (IEEE 8B)
@@ -131,9 +131,8 @@ module Codec : sig
   type t = Json | Binary
 
   val to_string : t -> string
-  (** ["json"] / ["binary"] — the names {!Hello} carries. *)
+  (** ["json"] / ["binary"]. *)
 
-  val of_string : string -> t option
   val magic : char
 
   val detect : string -> t
@@ -155,21 +154,6 @@ module Codec : sig
 
   val decode_response : string -> (response, string) result
 end
-
-val hello_params : Codec.t -> Obs.Json.t
-(** [{"codec": <name>}] — the {!Hello} request params offering a codec. *)
-
-val hello_ack : Obs.Json.t -> Codec.t
-(** Server side: the codec to ack for an offer — the offered codec when
-    supported, [Json] otherwise (downgrade, never an error: an old client
-    must keep working against a new server and vice versa). *)
-
-val hello_result : Codec.t -> Obs.Json.t
-(** [{"codec": <name>}] — the {!Hello} response result carrying the ack. *)
-
-val codec_of_hello_result : Obs.Json.t -> Codec.t option
-(** Client side: parse the ack; [None] means an unintelligible ack and the
-    client must stay on [Json]. *)
 
 val cancel_params : string -> Obs.Json.t
 (** [{"run": <id>}] — the {!Cancel} request params for a run id. *)

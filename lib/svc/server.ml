@@ -493,12 +493,6 @@ let handle_frame t conn codec payload pending =
   | Ok rq -> (
     match rq.P.rq_verb with
     | P.Ping -> enqueue_response t codec conn (P.ok ~id:rq.P.rq_id (J.Str "pong"))
-    | P.Hello ->
-      (* ack the offered codec when we support it, json otherwise; the
-         reply travels in the codec the hello itself arrived in (JSON from
-         any current client — it cannot know better yet) *)
-      let acked = P.hello_ack rq.P.rq_params in
-      enqueue_response t codec conn (P.ok ~id:rq.P.rq_id (P.hello_result acked))
     | P.Stats -> enqueue_response t codec conn (P.ok ~id:rq.P.rq_id (stats_json t))
     | P.Metrics ->
       (* a registry snapshot costs no job slot: answered inline by the

@@ -2,15 +2,17 @@
 # CI smoke test for durable checkpoint/resume (DESIGN.md §8): run the
 # safe-agreement check under --checkpoint, SIGKILL it mid-run — once as the
 # single-process checkpointed engine at depth 10, once as the distributed
-# coordinator over a live 2-worker TCP fleet at depth 12 with split depth 5
-# (a fleet finishes depth 10 faster than the coordinator's 50 ms journal
-# spacing) — then `wfa resume` a copy of each store with each executor (the
-# one that wrote it, and the other one) and diff the mirrored --json
-# result fields against an uninterrupted run of the same depth. Interval 0
-# journals a generation after every subtree job, so the kill always lands
-# on a store with recorded progress, and a run that finishes before the
-# kill fails the step; the field diff proves the verdict, credited count
-# and pruning counters are byte-identical to a run that was never
+# coordinator over a live 2-worker TCP fleet at depth 12 with split depth 6
+# — then `wfa resume` a copy of each store with each executor (the one
+# that wrote it, and the other one) and diff the mirrored --json result
+# fields against an uninterrupted run of the same depth. Interval 0
+# journals a generation after every subtree job (the coordinator spaces
+# them at least 50 ms apart), so the kill always lands on a store with
+# recorded progress, and a run that finishes before the kill fails the
+# step. The coordinator's 4,096 jobs take about 0.4 s on two vCPUs; split
+# depth 5's 1,024 took about 0.1 s, two journal spacings, and now and then
+# finished before the kill. The field diff proves the verdict, credited
+# count and pruning counters are byte-identical to a run that was never
 # interrupted, whichever executor picks the journal up.
 set -eu
 
@@ -135,7 +137,7 @@ echo "ckpt_smoke: single-process SIGKILL mid-run, resume == uninterrupted"
 kill_and_resume "$D/local-store" local 10 4 "" "$FLEET"
 
 echo "ckpt_smoke: coordinator SIGKILL mid-run, resume == uninterrupted"
-kill_and_resume "$D/dist-store" dist 12 5 "$FLEET" ""
+kill_and_resume "$D/dist-store" dist 12 6 "$FLEET" ""
 
 trap - EXIT
 kill "$W1" "$W2" 2>/dev/null || true

@@ -16,7 +16,7 @@ module C = Svc.Protocol.Codec
 let verbs =
   [
     P.Ping; P.Stats; P.Metrics; P.Solve; P.Modelcheck; P.Subtree; P.Fuzz;
-    P.Shutdown; P.Hello; P.Scenario; P.Cancel;
+    P.Shutdown; P.Scenario; P.Cancel;
   ]
 
 let err_codes =
@@ -191,7 +191,6 @@ let prop_binary_robust =
 (* ------------------------------------------------------------ unit cases *)
 
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
 
 (* the canonicalization pinned down: both writers turn non-finite floats
    into null, so the decoded params agree (and never carry a NaN) *)
@@ -267,20 +266,6 @@ let test_trailing_garbage_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing byte accepted"
 
-(* hello negotiation is plain data: offered codec comes back acked, an
-   unknown offer downgrades to json *)
-let test_hello_ack () =
-  let ack params =
-    C.to_string (P.hello_ack params)
-  in
-  check_string "binary acked" "binary" (ack (P.hello_params C.Binary));
-  check_string "json acked" "json" (ack (P.hello_params C.Json));
-  check_string "unknown offer downgrades" "json"
-    (ack (J.Obj [ ("codec", J.Str "protobuf") ]));
-  check_string "missing offer downgrades" "json" (ack (J.Obj []));
-  check_bool "ack result parses back" true
-    (P.codec_of_hello_result (P.hello_result C.Binary) = Some C.Binary)
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -297,5 +282,4 @@ let suite =
       Alcotest.test_case "codec detection by first byte" `Quick test_detect;
       Alcotest.test_case "trailing garbage rejected" `Quick
         test_trailing_garbage_rejected;
-      Alcotest.test_case "hello ack rules" `Quick test_hello_ack;
     ]

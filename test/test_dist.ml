@@ -818,7 +818,7 @@ let test_coordinator_retries_elsewhere () =
                   0 failing.Dist.Coordinator.wk_jobs)))
     [ "safe-agreement"; "race-false" ]
 
-(* A worker that answers [hello] and [cancel] and holds every [subtree] job
+(* A worker that answers [cancel] and holds every [subtree] job
    it is sent, unanswered, until a cancel names the run: the live worker
    must steal each job it holds, and a run that did not cancel them would
    never end. Serves one connection; returns its address and what it saw. *)
@@ -847,11 +847,6 @@ let holding_worker () =
         | Ok rq -> (
           let id = rq.Svc.Protocol.rq_id in
           match rq.Svc.Protocol.rq_verb with
-          | Svc.Protocol.Hello ->
-            reply codec
-              (Svc.Protocol.ok ~id
-                 (Svc.Protocol.hello_result Svc.Protocol.Codec.Json));
-            loop pending
           | Svc.Protocol.Subtree ->
             incr held;
             loop ((id, codec) :: pending)

@@ -228,19 +228,55 @@ let test_with_step_decide () =
    the run goes to its budget: every step is a client's read or a
    server's query that changes nothing. Such a step allocates what its
    effect costs and nothing per step besides. *)
-let test_trivial_step_words () =
+let trivial_steps () =
   let n = 3 and budget = 100_000 in
   let task = Tasklib.Set_agreement.consensus ~n () in
   let input = Tasklib.Task.sample_input task (Random.State.make [| 1 |]) in
-  let w0 = Gc.minor_words () in
   let r =
     Efd.Run.execute ~budget ~task ~algo:(Efd.Ksa.consensus ())
       ~fd:Fdlib.Fd.trivial ~pattern:(Failure.failure_free n) ~input ~seed:1 ()
   in
-  let words = (Gc.minor_words () -. w0) /. float_of_int r.Efd.Run.r_steps in
   check_int "ran to the budget" budget r.Efd.Run.r_steps;
-  if words > 20. then
-    Alcotest.failf "%.1f minor words per step, want at most 20" words
+  r.Efd.Run.r_steps
+
+(* The fuzzer's loop, on this domain: each trial samples a pattern and an
+   input and runs one execution. *)
+let fuzz_trials target () =
+  let r =
+    Efd.Adversary.fuzz_target ~exhaust:true ~seed:7 ~budget:5_000 target ()
+  in
+  r.Efd.Adversary.f_trials
+
+(* Minor words per unit of work, against a bound: a trivial-detector step
+   at most 20 (39.4 before the decided count, 14.5 after); a fuzz trial of
+   the two targets the fuzzer's throughput was timed on at most 1.5x the
+   words it took when the bound was set, which reads the same every run.
+   Every input is measured before any is reported. *)
+let test_loop_words () =
+  let over (what, bound, run) =
+    let w0 = Gc.minor_words () in
+    let units = run () in
+    let words = (Gc.minor_words () -. w0) /. float_of_int units in
+    if words > bound then
+      Some
+        (Printf.sprintf "%s: %.1f minor words, want at most %.1f" what words
+           bound)
+    else None
+  in
+  match
+    List.filter_map over
+      [
+        ("a trivial-detector step", 20., trivial_steps);
+        ( "a strong-renaming fuzz trial",
+          1.5 *. 4224.9,
+          fuzz_trials (Efd.Adversary.strong_renaming_target ~n:5 ~j:3) );
+        ( "a consensus-reduction fuzz trial",
+          1.5 *. 3225.3,
+          fuzz_trials (Efd.Adversary.consensus_reduction_target ~n:4) );
+      ]
+  with
+  | [] -> ()
+  | over -> Alcotest.fail (String.concat "; " over)
 
 let suite =
   [
@@ -249,6 +285,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_shuffled_rounds;
     Alcotest.test_case "a taken-back decide leaves the decided count" `Quick
       test_with_step_decide;
-    Alcotest.test_case "a trivial-detector step allocates at most 20 words"
-      `Quick test_trivial_step_words;
+    Alcotest.test_case
+      "a trivial-detector step allocates at most 20 words, a fuzz trial \
+       1.5x its own"
+      `Quick test_loop_words;
   ]

@@ -941,18 +941,28 @@ let test_server_metrics_verb () =
       | Error e -> Alcotest.failf "metrics: %s" (Svc.Client.error_string e));
       Svc.Client.close c)
 
-(* hello negotiation end-to-end: an offered binary codec comes back acked
-   and the whole verb surface works over it; the default connection stays
-   JSON on the same server *)
-let test_codec_negotiation () =
+(* A binary client sends binary from its first frame: connecting takes no
+   round trip, so it connects to a listener that never answers, and the
+   verb surface works over binary, errors included. *)
+let test_binary_client () =
+  let path = socket_path () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let c = Svc.Client.connect ~codec:P.Codec.Binary path in
+  ignore (Svc.Client.send c P.Ping);
+  let fd, _ = Unix.accept listener in
+  (match Svc.Frame.read fd with
+  | Ok payload ->
+    check_bool "first frame is binary" true
+      (P.Codec.detect payload = P.Codec.Binary)
+  | Error e -> Alcotest.failf "read: %s" (Svc.Frame.error_string e));
+  List.iter Unix.close [ fd; listener ];
+  Sys.remove path;
+  Svc.Client.close c;
   let path = socket_path () in
   with_server (default_cfg path) (fun _ ->
       let c = Svc.Client.connect ~codec:P.Codec.Binary path in
-      check_bool "binary negotiated" true
-        (Svc.Client.codec c = P.Codec.Binary);
-      (match Svc.Client.call c P.Ping with
-      | Ok (J.Str "pong") -> ()
-      | _ -> Alcotest.fail "binary ping");
       (match
          Svc.Client.call
            ~params:(J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ])
@@ -962,20 +972,49 @@ let test_codec_negotiation () =
         check_bool "solve over binary" true
           (J.member "ok" j = Some (J.Bool true))
       | Error e -> Alcotest.failf "solve: %s" (Svc.Client.error_string e));
-      (* errors travel binary too *)
       (match
          Svc.Client.call ~params:(J.Obj [ ("task", J.Str "nope") ]) c P.Solve
        with
       | Error (Svc.Client.Server (P.Bad_request, _)) -> ()
       | _ -> Alcotest.fail "expected bad_request over binary");
-      Svc.Client.close c;
-      let c = Svc.Client.connect path in
-      check_bool "json is the default" true
-        (Svc.Client.codec c = P.Codec.Json);
-      (match Svc.Client.call c P.Ping with
-      | Ok (J.Str "pong") -> ()
-      | _ -> Alcotest.fail "json ping");
       Svc.Client.close c)
+
+(* The retired [hello]: a JSON hello, which a client from before its
+   retirement opens with to offer binary, and a binary frame with its old
+   verb tag 8 each get bad_request, and the connection then answers a
+   ping. Such a client takes the bad_request as "no binary" and stays on
+   JSON. *)
+let test_retired_hello () =
+  let path = socket_path () in
+  with_server (default_cfg path) (fun _ ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let reply frame =
+        Svc.Frame.write fd frame;
+        match Result.map P.Codec.decode_response (Svc.Frame.read fd) with
+        | Ok (Ok rs) -> rs.P.rs_result
+        | Ok (Error e) -> Alcotest.failf "decode: %s" e
+        | Error e -> Alcotest.failf "read: %s" (Svc.Frame.error_string e)
+      in
+      let tag8 =
+        Bytes.of_string
+          (P.Codec.encode_request P.Codec.Binary (P.request ~id:2 P.Ping))
+      in
+      Bytes.set tag8 3 '\x08';
+      List.iter
+        (fun (what, frame) ->
+          match reply frame with
+          | Error (P.Bad_request, _) -> ()
+          | _ -> Alcotest.failf "%s: expected bad_request" what)
+        [
+          ( "json hello",
+            {|{"v":1,"id":1,"verb":"hello","params":{"codec":"binary"}}|} );
+          ("binary verb tag 8", Bytes.to_string tag8);
+        ];
+      (match reply (J.to_string (P.request_json (P.request ~id:3 P.Ping))) with
+      | Ok (J.Str "pong") -> ()
+      | _ -> Alcotest.fail "ping after the refusals");
+      Unix.close fd)
 
 (* frames self-describe their codec, so one connection can mix them freely;
    each reply echoes its request's codec, and the fast-path binary pong is
@@ -1020,6 +1059,161 @@ let test_codec_mixed_frames () =
       let fast, _ = reply 5 in
       check_bool "fast-path pong equals generic encoding" true
         (fast = P.Codec.encode_response P.Codec.Binary (P.ok ~id:5 (J.Str "pong"))))
+
+(* --------------------------------------------------- cost per request *)
+
+(* Minor words per JSON ping round trip, connect and close included.
+   Client, accept thread and shards run on this domain and allocate into
+   its minor heap, so the counter sees the whole path. The shard answers
+   a ping itself: [accepted] counts pool jobs and stays 0. *)
+let json_ping_words ?sink () =
+  let path = socket_path () in
+  with_server ?sink (default_cfg path) (fun t ->
+      let pings n =
+        let c = Svc.Client.connect path in
+        for _ = 1 to n do
+          match Svc.Client.call c P.Ping with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "ping: %s" (Svc.Client.error_string e)
+        done;
+        Svc.Client.close c
+      in
+      pings 50;
+      let n = 400 in
+      let w0 = Gc.minor_words () in
+      pings n;
+      let words = (Gc.minor_words () -. w0) /. float_of_int n in
+      check_int "no ping took a pool job" 0
+        (int_member "accepted" (Svc.Server.stats_json t));
+      words)
+
+(* Minor words per canonical binary ping, which the shard answers in
+   place: its id is blitted into a pong made once. Windows of 256 share
+   each poll wakeup's bookkeeping, as a pipelining client's do. *)
+let binary_ping_words () =
+  let path = socket_path () in
+  with_server ~sink:(Obs.Sink.null ()) (default_cfg path) (fun _ ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let window = 256 in
+      let ping =
+        Svc.Frame.encode
+          (P.Codec.encode_request P.Codec.Binary (P.request ~id:1 P.Ping))
+      in
+      let pong =
+        Svc.Frame.encode
+          (P.Codec.encode_response P.Codec.Binary (P.ok ~id:1 (J.Str "pong")))
+      in
+      let batch = String.concat "" (List.init window (fun _ -> ping)) in
+      let replies = Bytes.create (window * String.length pong) in
+      let round () =
+        ignore (Unix.write_substring fd batch 0 (String.length batch));
+        let got = ref 0 in
+        while !got < Bytes.length replies do
+          match Unix.read fd replies !got (Bytes.length replies - !got) with
+          | 0 -> Alcotest.fail "server closed mid-window"
+          | n -> got := !got + n
+        done
+      in
+      for _ = 1 to 20 do
+        round ()
+      done;
+      let rounds = 100 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to rounds do
+        round ()
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int (rounds * window) in
+      Unix.close fd;
+      words)
+
+(* Bounds on a ping's allocation: a JSON ping at 1.5x the 1,055 words it
+   took when this test was written; a null sink under 16 words over no
+   sink (it adds under 1, and an event built per ping adds 41); the binary
+   fast path under 16 words (0.22, and 94 without the fast path). *)
+let test_ping_words () =
+  let bare = json_ping_words () in
+  let null = json_ping_words ~sink:(Obs.Sink.null ()) () in
+  let binary = binary_ping_words () in
+  if bare > 1.5 *. 1055. then
+    Alcotest.failf "a JSON ping allocates %.1f words, want at most %.1f" bare
+      (1.5 *. 1055.);
+  if null -. bare >= 16. then
+    Alcotest.failf "a null sink adds %.1f words per ping, want under 16"
+      (null -. bare);
+  if binary >= 16. then
+    Alcotest.failf "a binary ping allocates %.2f words, want under 16" binary
+
+(* The first number on the line of a /proc file that starts with
+   [prefix]: the soft limit in /proc/self/limits, the count in
+   /proc/self/status. *)
+let proc_int file prefix =
+  let number line =
+    String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line)
+    |> List.find_map int_of_string_opt
+  in
+  In_channel.with_open_text file (fun ic ->
+      let rec go () =
+        match In_channel.input_line ic with
+        | Some line when String.starts_with ~prefix line -> (
+          match number line with
+          | Some n -> n
+          | None -> Alcotest.failf "%s: no number in %S" file line)
+        | Some _ -> go ()
+        | None -> Alcotest.failf "%s has no %S line" file prefix
+      in
+      go ())
+
+(* As many connections as the soft fd limit allows, up to 10,000 (both
+   ends live in this process, so each costs two descriptors): every one's
+   ping is answered, and the server holds them all on the threads it
+   started with. *)
+let test_server_many_connections () =
+  let limit = proc_int "/proc/self/limits" "Max open files" in
+  let target = min 10_000 ((limit - 64) / 2) in
+  let path = socket_path () in
+  with_server (default_cfg path) (fun _ ->
+      (* a worker domain starts the runtime's helper thread as it begins,
+         which may be after [start] returns: a job has run once it has *)
+      let c = Svc.Client.connect path in
+      (match Svc.Client.call ~params:(J.Obj [ ("n", J.Int 2) ]) c P.Solve with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "solve: %s" (Svc.Client.error_string e));
+      Svc.Client.close c;
+      let threads () = proc_int "/proc/self/status" "Threads:" in
+      let before = threads () in
+      let fds =
+        Array.init target (fun _ ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            (* a full backlog refuses while the accept thread catches up *)
+            let rec connect tries =
+              match Unix.connect fd (Unix.ADDR_UNIX path) with
+              | () -> ()
+              | exception
+                  Unix.Unix_error
+                    ((Unix.EAGAIN | Unix.ECONNREFUSED | Unix.EINTR), _, _)
+                when tries < 200 ->
+                Unix.sleepf 0.005;
+                connect (tries + 1)
+            in
+            connect 0;
+            fd)
+      in
+      Array.iteri
+        (fun i fd ->
+          Svc.Frame.write fd
+            (J.to_string (P.request_json (P.request ~id:i P.Ping))))
+        fds;
+      let answered =
+        Array.fold_left
+          (fun n fd ->
+            match Svc.Frame.read fd with Ok _ -> n + 1 | Error _ -> n)
+          0 fds
+      in
+      let during = threads () in
+      Array.iter Unix.close fds;
+      check_int "every connection's ping answered" target answered;
+      check_int "threads while they are open" before during)
 
 let test_client_connect_retry () =
   let path = socket_path () in
@@ -1448,8 +1642,13 @@ let suite =
       test_server_tcp;
     Alcotest.test_case "server: metrics verb snapshots the registry" `Quick
       test_server_metrics_verb;
-    Alcotest.test_case "codec: hello negotiation end-to-end" `Quick
-      test_codec_negotiation;
+    Alcotest.test_case "codec: a binary client sends binary at once" `Quick
+      test_binary_client;
+    Alcotest.test_case "codec: a retired hello is a bad request" `Quick
+      test_retired_hello;
+    Alcotest.test_case "server: a ping's allocation" `Quick test_ping_words;
+    Alcotest.test_case "server: 10k connections on fixed threads" `Quick
+      test_server_many_connections;
     Alcotest.test_case "codec: mixed frames on one connection" `Quick
       test_codec_mixed_frames;
     Alcotest.test_case "client: connect retries until the server is up"
