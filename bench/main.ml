@@ -1000,103 +1000,6 @@ let ablations () =
       ("two staggered crashes", Failure.pattern ~n_s:4 [ (1, 100); (3, 30) ]);
     ]
 
-(* -------------------------------------------- obs instrumentation cost *)
-
-(* The ?obs acceptance bar: with the hook disabled the instrumented runtime
-   must step at the same rate as before the hook existed (one [option] match
-   per step). Measured against a no-op hook as the noise yardstick: disabled
-   throughput must be at least [floor] of no-op-hook throughput — a real
-   regression in the disabled path would show up as disabled being *slower*
-   than dispatching through a live hook, which no noise can explain. *)
-let obs_overhead () =
-  header "obs" "runtime ?obs hook: step throughput, disabled vs live hooks";
-  let n_c = 4 in
-  let steps = 300_000 in
-  let build ?obs () =
-    let mem = Memory.create () in
-    let regs = Memory.alloc mem n_c in
-    let c_code i () =
-      let rec loop () =
-        Runtime.Op.write regs.(i) (Value.int i);
-        ignore (Runtime.Op.read regs.((i + 1) mod n_c));
-        loop ()
-      in
-      loop ()
-    in
-    Runtime.create ?obs
-      {
-        Runtime.n_c;
-        n_s = 1;
-        memory = mem;
-        pattern = Failure.failure_free 1;
-        history = History.trivial;
-        record_trace = false;
-      }
-      ~c_code
-      ~s_code:(fun _ () -> ())
-  in
-  let throughput ?obs () =
-    (* best-of-5: the max filters scheduler noise out of a rate comparison *)
-    let best = ref 0. in
-    for _ = 1 to 5 do
-      let rt = build ?obs () in
-      let sp = Obs.Span.start () in
-      for t = 0 to steps - 1 do
-        Runtime.step rt (Pid.c (t mod n_c))
-      done;
-      let s = Obs.Span.elapsed_s sp in
-      Runtime.destroy rt;
-      if s > 0. then begin
-        let rate = float_of_int steps /. s in
-        if rate > !best then best := rate
-      end
-    done;
-    !best
-  in
-  let disabled = throughput () in
-  let noop =
-    throughput
-      ~obs:
-        {
-          Runtime.on_sched = (fun _ ~time:_ -> ());
-          on_event = (fun _ ~time:_ _ -> ());
-        }
-      ()
-  in
-  let reg = Obs.Metrics.registry () in
-  let counters = throughput ~obs:(Runtime.obs_counters reg) () in
-  let buf, _events = Obs.Sink.buffer () in
-  let events = throughput ~obs:(Runtime.obs_events buf) () in
-  let floor = 0.7 in
-  let within_noise = disabled >= floor *. noop in
-  let show label rate =
-    Fmt.pr "  %-28s %10.2f Msteps/s (x%.2f vs disabled)@." label (rate /. 1e6)
-      (rate /. disabled)
-  in
-  show "?obs disabled" disabled;
-  show "no-op hook" noop;
-  show "counters hook" counters;
-  show "event-sink hook" events;
-  Fmt.pr "  disabled >= %.1fx no-op hook (no measurable slowdown): %b%s@." floor
-    within_noise
-    (if within_noise then "" else "   <-- REGRESSION");
-  Rec.meta "steps_per_trial" (jint steps);
-  Rec.meta "within_noise" (jbool within_noise);
-  List.iter
-    (fun (variant, rate) ->
-      Rec.row ~labels:[ ("variant", variant) ]
-        [
-          ("steps_per_s", jfloat rate);
-          ("relative_to_disabled", jfloat (rate /. disabled));
-        ])
-    [
-      ("disabled", disabled);
-      ("noop-hook", noop);
-      ("counters-hook", counters);
-      ("event-sink-hook", events);
-    ];
-  assert within_noise
-
 (* Distributed model checking (lib/dist, DESIGN.md §6): the deep-check
    config (safe-agreement, depth 10, n_s 2, --reduce) fanned out over
    in-process TCP worker fleets of 1/2/4 servers. Every fleet size must
@@ -1354,8 +1257,7 @@ let all : (string * (unit -> unit)) list =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("ablations", ablations); ("checker", checker);
-    ("micro", micro); ("obs", obs_overhead); ("dist", dist_bench);
-    ("ckpt", ckpt_bench);
+    ("micro", micro); ("dist", dist_bench); ("ckpt", ckpt_bench);
   ]
 
 let () =

@@ -73,8 +73,7 @@ let pp_report ppf r =
 exception Cancelled
 
 let execute ?(budget = 400_000) ?(min_scheds = 2_000) ?(record_trace = false)
-    ?(policy = fair_policy) ?cancel ?obs ~task ~algo ~fd ~pattern ~input ~seed
-    () =
+    ?(policy = fair_policy) ?cancel ~task ~algo ~fd ~pattern ~input ~seed () =
   let n_c = task.Task.arity in
   let n_s = pattern.Failure.n_s in
   if Array.length input <> n_c then invalid_arg "Run.execute: input arity";
@@ -92,7 +91,7 @@ let execute ?(budget = 400_000) ?(min_scheds = 2_000) ?(record_trace = false)
   let s_code i () = inst.Algorithm.s_run i in
   let history = Fdlib.Fd.draw fd pattern ~seed in
   let rt =
-    Runtime.create ?obs
+    Runtime.create
       { Runtime.n_c; n_s; memory = mem; pattern; history; record_trace }
       ~c_code ~s_code
   in

@@ -64,7 +64,6 @@ val execute :
   ?record_trace:bool ->
   ?policy:policy_factory ->
   ?cancel:(unit -> bool) ->
-  ?obs:Simkit.Runtime.obs ->
   task:Tasklib.Task.t ->
   algo:Algorithm.t ->
   fd:Fdlib.Fd.t ->
@@ -79,9 +78,9 @@ val execute :
     participant scheduled at least that often must have decided.
     [?cancel] is polled once per scheduling step; the step after it first
     returns [true], the run raises {!Cancelled} — the cooperative hook the
-    service layer's deadlines use. [?obs] installs a
-    {!Simkit.Runtime.obs} instrumentation hook on the run's runtime
-    (counters / structured events; disabled and free when omitted). *)
+    service layer's deadlines use. With [record_trace] (default [false])
+    the report's [r_trace] holds the run's recorded trace, from which
+    {!Simkit.Trace.to_events} gives its per-step events. *)
 
 val labels : task:Tasklib.Task.t -> algo:Algorithm.t -> fd:Fdlib.Fd.t ->
   seed:int -> (string * string) list

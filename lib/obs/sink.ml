@@ -41,8 +41,3 @@ let file path =
     (fun ev ->
       output_string oc (Event.to_line ev);
       output_char oc '\n')
-
-let tee sinks =
-  mk
-    ~close:(fun () -> List.iter close sinks)
-    (fun ev -> List.iter (fun s -> emit s ev) sinks)

@@ -29,6 +29,3 @@ val file : string -> t
 
 val of_fn : ?close:(unit -> unit) -> (Event.t -> unit) -> t
 (** Custom sink from a function. *)
-
-val tee : t list -> t
-(** Broadcast to several sinks. [close] closes them all. *)

@@ -78,17 +78,6 @@ let stats_of_json j =
     { nodes; steps_executed; replays; runtimes_built; memo_hits; sleep_pruned;
       orbits_collapsed; wall_s }
 
-let record_stats ?(labels = []) reg s =
-  let c name v = Obs.Metrics.incr ~by:v (Obs.Metrics.counter reg ~labels name) in
-  c "exhaustive.nodes" s.nodes;
-  c "exhaustive.steps_executed" s.steps_executed;
-  c "exhaustive.replays" s.replays;
-  c "exhaustive.runtimes_built" s.runtimes_built;
-  c "exhaustive.memo_hits" s.memo_hits;
-  c "exhaustive.sleep_pruned" s.sleep_pruned;
-  c "exhaustive.orbits_collapsed" s.orbits_collapsed;
-  Obs.Metrics.set (Obs.Metrics.gauge reg ~labels "exhaustive.wall_s") s.wall_s
-
 (* Mutable effort counters of one search; read into a [stats] after it. *)
 type acc = {
   mutable a_nodes : int;

@@ -148,13 +148,6 @@ val merge_verdicts : pids:Pid.t list -> verdict -> verdict -> verdict
     over any permutation of a frontier's results reproduces the whole-tree
     search's counterexample. *)
 
-val record_stats : ?labels:(string * string) list -> Obs.Metrics.registry -> stats -> unit
-(** Export into a metric registry: counters [exhaustive.nodes],
-    [exhaustive.steps_executed], [exhaustive.replays],
-    [exhaustive.runtimes_built], [exhaustive.memo_hits] (incremented, so
-    repeated checks accumulate) and gauge [exhaustive.wall_s], all under
-    [?labels]. *)
-
 (** {1 Sound state-space reduction}
 
     Optional pruning layers for {!run}, {!split} and {!run_subtree},

@@ -55,49 +55,6 @@ type config = {
   record_trace : bool;
 }
 
-type obs = {
-  on_sched : Pid.t -> time:int -> unit;
-  on_event : Pid.t -> time:int -> Trace.event -> unit;
-}
-
-let obs_merge hooks =
-  {
-    on_sched = (fun pid ~time -> List.iter (fun o -> o.on_sched pid ~time) hooks);
-    on_event =
-      (fun pid ~time ev -> List.iter (fun o -> o.on_event pid ~time ev) hooks);
-  }
-
-let obs_events sink =
-  {
-    on_sched = (fun _ ~time:_ -> ());
-    on_event =
-      (fun pid ~time ev -> Obs.Sink.emit sink (Trace.event_to_obs ~time ~pid ev));
-  }
-
-let obs_counters reg =
-  (* counters are looked up once here, not per event *)
-  let c name = Obs.Metrics.counter reg name in
-  let scheds = c "runtime.scheds"
-  and reads = c "runtime.reads"
-  and writes = c "runtime.writes"
-  and snapshots = c "runtime.snapshots"
-  and queries = c "runtime.queries"
-  and decides = c "runtime.decides"
-  and nulls = c "runtime.nulls" in
-  {
-    on_sched = (fun _ ~time:_ -> Obs.Metrics.incr scheds);
-    on_event =
-      (fun _ ~time:_ ev ->
-        Obs.Metrics.incr
-          (match ev with
-          | Trace.Read _ -> reads
-          | Trace.Write _ -> writes
-          | Trace.Snapshot _ -> snapshots
-          | Trace.Query _ -> queries
-          | Trace.Decide _ -> decides
-          | Trace.Null -> nulls));
-  }
-
 type t = {
   cfg : config;
   c_procs : pstate array;
@@ -106,8 +63,6 @@ type t = {
   mutable steps_total : int;
   mutable c_decided : int;  (* C-processes that have decided *)
   tr : Trace.t;
-  obs : obs option;
-  observed : bool;  (* a trace is recorded or a hook installed *)
   mutable keys : Keys.t option;
   mutable mem_ids : int array;
       (* under [keys]: the value id of each register's content, for the
@@ -117,7 +72,7 @@ type t = {
   mutable unit_id : int;  (* under [keys]: the id of [Value.unit] *)
 }
 
-let create ?obs cfg ~c_code ~s_code =
+let create cfg ~c_code ~s_code =
   if cfg.pattern.Failure.n_s <> cfg.n_s then
     invalid_arg "Runtime.create: pattern size mismatch";
   let mk pid code =
@@ -143,8 +98,6 @@ let create ?obs cfg ~c_code ~s_code =
     steps_total = 0;
     c_decided = 0;
     tr = Trace.create ~enabled:cfg.record_trace;
-    obs;
-    observed = cfg.record_trace || Option.is_some obs;
     keys = None;
     mem_ids = [||];
     unit_id = 0;
@@ -202,13 +155,9 @@ let run_under (p : pstate) (f : unit -> unit) : unit =
           | _ -> None);
     }
 
-(* Callers test [t.observed] first, so that an unobserved step builds no
-   event. *)
-let record t p ev =
-  Trace.record t.tr ~time:t.now ~pid:p.pid ev;
-  match t.obs with
-  | None -> ()
-  | Some o -> o.on_event p.pid ~time:t.now ev
+(* Callers test [t.cfg.record_trace] first, so that a run that records no
+   trace builds no event. *)
+let record t p ev = Trace.record t.tr ~time:t.now ~pid:p.pid ev
 
 (* The exact state key, kept up by [execute] on a runtime with a context
    attached and by nothing on one without. A process's history node grows
@@ -310,7 +259,7 @@ let advance t ks p op qv =
    Beyond the effect's own round trip, an unkeyed step pays constant
    bookkeeping: it scans no processes, makes no polymorphic compare, and
    allocates only a process's first-step time, a decision and, when the
-   run is observed, the trace event. *)
+   run records its trace, the trace event. *)
 let execute t (p : pstate) (op : pending) : unit =
   p.pending <- None;
   p.steps <- p.steps + 1;
@@ -325,21 +274,21 @@ let execute t (p : pstate) (op : pending) : unit =
   match op with
   | K_read (r, k) ->
     let v = Memory.read t.cfg.memory r in
-    if t.observed then record t p (Trace.Read (r, v));
+    if t.cfg.record_trace then record t p (Trace.Read (r, v));
     Effect.Deep.continue k v
   | K_write (r, v, k) ->
     Memory.write t.cfg.memory r v;
-    if t.observed then record t p (Trace.Write (r, v));
+    if t.cfg.record_trace then record t p (Trace.Write (r, v));
     Effect.Deep.continue k ()
   | K_snapshot (rs, k) ->
     let vs = Memory.read_many t.cfg.memory rs in
-    if t.observed then record t p (Trace.Snapshot rs);
+    if t.cfg.record_trace then record t p (Trace.Snapshot rs);
     Effect.Deep.continue k vs
   | K_query k -> (
     match p.pid with
     | Pid.C _ -> raise (Forbidden_query p.pid)
     | Pid.S _ ->
-      if t.observed then record t p (Trace.Query qv);
+      if t.cfg.record_trace then record t p (Trace.Query qv);
       Effect.Deep.continue k qv)
   | K_decide (v, k) ->
     p.decided <- Some v;
@@ -347,7 +296,7 @@ let execute t (p : pstate) (op : pending) : unit =
     (match p.pid with
     | Pid.C _ -> t.c_decided <- t.c_decided + 1
     | Pid.S _ -> ());
-    if t.observed then record t p (Trace.Decide v);
+    if t.cfg.record_trace then record t p (Trace.Decide v);
     Effect.Deep.discontinue k Halted
   | K_yield k -> Effect.Deep.continue k ()
 
@@ -414,8 +363,7 @@ let step t pid =
   let p = unspent t pid in
   p.scheds <- p.scheds + 1;
   t.steps_total <- t.steps_total + 1;
-  (match t.obs with None -> () | Some o -> o.on_sched pid ~time:t.now);
-  if crashed t p then (if t.observed then record t p Trace.Null)
+  if crashed t p then (if t.cfg.record_trace then record t p Trace.Null)
   else begin
     (* A Fresh process first runs its code up to the first operation, then
        performs that operation within this same step, so that step #1 of a
@@ -426,7 +374,7 @@ let step t pid =
     start_if_fresh p;
     match p.pending with
     | Some op -> execute t p op
-    | None -> if t.observed then record t p Trace.Null
+    | None -> if t.cfg.record_trace then record t p Trace.Null
   end;
   t.now <- t.now + 1
 
@@ -473,13 +421,11 @@ let start_for_take_back p =
    back. The continuation a real step parks cannot be put back, so it
    is discontinued: a process that had started is spent, and one that had
    not is restarted, having held no continuation before the step. A null
-   step parks nothing and spends nothing. Refused where the step cannot be
-   taken back: an obs hook has already been told, and a C-process's parked
-   query raises. *)
+   step parks nothing and spends nothing. Refused for a C-process's parked
+   query, whose step raises. *)
 let with_step t pid f =
   let p = unspent t pid in
   match (p.pending, pid) with
-  | _ when Option.is_some t.obs -> None
   | Some (K_query _), Pid.C _ -> None
   | _ -> (
     let null = inert_p t p in

@@ -64,45 +64,14 @@ type config = {
   record_trace : bool;
 }
 
-(** {1 Instrumentation}
-
-    An optional observation hook, threaded through every run. With no hook
-    installed the only cost is one [option] match per step — the bench
-    suite guards that the disabled path stays at pre-instrumentation
-    throughput. Hooks must not step the runtime reentrantly. *)
-
-type obs = {
-  on_sched : Pid.t -> time:int -> unit;
-      (** every {!step} call, before it executes (null steps included) *)
-  on_event : Pid.t -> time:int -> Trace.event -> unit;
-      (** every executed operation, decision, and null step — exactly the
-          occurrences a recorded {!Trace} holds, in the same encoding as
-          {!Trace.event_to_obs}, whether or not tracing is on *)
-}
-
-val obs_events : Obs.Sink.t -> obs
-(** Emit each executed operation as a structured event. On the same run,
-    the stream equals [Trace.to_events (trace rt)] of a recorded trace. *)
-
-val obs_counters : Obs.Metrics.registry -> obs
-(** Count scheds and executed operations by kind into the registry
-    (counters [runtime.scheds], [runtime.reads], [runtime.writes],
-    [runtime.snapshots], [runtime.queries], [runtime.decides],
-    [runtime.nulls]). *)
-
-val obs_merge : obs list -> obs
-(** Fan one hook slot out to several hooks, in order. *)
-
 val create :
-  ?obs:obs ->
-  config ->
-  c_code:(int -> unit -> unit) ->
-  s_code:(int -> unit -> unit) ->
-  t
+  config -> c_code:(int -> unit -> unit) -> s_code:(int -> unit -> unit) -> t
 (** [create cfg ~c_code ~s_code]: [c_code i] (resp. [s_code i]) is the
     automaton of [p_i] (resp. [q_i]); it is not started until the process is
-    first scheduled. [?obs] installs an instrumentation hook for this run;
-    omitted, instrumentation is disabled at zero cost. *)
+    first scheduled. With [cfg.record_trace] the run records in its
+    {!trace} every step that has a {!Trace.event} (all but a [yield]): the
+    one place its per-step events are read from ({!Trace.to_events},
+    {!Trace.emit}). Without it a step builds no event. *)
 
 val step : t -> Pid.t -> unit
 (** Execute one step of the given process (null if crashed / done) and
@@ -136,16 +105,15 @@ val with_step : t -> Pid.t -> (unit -> 'a) -> 'a option
     have reached without the take-back. The other processes step as
     before.
 
-    Returns [None] and leaves [t] untouched on a runtime created with
-    [?obs] (the hook would already have been told), and for a C-process
-    parked on a query (its step raises {!Forbidden_query}). A [Fresh]
-    C-process whose first operation is a query raises it, as {!step}
-    does, and so does a [Fresh] process whose code raises before its first
-    operation; either is left [Fresh] and unspent. Process code must reach
-    the world only through its operations: anything else it changes during
-    a real step (an OCaml value outside the runtime, a register it
-    allocates) stays changed, and a restarted process's code runs again
-    from the start on its next step. *)
+    Returns [None] and leaves [t] untouched for a C-process parked on a
+    query (its step raises {!Forbidden_query}). A [Fresh] C-process whose
+    first operation is a query raises it, as {!step} does, and so does a
+    [Fresh] process whose code raises before its first operation; either
+    is left [Fresh] and unspent. Process code must reach the world only
+    through its operations: anything else it changes during a real step
+    (an OCaml value outside the runtime, a register it allocates) stays
+    changed, and a restarted process's code runs again from the start on
+    its next step. *)
 
 val with_null_step : t -> Pid.t -> (unit -> 'a) -> 'a option
 (** {!with_step} when [pid] is {!inert}, so that the step spends nothing;

@@ -15,7 +15,6 @@ type t = { enabled : bool; mutable buf : entry array; mutable len : int }
 
 let dummy = { time = 0; pid = Pid.C 0; event = Null }
 let create ~enabled = { enabled; buf = [||]; len = 0 }
-let enabled t = t.enabled
 
 let record t ~time ~pid event =
   if t.enabled then begin
@@ -38,11 +37,6 @@ let iter t f =
     f t.buf.(i)
   done
 
-let fold t ~init f =
-  let acc = ref init in
-  iter t (fun e -> acc := f !acc e);
-  !acc
-
 let entries t = List.init t.len (fun i -> t.buf.(i))
 let length t = t.len
 
@@ -50,10 +44,6 @@ let truncate t n =
   if n < 0 || n > t.len then invalid_arg "Trace.truncate";
   Array.fill t.buf n (t.len - n) dummy;
   t.len <- n
-
-let steps_of t pid =
-  List.rev
-    (fold t ~init:[] (fun acc e -> if Pid.equal e.pid pid then e :: acc else acc))
 
 let pp_event ppf = function
   | Read (r, v) -> Fmt.pf ppf "read r%d -> %a" r Value.pp v

@@ -12,11 +12,10 @@ type entry = { time : int; pid : Pid.t; event : event }
 type t
 
 val create : enabled:bool -> t
-val enabled : t -> bool
 val record : t -> time:int -> pid:Pid.t -> event -> unit
 val entries : t -> entry list
-(** In chronological order. Allocates a fresh list; for scans prefer {!iter}
-    or {!fold}, which walk the underlying buffer without building one. *)
+(** In chronological order. Allocates a fresh list; for scans prefer {!iter},
+    which walks the underlying buffer without building one. *)
 
 val length : t -> int
 
@@ -28,19 +27,17 @@ val get : t -> int -> entry
 (** [get t i] is the [i]-th entry in chronological order, O(1). *)
 
 val iter : t -> (entry -> unit) -> unit
-val fold : t -> init:'a -> ('a -> entry -> 'a) -> 'a
-
-val steps_of : t -> Pid.t -> entry list
-(** Entries of one process, chronological: one filtered pass over the buffer. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit
 
 (** {1 Structured-event export}
 
-    Bridge into {!Obs}: the canonical event encoding of a step, shared by
-    the live {!Runtime} instrumentation hook and the post-hoc export of a
-    recorded trace — the two streams of the same run compare equal. *)
+    Bridge into {!Obs}: the canonical event encoding of a step. A run is
+    fixed by its codes, schedule, history and inputs, so its per-step
+    events are read after it, from the trace it recorded under
+    [record_trace] ({!Runtime.config}), as [--explain] reads a witness's
+    replayed run: no live hook is needed. *)
 
 val event_to_obs : time:int -> pid:Pid.t -> event -> Obs.Event.t
 (** [{"ev":"step","t":time,"pid":"p1","op":"write","reg":3,"value":"7"}] —

@@ -1,6 +1,6 @@
 (* The obs library: metric semantics, JSON writer/parser, sinks, the
-   bench-record schema (golden bytes + round-trip), and the live-vs-bridged
-   equality of runtime event streams. *)
+   bench-record schema (golden bytes + round-trip), and the two exports of
+   a recorded run's events. *)
 
 open Simkit
 open Tasklib
@@ -375,44 +375,26 @@ let test_bench_record_roundtrip () =
   in
   check_string "deterministic bytes" (bytes ()) (bytes ())
 
-(* ------------------------------------------- runtime instrumentation *)
+(* ------------------------------------------------- recorded events *)
 
-let small_run ?obs ~record_trace () =
+(* A run's per-step events are read from its recorded trace: streamed
+   through a sink, they are the trace's event list. *)
+let test_recorded_events () =
   let task = Set_agreement.make ~n:3 ~k:1 () in
-  let rng = Random.State.make [| 7 |] in
-  let input = Task.sample_input task rng in
-  Run.execute ?obs ~record_trace ~task ~algo:(Ksa.consensus ())
-    ~fd:(Fdlib.Leader_fds.omega ~max_stab:40 ())
-    ~pattern:(Failure.failure_free 3)
-    ~input ~seed:7 ()
-
-(* the tentpole wiring test: events emitted live through Runtime.obs_events
-   equal the events bridged from the recorded trace of the same run *)
-let test_live_vs_bridged () =
-  let sink, events = Obs.Sink.buffer () in
-  let r = small_run ~obs:(Runtime.obs_events sink) ~record_trace:true () in
-  let live = events () in
-  let bridged = Trace.to_events (Option.get r.Run.r_trace) in
-  check_int "same length" (List.length bridged) (List.length live);
-  check_bool "same events" true (List.for_all2 Obs.Event.equal bridged live);
-  (* Trace.emit is the same bridge, streamed *)
-  let sink2, events2 = Obs.Sink.buffer () in
-  Trace.emit (Option.get r.Run.r_trace) sink2;
-  check_bool "emit = to_events" true
-    (List.for_all2 Obs.Event.equal bridged (events2 ()))
-
-let test_runtime_counters () =
-  let reg = Obs.Metrics.registry () in
-  let r = small_run ~obs:(Runtime.obs_counters reg) ~record_trace:false () in
-  check_bool "run ok" true (Run.ok r);
-  let get name =
-    let v = ref (-1) in
-    Obs.Metrics.iter_counters reg (fun n _ c -> if n = name then v := c);
-    !v
+  let input = Task.sample_input task (Random.State.make [| 7 |]) in
+  let r =
+    Run.execute ~record_trace:true ~task ~algo:(Ksa.consensus ())
+      ~fd:(Fdlib.Leader_fds.omega ~max_stab:40 ())
+      ~pattern:(Failure.failure_free 3)
+      ~input ~seed:7 ()
   in
-  check_bool "scheds counted" true (get "runtime.scheds" > 0);
-  check_bool "writes counted" true (get "runtime.writes" > 0);
-  check_int "all three participants decide" 3 (get "runtime.decides")
+  let tr = Option.get r.Run.r_trace in
+  let events = Trace.to_events tr in
+  check_int "one event per step" r.Run.r_steps (List.length events);
+  let sink, streamed = Obs.Sink.buffer () in
+  Trace.emit tr sink;
+  check_bool "emit = to_events" true
+    (List.equal Obs.Event.equal events (streamed ()))
 
 let test_exhaustive_stats_export () =
   let build () =
@@ -441,15 +423,11 @@ let test_exhaustive_stats_export () =
   in
   check_bool "verdict ok" true (match verdict with Exhaustive.Ok _ -> true | _ -> false);
   check_bool "monotonic wall time" true (st.Exhaustive.wall_s >= 0.);
-  (match Obs.Json.of_string (Obs.Json.to_string (Exhaustive.stats_json st)) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "stats_json does not parse: %s" e);
-  let reg = Obs.Metrics.registry () in
-  Exhaustive.record_stats reg st;
-  let nodes = ref 0 in
-  Obs.Metrics.iter_counters reg (fun n _ c ->
-      if n = "exhaustive.nodes" then nodes := c);
-  check_int "nodes exported" st.Exhaustive.nodes !nodes
+  match Obs.Json.of_string (Obs.Json.to_string (Exhaustive.stats_json st)) with
+  | Ok j ->
+    check_bool "stats_of_json reads back what stats_json wrote" true
+      (Exhaustive.stats_of_json j = Ok st)
+  | Error e -> Alcotest.failf "stats_json does not parse: %s" e
 
 let suite =
   [
@@ -470,7 +448,7 @@ let suite =
       test_baseline_regressions;
     Alcotest.test_case "baseline latency direction (pass + fail)" `Quick
       test_baseline_latency_direction;
-    Alcotest.test_case "live vs bridged event streams" `Quick test_live_vs_bridged;
-    Alcotest.test_case "runtime counters hook" `Quick test_runtime_counters;
+    Alcotest.test_case "recorded events: emit = to_events" `Quick
+      test_recorded_events;
     Alcotest.test_case "exhaustive stats export" `Quick test_exhaustive_stats_export;
   ]

@@ -90,7 +90,7 @@ let test_differential_commit_adopt () =
     ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
 
 (* as many S-processes as [pattern] has *)
-let trivial_nsa_build ?obs ~pattern () =
+let trivial_nsa_build ~pattern () =
   let n_s = pattern.Failure.n_s in
   let mem = Memory.create () in
   let input_regs = Memory.alloc mem 2 in
@@ -101,7 +101,7 @@ let trivial_nsa_build ?obs ~pattern () =
     inst.Efd.Algorithm.c_run i (Value.int (1 + i))
   in
   let s_code i () = inst.Efd.Algorithm.s_run i in
-  Runtime.create ?obs
+  Runtime.create
     {
       Runtime.n_c = 2;
       n_s;
@@ -127,7 +127,7 @@ let test_differential_trivial_nsa () =
     ~prop:trivial_nsa_prop
     ~reduce:{ Exhaustive.sleep = true; symmetry = s_class 2 }
 
-let ct_consensus_build ?obs ~pattern () =
+let ct_consensus_build ~pattern () =
   let history =
     Fdlib.Fd.draw (Fdlib.Classic.eventually_strong ~max_stab:4 ()) pattern
       ~seed:1
@@ -142,7 +142,7 @@ let ct_consensus_build ?obs ~pattern () =
       inst.Efd.Algorithm.c_run i (Value.int (10 + i))
     in
     let s_code i () = inst.Efd.Algorithm.s_run i in
-    Runtime.create ?obs
+    Runtime.create
       {
         Runtime.n_c = 2;
         n_s = 2;
@@ -168,6 +168,101 @@ let test_differential_ct_consensus () =
     ~prop:agreement_prop
     ~reduce:{ Exhaustive.sleep = true; symmetry = [] }
 
+(* [Exhaustive.run]'s memo and sleep-set search with none of its
+   shortcuts, over the public [Runtime] API: every node is rebuilt and its
+   prefix replayed (peeking every pid after each step under [sleep], as a
+   reducing search does), and every child is stepped on a runtime of its
+   own, its property read and its key looked up at its own turn. An entry
+   holds the schedules below its key and the sleep mask they were explored
+   under; a hit needs that mask inside the node's, and a miss explores
+   under the intersection. No symmetry: the crash configs have none. *)
+let reference ~sleep ~mode ~build ~pids ~depth ~prop =
+  let pids = Array.of_list pids in
+  let n = Array.length pids and keys = Keys.create () in
+  let memo = Hashtbl.create 1024 in
+  let nodes = ref 0 and hits = ref 0 and pruned = ref 0 and count = ref 0 in
+  let rec pow d = if d = 0 then 1 else n * pow (d - 1) in
+  let at prefix_rev =
+    let rt = build () in
+    Runtime.attach rt keys;
+    let peek () = if sleep then Array.iter (Runtime.peek rt) pids in
+    peek ();
+    List.iter
+      (fun i ->
+        Runtime.step rt pids.(i);
+        peek ())
+      (List.rev prefix_rev);
+    rt
+  in
+  (* the children of the node [d] steps above full depth, under mask [z] *)
+  let rec expand prefix_rev d z =
+    let rt = at prefix_rev in
+    let fp = if sleep then Array.map (Runtime.footprint rt) pids else [||] in
+    Runtime.destroy rt;
+    let rec kids before i =
+      if i = n then None
+      else if z land (1 lsl i) <> 0 then begin
+        incr pruned;
+        count := !count + pow (d - 1);
+        kids before (i + 1)
+      end
+      else begin
+        incr nodes;
+        let prefix_rev = i :: prefix_rev in
+        let rt = at prefix_rev in
+        let ok = if mode = Exhaustive.Every || d = 1 then prop rt else true in
+        let key = if ok && d > 1 then Runtime.digest rt else "" in
+        Runtime.destroy rt;
+        (* asleep below: what sleeps here or was explored before [i], and
+           commutes with [i]'s step *)
+        let z' = ref 0 in
+        for q = 0 to n - 1 do
+          if
+            sleep
+            && (z lor before) land (1 lsl q) <> 0
+            && Runtime.commute fp.(q) fp.(i)
+          then z' := !z' lor (1 lsl q)
+        done;
+        let cex =
+          if not ok then Some (List.rev_map (Array.get pids) prefix_rev)
+          else if d > 1 then visit key prefix_rev (d - 1) !z'
+          else begin
+            incr count;
+            None
+          end
+        in
+        if cex = None then kids (before lor (1 lsl i)) (i + 1) else cex
+      end
+    in
+    kids 0 0
+  and visit key prefix_rev d z =
+    match Hashtbl.find_opt memo key with
+    | Some (c, zs) when zs land lnot z = 0 ->
+      incr hits;
+      count := !count + c;
+      None
+    | stored ->
+      let z = match stored with Some (_, zs) -> zs land z | None -> z in
+      let count0 = !count in
+      let cex = expand prefix_rev d z in
+      if cex = None then Hashtbl.replace memo key (!count - count0, z);
+      cex
+  in
+  let verdict =
+    match expand [] depth 0 with
+    | Some cex -> Exhaustive.Counterexample cex
+    | None -> Exhaustive.Ok !count
+  in
+  let stats =
+    {
+      Exhaustive.zero_stats with
+      Exhaustive.nodes = !nodes;
+      memo_hits = !hits;
+      sleep_pruned = !pruned;
+    }
+  in
+  (verdict, stats)
+
 (* q2 crashes at time 2, inside the depth: from there on each of its moves
    is null, taken on the node's runtime and taken back by the engines,
    whether it had started (its operation parked) or not. The crash breaks
@@ -179,73 +274,73 @@ let test_differential_ct_consensus () =
    only in how many null moves each inert process took share a key there,
    so each engine's merges are checked against [run_replay].
 
-   A runtime built with an obs hook refuses every null move, so the same
-   search on hooked runtimes is the search without probes. Probing may move
-   steps, replays and builds only: verdicts, nodes, memo hits, sleep-pruned
-   and orbits must match it exactly, which a probe that left the live
-   runtime changed would break. *)
+   Each search's effort is checked against [reference], which reads every
+   child on a runtime of its own: probing may move steps, replays and
+   builds only. Verdicts, nodes, memo hits, sleep-pruned and orbits must
+   match it exactly, which a probe that left the live runtime changed
+   would break, and replays must stay below the counts of the search that
+   took nothing back (a runtime that refused every take-back). *)
 let test_differential_crash () =
   let pattern = Failure.pattern ~n_s:2 [ (1, 2) ] in
-  let reduce = { Exhaustive.sleep = true; symmetry = [] } in
-  let hook =
-    {
-      Runtime.on_sched = (fun _ ~time:_ -> ());
-      on_event = (fun _ ~time:_ _ -> ());
-    }
-  in
+  let sleep_only = { Exhaustive.sleep = true; symmetry = [] } in
   let effort (v, st) =
     Fmt.str "%s nodes %d hits %d sleep %d orbits %d" (verdict_str v)
       st.Exhaustive.nodes st.Exhaustive.memo_hits st.Exhaustive.sleep_pruned
       st.Exhaustive.orbits_collapsed
   in
   List.iter
-    (fun (label, n_s, build, depth, prop) ->
+    (fun (config, n_s, build, depth, prop, bounds) ->
       let pids = Pid.all ~n_c:2 ~n_s in
       List.iter
-        (fun mode ->
-          assert_engines_agree ~label ~build:(build None) ~pids ~depth ~mode
-            ~prop ~reduce;
-          List.iter
-            (fun (variant, reduce) ->
-              let run obs =
-                Exhaustive.run ?reduce ~mode ~build:(build obs) ~pids ~depth
-                  ~prop ()
+        (fun (mode, mode_name) ->
+          let label = config ^ ", " ^ mode_name in
+          assert_engines_agree ~label ~build ~pids ~depth ~mode ~prop
+            ~reduce:sleep_only;
+          List.iter2
+            (fun (variant, reduce) bound ->
+              let label = label ^ " " ^ variant in
+              let v, st =
+                Exhaustive.run ?reduce ~mode ~build ~pids ~depth ~prop ()
               in
-              let probed = run None and unprobed = run (Some hook) in
               Alcotest.(check string)
-                (label ^ " " ^ variant ^ ": same search without probes")
-                (effort unprobed) (effort probed);
+                (label ^ ": the reference search")
+                (effort
+                   (reference ~sleep:(reduce <> None) ~mode ~build ~pids ~depth
+                      ~prop))
+                (effort (v, st));
               check_bool
-                (label ^ " " ^ variant ^ ": probes save replays")
+                (Printf.sprintf "%s: probes save replays (%d, below %d)" label
+                   st.Exhaustive.replays bound)
                 true
-                ((snd probed).Exhaustive.replays
-                < (snd unprobed).Exhaustive.replays))
-            [ ("memo", None); ("reduced", Some reduce) ])
-        [ Exhaustive.Every; Exhaustive.Final ])
+                (st.Exhaustive.replays < bound))
+            [ ("memo", None); ("reduced", Some sleep_only) ]
+            bounds)
+        [ (Exhaustive.Every, "Every"); (Exhaustive.Final, "Final") ])
     [
       ( "trivial-nsa, q2 crashes",
         2,
-        (fun obs -> trivial_nsa_build ?obs ~pattern),
+        trivial_nsa_build ~pattern,
         6,
-        trivial_nsa_prop );
+        trivial_nsa_prop,
+        [ 748; 378 ] );
       ( "ct-consensus, q2 crashes",
         2,
-        (fun obs -> ct_consensus_build ?obs ~pattern ()),
+        ct_consensus_build ~pattern (),
         5,
-        agreement_prop );
+        agreement_prop,
+        [ 519; 284 ] );
       ( "trivial-nsa, q1 crashes at 3 and q2 at 1",
         3,
-        (fun obs ->
-          trivial_nsa_build ?obs
-            ~pattern:(Failure.pattern ~n_s:3 [ (0, 3); (1, 1) ])),
+        trivial_nsa_build ~pattern:(Failure.pattern ~n_s:3 [ (0, 3); (1, 1) ]),
         6,
-        trivial_nsa_prop );
+        trivial_nsa_prop,
+        [ 2369; 1373 ] );
       ( "trivial-nsa, p1 decides, q2 crashes at 1",
         2,
-        (fun obs ->
-          trivial_nsa_build ?obs ~pattern:(Failure.pattern ~n_s:2 [ (1, 1) ])),
+        trivial_nsa_build ~pattern:(Failure.pattern ~n_s:2 [ (1, 1) ]),
         7,
-        trivial_nsa_prop );
+        trivial_nsa_prop,
+        [ 1065; 499 ] );
     ]
 
 let test_differential_violation () =
@@ -1097,20 +1192,12 @@ let test_take_back_restarts () =
     (forbidden (fun () -> Runtime.step rt p1));
   Runtime.destroy rt
 
-(* Refused, and the runtime left as it was: a step an obs hook would
-   already have been told of, and a C-process's query, which raises. And
-   a reader must take back what it steps. *)
+(* Refused, and the runtime left as it was: a C-process's query, which
+   raises. And a reader must take back what it steps. *)
 let test_take_back_refusals () =
-  let told = ref 0 in
-  let hook =
-    {
-      Runtime.on_sched = (fun _ ~time:_ -> incr told);
-      on_event = (fun _ ~time:_ _ -> incr told);
-    }
-  in
-  let mk ?obs c_code =
+  let mk c_code =
     let rt =
-      Runtime.create ?obs
+      Runtime.create
         {
           Runtime.n_c = 1;
           n_s = 1;
@@ -1126,17 +1213,6 @@ let test_take_back_refusals () =
     Runtime.peek rt (Pid.c 0);
     rt
   in
-  let yields _ () = Runtime.Op.yield () in
-  let rt = mk ~obs:hook yields in
-  let key = Runtime.digest rt in
-  check_bool "an obs hook: refused" true
-    (Runtime.with_step rt (Pid.c 0) ignore = None
-    && Runtime.with_null_step rt (Pid.s 0) ignore = None);
-  check_bool "... untouched, the hook not told" true
-    (Runtime.digest rt = key && !told = 0);
-  Runtime.step rt (Pid.c 0);
-  check_bool "... and still steps" true (Runtime.steps_taken rt (Pid.c 0) = 1);
-  Runtime.destroy rt;
   let rt = mk (fun _ () -> ignore (Runtime.Op.query ())) in
   let key = Runtime.digest rt in
   check_bool "a C-process parked on a query: refused" true
@@ -1147,7 +1223,7 @@ let test_take_back_refusals () =
     | exception Runtime.Forbidden_query _ -> true
     | () -> false);
   Runtime.destroy rt;
-  let rt = mk yields in
+  let rt = mk (fun _ () -> Runtime.Op.yield ()) in
   Runtime.peek rt (Pid.s 0);
   check_bool "a reader that leaves a step in place raises" true
     (raises_invalid (fun () ->
@@ -1467,7 +1543,7 @@ let suite =
       test_take_back_spends;
     Alcotest.test_case "a Fresh process that raises or queries restarts" `Quick
       test_take_back_restarts;
-    Alcotest.test_case "taken-back steps: hooks and C queries refused" `Quick
+    Alcotest.test_case "taken-back steps: C queries refused" `Quick
       test_take_back_refusals;
     Alcotest.test_case "a finished S-process's later crash prunes" `Quick
       test_finished_crash_prunes;

@@ -540,7 +540,7 @@ let test_trace_recording () =
 
 (* p1 writes and decides; q1 writes once, then crashes at time 3 with its
    next write parked; p2 is peeked onto a parked write; q2 is Fresh. *)
-let null_move_runtime ?obs ?(keys = Keys.create ()) () =
+let null_move_runtime ?(keys = Keys.create ()) () =
   let mem = Memory.create () in
   let r = Memory.alloc1 mem () in
   let c_code i () =
@@ -555,9 +555,7 @@ let null_move_runtime ?obs ?(keys = Keys.create ()) () =
     loop 0
   in
   let pattern = Failure.pattern ~n_s:2 [ (0, 3) ] in
-  let rt =
-    Runtime.create ?obs (mk_config ~pattern ~trace:true mem) ~c_code ~s_code
-  in
+  let rt = Runtime.create (mk_config ~pattern ~trace:true mem) ~c_code ~s_code in
   Runtime.attach rt keys;
   List.iter (Runtime.step rt) [ Pid.c 0; Pid.c 0; Pid.s 0 ];
   Runtime.peek rt (Pid.c 1);
@@ -608,18 +606,6 @@ let test_null_move_refused () =
   check_bool "q2 still Fresh" true
     (Runtime.status rt (Pid.s 1) = Runtime.Fresh);
   refused rt (Pid.c 1) "p2 with a parked write";
-  Runtime.destroy rt;
-  let told = ref 0 in
-  let obs =
-    {
-      Runtime.on_sched = (fun _ ~time:_ -> incr told);
-      on_event = (fun _ ~time:_ _ -> incr told);
-    }
-  in
-  let rt = null_move_runtime ~obs () in
-  let told_before = !told in
-  refused rt (Pid.c 0) "decided p1 under an obs hook";
-  check_int "hook not told" told_before !told;
   Runtime.destroy rt
 
 (* --- Schedule --- *)

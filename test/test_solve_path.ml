@@ -251,20 +251,16 @@ let fuzz_trials target () =
    at most 20 (39.4 before the decided count, 14.5 after); a fuzz trial of
    the two targets the fuzzer's throughput was timed on at most 1.5x the
    words it took when the bound was set, which reads the same every run.
-   Every input is measured before any is reported. *)
+   Every input is measured before any is reported, and each count is
+   printed, so a run with [--verbose] shows them on any compiler. *)
 let test_loop_words () =
-  let over (what, bound, run) =
+  let measure (what, bound, run) =
     let w0 = Gc.minor_words () in
     let units = run () in
-    let words = (Gc.minor_words () -. w0) /. float_of_int units in
-    if words > bound then
-      Some
-        (Printf.sprintf "%s: %.1f minor words, want at most %.1f" what words
-           bound)
-    else None
+    (what, (Gc.minor_words () -. w0) /. float_of_int units, bound)
   in
-  match
-    List.filter_map over
+  let measured =
+    List.map measure
       [
         ("a trivial-detector step", 20., trivial_steps);
         ( "a strong-renaming fuzz trial",
@@ -274,9 +270,21 @@ let test_loop_words () =
           1.5 *. 3225.3,
           fuzz_trials (Efd.Adversary.consensus_reduction_target ~n:4) );
       ]
-  with
+  in
+  List.iter
+    (fun (what, words, bound) ->
+      Printf.printf "%s: %.1f minor words (bound %.1f)\n" what words bound)
+    measured;
+  match List.filter (fun (_, words, bound) -> words > bound) measured with
   | [] -> ()
-  | over -> Alcotest.fail (String.concat "; " over)
+  | over ->
+    Alcotest.fail
+      (String.concat "; "
+         (List.map
+            (fun (what, words, bound) ->
+              Printf.sprintf "%s: %.1f minor words, want at most %.1f" what
+                words bound)
+            over))
 
 let suite =
   [
