@@ -1177,27 +1177,35 @@ let ckpt_bench () =
      teardown stay outside the timers (the row measures what journaling
      adds to a run), and reusing one store across reps also exercises
      steady-state generation pruning. The two engines are timed in
-     interleaved pairs so load drift on the host cancels out of the
-     overhead ratio instead of landing on one side. *)
+     interleaved pairs, and the overhead is the median of the pairs'
+     ratios: load drift on the host lands on both runs of a pair, and a
+     pair that a burst of it hit lands in the median's tail. *)
   let store = tmp_store () in
   let run_checkpointed () =
     match Ckpt.Local.run ~store ~scenario:sc ~depth () with
     | Stdlib.Ok (verdict, _) -> credited verdict
     | Stdlib.Error e -> failwith e
   in
-  let split_plain = ref infinity and checkpointed = ref infinity in
-  for _ = 1 to 5 do
-    let w = time run_split_plain in
-    if w < !split_plain then split_plain := w;
-    let w = time run_checkpointed in
-    if w < !checkpointed then checkpointed := w
-  done;
+  let pairs =
+    List.init 15 (fun _ ->
+        let plain = time run_split_plain in
+        (plain, time run_checkpointed))
+  in
   rm_store store;
-  let split_plain = !split_plain and checkpointed = !checkpointed in
-  Fmt.pr "  %-28s %9.3fs@." "split engine, no journal" split_plain;
-  let overhead = (checkpointed -. split_plain) /. Float.max 1e-9 split_plain in
-  Fmt.pr "  %-28s %9.3fs  (%+.1f%% vs no-journal)@." "checkpointed"
-    checkpointed (100. *. overhead);
+  let median xs =
+    let xs = Array.of_list xs in
+    Array.sort compare xs;
+    xs.(Array.length xs / 2)
+  in
+  let split_plain = median (List.map fst pairs)
+  and checkpointed = median (List.map snd pairs) in
+  Fmt.pr "  %-28s %9.3fs  (median of %d)@." "split engine, no journal"
+    split_plain (List.length pairs);
+  let overhead =
+    median (List.map (fun (p, c) -> c /. Float.max 1e-9 p) pairs) -. 1.
+  in
+  Fmt.pr "  %-28s %9.3fs  (%+.1f%% vs no-journal, median pair)@."
+    "checkpointed" checkpointed (100. *. overhead);
   Rec.row
     ~labels:[ ("scenario", "safe-agreement"); ("engine", "monolithic") ]
     [ ("depth", jint depth); ("schedules", jint expected);

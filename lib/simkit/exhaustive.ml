@@ -183,29 +183,19 @@ exception Cancelled
 
    - Peeking: footprints force Fresh processes to their first suspension
      point. That is behaviour-neutral but digest-visible, so a reducing
-     context peeks every pid after every step and replay — digests compared
-     within one search's memo are taken at uniform peek points. The trivial
-     context never peeks, so an unreduced search sees the digests of plain
-     execution.
-
-   - Probes: a null move changes only the clock, its process's sched
-     counter, the step total and the trace, so the state a probe reads on
-     the parent's runtime is the child's state, digest included. A reducing
-     context peeked every pid at the parent and a null move starts no code,
-     so the peek after a real step would change nothing there. A probed
-     child's property and digest are therefore what its turn would read;
-     only the reading is early, while the memo lookup stays at its turn.
+     context peeks every pid after every step — digests compared within
+     one search's memo are taken at uniform peek points, and a restore
+     returns to a state taken at one. The trivial context never peeks, so
+     an unreduced search sees the digests of plain execution.
 
    - Leaf reads: a node one step above full depth takes each leaf's move
      on its own runtime with {!Runtime.with_step}, reads the property and
      takes the move back, restoring every field the property or a key can
-     read. A real move of a started process spends it, so the runtime is
-     never stepped again: leaves need no runtime, and it is destroyed at
-     the next replay. A real move of a process that has not started
-     restarts it (below) and spends nothing, so it is read on a borrowed
-     runtime too, and the runtime stays live. A leaf is never looked up,
-     and no peek follows a leaf, so the property read is the one its turn
-     would read.
+     read. A real move of a started process spends it: its continuation
+     is used up, and the next restore re-runs it. A real move of a process
+     that has not started restarts it (below) and spends nothing. A leaf
+     needs no runtime of its own, is never looked up, and no peek follows
+     it, so the property read is the one its turn would read.
 
    - Restarts: a process that has not started holds no continuation, only
      its code. Its first move is taken back by discontinuing whatever the
@@ -219,29 +209,28 @@ exception Cancelled
      plain execution. A reducing context peeked every pid at the node, so
      no process there is unstarted and nothing changes for it.
 
-   - Null-only walks: at a null-move child where every pid is asleep,
-     inert ({!Runtime.inert}) or a non-canonical class member, the subtree
-     takes null moves only. Inert stays inert (finished, or crashed-stop),
-     and a sleeping pid stays asleep down null moves, which are [F_local]
-     and commute with every footprint a sleep mask can hold. Such a
-     child's turn is run in the parent's read-ahead pass, on the parent's
-     runtime under nested null moves, and the result is kept for the turn.
-     It is the same search in the same context: the child's sleep mask
-     depends only on which earlier siblings are explored, known before any
-     turn, and the class counts and factor are the turn's. Counts credited
-     early are the turn's counts, and an earlier sibling's counterexample
-     still returns first. The walk looks the child and its subtree up, and
-     stores them, before the turns of earlier siblings; each entry is
-     stored only for a subtree verified under the mask it records, so it
-     holds wherever and whenever its key is met, and only effort counters
-     can move. A walk never takes a real step on the runtime it borrows: a
-     node inside that needs one (when the memo re-explores it under the
-     intersection with a stored mask, which can wake a live process)
-     replays its own prefix on a runtime the walk destroys when it ends.
-     Walks stay below the split frontier, so jobs are emitted in DFS
-     order.
+   - Restores: a node that may hand its runtime to two or more children
+     saves its state before the first one steps it, and each later one
+     restores it ({!Runtime.restore}). Three points make that exact.
+     First, a re-run reaches the saved state: a process's state is fixed
+     by its code and the results of its operations, its history node is
+     the path of those results in the key context, and the re-run answers
+     each operation from that path, so by the requirement in
+     exhaustive.mli its code takes the same turns and parks the same next
+     operation; every other field, and each register, is data the save
+     copied (a register's content by its value id). Second, a process
+     whose node and status are the saved ones, and that no take-back
+     spent, executed nothing since the save (every executed operation
+     moves the node, and a null move parks nothing), so its parked
+     continuation is still the saved one and it is left alone. Third, the
+     runtime only ever moves down the tree from the saved node: the first
+     child steps it, its own descendants save and restore below it, and
+     the next restore of this node comes once that subtree is done. So a
+     restore always returns to an ancestor of the runtime's state: the
+     trace is cut back, never rebuilt, and the registers written since
+     are exactly those whose ids differ.
 
-   - Predictions: a child reached by a real step is keyed on the parent's
+   - Predictions: a child that is not a leaf is keyed on the parent's
      runtime by {!Runtime.digest_after}, which makes the step's key changes
      with the function the step itself uses and takes them back; a process
      that has not started is run to its first operation, as the step runs
@@ -442,40 +431,31 @@ let with_spare f =
 (* The incremental engine: the one traversal behind [run], [split] and
    [run_subtree].
 
-   One live runtime is kept per DFS path: descending into a node's child is
-   a single [Runtime.step]. Before its children are walked, the node's
-   runtime is read for what their turns can use without a runtime of their
-   own, each child's move taken there and taken back
-   ([Runtime.with_step]). Every child whose move is null (a decided or
-   finished process, a crashed S-process) is probed: the child's property
-   and digest are read. The subtree of such a child that takes null moves
-   only is searched right there, on the same runtime under nested null
-   moves, and its turn returns the result. A node one step above full
-   depth reads every leaf, real moves included, and gives its runtime to
-   no child after a real move of a started process; a process that has
-   not started is restarted and spends nothing. With the memo on, every
-   other child that is not a leaf has its key predicted
-   ([Runtime.digest_after]). A probed child is credited without a runtime
-   when it is a leaf, a memo hit at its turn, a frontier job or a prefix
-   violation, and a predicted child when it is a memo hit. The first child
-   that needs a runtime (a miss) takes the node's, and a later one
-   rebuilds it and replays the prefix (runtimes hold effect continuations,
-   so they cannot be cloned — replay keeps the enumeration exact while the
-   descent itself costs amortized O(1) steps per node, against O(depth)
-   for replay-from-scratch at every node). A node whose runtime is
-   borrowed by a walk replays for every child that needs one.
+   One runtime serves the whole search, built once and keyed in the
+   table's context ([Runtime.attach]; a search without a memo attaches a
+   context of its own, which restores read). Descending into a node's
+   child is a single [Runtime.step]. Before its children are walked, the
+   node's runtime is read for what their turns can use without a runtime:
+   a node one step above full depth reads every leaf, each leaf's move
+   taken there and taken back ([Runtime.with_step]), and with the memo on
+   every other child has its key predicted ([Runtime.digest_after]). A
+   leaf is credited without a runtime, and so is a predicted child that
+   is a memo hit at its turn. The first child that needs the runtime (a
+   miss to expand) steps it, and a later one restores the node's state
+   ([Runtime.restore]), which the node saved before the first one stepped
+   when two or more children might need it. Descending costs one step per
+   node, and a restore re-runs only the processes that moved.
 
    On top, a memo over exact state keys ({!Runtime.digest} in the table's
-   key context, which [build_fresh] attaches to every runtime it builds;
-   [table] = [None] turns it off) collapses converging interleavings: when
-   a node's state has been seen before at the same clock, its whole
-   subtree is skipped and the recorded number of complete schedules below
-   it is credited, so reported schedule counts stay exact. Only
-   fully-verified (counterexample-free) subtrees are memoized. A probed or
-   predicted child is looked up at its own turn, not when read; a walked
-   one when it is walked, which is sound in any order (above).
+   key context; [table] = [None] turns it off) collapses converging
+   interleavings: when a node's state has been seen before at the same
+   clock, its whole subtree is skipped and the recorded number of
+   complete schedules below it is credited, so reported schedule counts
+   stay exact. Only fully-verified (counterexample-free) subtrees are
+   memoized. A predicted child is looked up at its own turn, not when
+   predicted, so lookups and stores come in DFS order.
 
-   [dfs] expands the subtree [root] names: its prefix is replayed without
+   [dfs] expands the subtree [root] names: its prefix is stepped without
    property checks, then the subtree is searched under the root's sleep
    mask, orbit-multiplier product and per-class used counts. A job root is
    looked up in and stored to the memo like any other node; [whole_tree],
@@ -487,17 +467,14 @@ let with_spare f =
    expanded. Returns the first counterexample in DFS order, complete
    schedules credited into [acc]. *)
 
-(* What a node's walk knows of a child before the child's turn. *)
+(* What a node's read-ahead knows of a child before the child's turn. *)
 type seen =
-  | Unread  (** nothing: the child is read on its own runtime *)
-  | Probed of bool * string
-      (** a move taken on the parent's runtime and taken back: what [read]
-          gives at the child *)
+  | Unread  (** nothing: the child is read on the runtime, its move taken *)
+  | Leaf of bool
+      (** a leaf, its move taken on the parent's runtime and taken back:
+          the property there *)
   | Predicted of string
-      (** a real step's key, read on the parent's runtime without the step *)
-  | Walked of Pid.t list option
-      (** a null move whose whole subtree was searched on the parent's
-          runtime: what the child's turn returns *)
+      (** a key, read on the parent's runtime without the step *)
 
 let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let every = mode = Every in
@@ -514,53 +491,22 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
     | [] -> Array.make (Array.length rctx.r_size) 0
     | us -> Array.of_list us
   in
-  let cur = ref None in
-  let destroy_cur () =
-    match !cur with
-    | Some rt ->
-      Runtime.destroy rt;
-      cur := None
-    | None -> ()
-  in
-  (* [f] searches on a borrowed runtime: the runtimes its replays build are
-     its own, destroyed when it ends, and the borrowed one is left to its
-     owner. *)
-  let borrowing f =
-    let owner = !cur in
-    cur := None;
-    Fun.protect f ~finally:(fun () ->
-        destroy_cur ();
-        cur := owner)
-  in
-  let peek_all rt =
+  acc.a_built <- acc.a_built + 1;
+  let rt = build () in
+  let peek_all () =
     if rctx.r_peek then Array.iter (Runtime.peek rt) rctx.r_pids
   in
-  let build_fresh () =
-    acc.a_built <- acc.a_built + 1;
-    let rt = build () in
-    cur := Some rt;
-    (match table with Some t -> Runtime.attach rt t.keys | None -> ());
-    rt
-  in
-  let step rt i =
+  let step i =
     Runtime.step rt rctx.r_pids.(i);
     acc.a_steps <- acc.a_steps + 1;
-    peek_all rt
-  in
-  let replay prefix_rev =
-    destroy_cur ();
-    acc.a_replays <- acc.a_replays + 1;
-    let rt = build_fresh () in
-    List.iter (step rt) (List.rev prefix_rev);
-    peek_all rt;
-    rt
+    peek_all ()
   in
   (* What the search reads of the state a node [d] steps above full depth
      holds: [ok] is the property where the mode checks it there (every
      child in [Every] mode, leaves in [Final] mode; [true] elsewhere), and
      [key] the digest the memo looks the node up by ([""] with the memo off
      and at leaves). *)
-  let read rt d =
+  let read d =
     let ok = if every || d = 0 then prop rt else true in
     let key = if ok && memo && d > 0 then Runtime.digest rt else "" in
     (ok, key)
@@ -568,13 +514,12 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
   let pids_of prefix_rev = List.rev_map (fun i -> rctx.r_pids.(i)) prefix_rev in
   let n_jobs = ref 0 in
   (* The node [d] steps above full depth, entered under sleep mask [z], read
-     as [ok] and [key]; [get ()], called at most once, gives a runtime at
-     it, [borrowed] when that runtime belongs to an ancestor and may take
-     null moves only. [unchecked] marks an [Every]-mode node whose key was
-     predicted and whose property is still to be read. Credited from the
-     memo when its state was explored before under a sleep mask no larger
-     than [z], else expanded and, once verified, stored. *)
-  let rec visit get ~borrowed ~ok ~unchecked ~key prefix_rev d ~z ~factor =
+     as [ok] and [key]; [take ()], called at most once, moves the runtime
+     to it. [unchecked] marks an [Every]-mode node whose key was predicted
+     and whose property is still to be read. Credited from the memo when
+     its state was explored before under a sleep mask no larger than [z],
+     else expanded and, once verified, stored. *)
+  let rec visit take ~ok ~unchecked ~key prefix_rev d ~z ~factor =
     let stored =
       match table with
       | Some t when d > 0 -> Hashtbl.find_opt t.counts key
@@ -595,9 +540,7 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
          skip: (re-)explore under the intersection and tighten the entry. *)
       let z_explore = match stored with None -> z | Some _ -> zs land z in
       let count0 = acc.a_count in
-      match
-        expand get ~borrowed ~ok ~unchecked prefix_rev d ~z:z_explore ~factor
-      with
+      match expand take ~ok ~unchecked prefix_rev d ~z:z_explore ~factor with
       | Some cex -> Some cex
       | None ->
         (match table with
@@ -606,7 +549,7 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
           if rctx.r_sleep then Hashtbl.replace t.masks key z_explore
         | _ -> ());
         None)
-  and expand get ~borrowed ~ok ~unchecked prefix_rev d ~z ~factor =
+  and expand take ~ok ~unchecked prefix_rev d ~z ~factor =
     if depth - d = frontier then begin
       emit
         {
@@ -627,14 +570,15 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
       acc.a_count <- acc.a_count + factor;
       if ok then None else Some (pids_of prefix_rev)
     end
-    else
-      let rt = get () in
+    else begin
+      take ();
       if unchecked && not (prop rt) then Some (pids_of prefix_rev)
-      else walk rt ~borrowed prefix_rev d ~z ~factor
-  (* The children of the node [rt] sits at, in DFS order. *)
-  and walk rt ~borrowed prefix_rev d ~z ~factor =
+      else walk prefix_rev d ~z ~factor
+    end
+  (* The children of the node the runtime sits at, in DFS order. *)
+  and walk prefix_rev d ~z ~factor =
     (* Footprints of everyone's next step at this node: stable below it,
-       valid after replays (which reconstruct this very state). *)
+       valid after restores (which reconstruct this very state). *)
     let fp =
       if rctx.r_sleep then Array.map (Runtime.footprint rt) rctx.r_pids
       else [||]
@@ -661,113 +605,60 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
         !m
       end
     in
-    (* [f ()] with the class counts below child [i]: a fresh member's move
-       uses it up. *)
-    let below i f =
-      let c = rctx.r_cls.(i) in
-      let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
-      if fresh_member then used.(c) <- used.(c) + 1;
-      let r = f () in
-      if fresh_member then used.(c) <- used.(c) - 1;
-      r
-    in
-    (* Child [i]'s turn, read as [(ok, key)]: its [get] and [borrowed] as in
-       [visit]. *)
-    let enter i ~before get ~borrowed (ok, key) ~unchecked =
+    (* Child [i]'s turn, read as [(ok, key)], [take] as in [visit]. *)
+    let enter i ~before take (ok, key) ~unchecked =
       acc.a_nodes <- acc.a_nodes + 1;
       let prefix_rev' = i :: prefix_rev in
       if every && not ok then Some (pids_of prefix_rev')
       else
         let factor' = factor * mult i in
-        below i (fun () ->
-            visit get ~borrowed ~ok ~unchecked ~key prefix_rev' (d - 1)
-              ~z:(mask i before) ~factor:factor')
+        (* a fresh class member's move uses it up below *)
+        let c = rctx.r_cls.(i) in
+        let fresh_member = c >= 0 && rctx.r_pos.(i) = used.(c) in
+        if fresh_member then used.(c) <- used.(c) + 1;
+        let r =
+          visit take ~ok ~unchecked ~key prefix_rev' (d - 1)
+            ~z:(mask i before) ~factor:factor'
+        in
+        if fresh_member then used.(c) <- used.(c) - 1;
+        r
     in
-    (* Read at child [i] (on [rt], its move taken): will its subtree take
-       null moves only? Each pid there is asleep, inert, or a class member
-       its class's canonical member stands for; asleep and inert stay so
-       down null moves. *)
-    let null_only i before =
-      let z' = mask i before and only = ref true in
-      below i (fun () ->
-          for k = 0 to n - 1 do
-            if
-              z' land (1 lsl k) = 0
-              && mult k <> 0
-              && not (Runtime.inert rt rctx.r_pids.(k))
-            then only := false
-          done);
-      !only
-    in
-    (* [rt] stays at this node until a child that needs a runtime takes it;
-       a later such child replays the prefix, as does every one under a
-       borrowed runtime. *)
-    let live = ref (not borrowed) in
-    (* Read on [rt], while it still sits here, what each child's turn can
-       use without a runtime of its own. Every null move is probed, and the
-       subtree of one that takes null moves only is searched then and
-       there, under nested null moves, unless it would reach the frontier.
-       A node one step above full depth reads its leaves, real moves too:
-       one of a process that has not started restarts it, on any [rt]; one
-       of a started process spends it, so it is read only on an owned [rt],
-       which then goes to no child. A prediction is only a key, and a leaf
-       is never looked up, so leaves are not predicted. *)
-    let leaves = d = 1 and predict = memo && d > 1 in
-    let walks = d > 1 && depth - (d - 1) > frontier in
-    let seen = Array.make n Unread in
-    let rec read_ahead i before =
-      if i < n then
-        if mult i = 0 || asleep i then read_ahead (i + 1) before
-        else begin
-          let pid = rctx.r_pids.(i) in
-          let look () =
-            acc.a_steps <- acc.a_steps + 1;
-            let ok, key = read rt (d - 1) in
-            if walks && null_only i before then
-              Walked
-                (borrowing (fun () ->
-                     enter i ~before
-                       (fun () -> rt)
-                       ~borrowed:true (ok, key) ~unchecked:false))
-            else Probed (ok, key)
-          in
-          let fresh = Runtime.status rt pid = Runtime.Fresh in
-          let spends =
-            leaves && (not borrowed) && not (fresh || Runtime.inert rt pid)
-          in
-          let restarts = leaves && fresh in
-          let take_back =
-            if spends || restarts then Runtime.with_step
-            else Runtime.with_null_step
-          in
-          let s =
-            match take_back rt pid look with
-            | Some s ->
-              if spends then live := false;
-              s
-            | None when predict -> (
-              match Runtime.digest_after rt pid with
-              | Some key -> Predicted key
-              | None -> Unread)
-            | None -> Unread
-          in
-          seen.(i) <- s;
-          match s with
-          | Walked (Some _) -> () (* no later child's turn comes *)
-          | _ -> read_ahead (i + 1) (before lor (1 lsl i))
-        end
-    in
-    read_ahead 0 0;
-    let take i =
-      let rt =
-        if !live then begin
-          live := false;
-          rt
-        end
-        else replay prefix_rev
-      in
-      step rt i;
-      rt
+    (* Read on the runtime, while it still sits here, what each child's
+       turn can use without it: a leaf's check, its move taken and taken
+       back (a real move of a started process spends it, and the next
+       restore re-runs it), and with the memo on every other child's key.
+       [last] is the last child that may need the runtime. *)
+    let seen = Array.make n Unread and last = ref (-1) in
+    for i = 0 to n - 1 do
+      if mult i <> 0 && not (asleep i) then begin
+        let pid = rctx.r_pids.(i) in
+        seen.(i) <-
+          (if d = 1 then
+             match
+               Runtime.with_step rt pid (fun () ->
+                   acc.a_steps <- acc.a_steps + 1;
+                   prop rt)
+             with
+             | Some ok -> Leaf ok
+             | None -> Unread
+           else if memo then
+             match Runtime.digest_after rt pid with
+             | Some key -> Predicted key
+             | None -> Unread
+           else Unread);
+        match seen.(i) with Leaf _ -> () | _ -> last := i
+      end
+    done;
+    (* The first child that needs the runtime steps it, saving this node
+       first when a later one may need it too; a later one restores. *)
+    let saved = ref None in
+    let take i () =
+      (match !saved with
+      | Some s ->
+        acc.a_replays <- acc.a_replays + 1;
+        acc.a_steps <- acc.a_steps + Runtime.restore rt s
+      | None -> if i < !last then saved := Some (Runtime.save rt));
+      step i
     in
     let rec kids before = function
       | [] -> None
@@ -789,19 +680,14 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
           kids before rest
         end
         else
-          let own = (fun () -> take i) and borrowed = false in
           let sub =
             match seen.(i) with
-            | Walked sub -> sub
-            | Probed (ok, key) ->
-              enter i ~before own ~borrowed (ok, key) ~unchecked:false
+            | Leaf ok -> enter i ~before ignore (ok, "") ~unchecked:false
             | Predicted key ->
-              enter i ~before own ~borrowed (true, key) ~unchecked:every
+              enter i ~before (take i) (true, key) ~unchecked:every
             | Unread ->
-              let crt = take i in
-              enter i ~before
-                (fun () -> crt)
-                ~borrowed (read crt (d - 1)) ~unchecked:false
+              take i ();
+              enter i ~before ignore (read (d - 1)) ~unchecked:false
           in
           match sub with
           | Some cex -> Some cex
@@ -809,21 +695,22 @@ let dfs rctx ~build ~prop ~mode ~table ~cancelled ~frontier ~emit acc root =
     in
     kids 0 all
   in
-  Fun.protect ~finally:destroy_cur (fun () ->
-      let rt = build_fresh () in
-      peek_all rt;
+  Fun.protect
+    ~finally:(fun () -> Runtime.destroy rt)
+    (fun () ->
+      Runtime.attach rt
+        (match table with Some t -> t.keys | None -> Keys.create ());
+      peek_all ();
       let pfx = List.map idx root.sj_prefix in
-      List.iter (step rt) pfx;
+      List.iter step pfx;
       let z = List.fold_left (fun z p -> z lor (1 lsl idx p)) 0 root.sj_sleep in
       let d = depth - List.length pfx in
-      let get () = rt and borrowed = false in
       if pfx = [] then
-        expand get ~borrowed ~ok:true ~unchecked:false [] d ~z
-          ~factor:root.sj_factor
+        expand ignore ~ok:true ~unchecked:false [] d ~z ~factor:root.sj_factor
       else if every && not (prop rt) then Some root.sj_prefix
       else
         let key = if memo then Runtime.digest rt else "" in
-        visit get ~borrowed ~ok:true ~unchecked:false ~key (List.rev pfx) d ~z
+        visit ignore ~ok:true ~unchecked:false ~key (List.rev pfx) d ~z
           ~factor:root.sj_factor)
 
 let never_cancel () = false

@@ -9,40 +9,36 @@
 
     One incremental DFS does all the searching: {!run} runs it from the
     root, {!split} runs it to a shallow frontier and emits the nodes there
-    as jobs, and {!run_subtree} runs it below one such job. One live
-    runtime is kept per DFS path, so descending costs one step per node. A
-    memo over exact state keys ({!Runtime.digest}) prunes converging
-    interleavings while keeping the reported schedule count exact, and
-    optional reduction layers prune further on the same terms. A key holds
-    what a state's future and the property read, and no more: whether
-    each process has been scheduled, not how often, and a decided
-    process's decision, not its history, so interleavings that differ only
-    in how null moves fell among processes that cannot move again, or in
-    how a process came to its decision, converge too.
+    as jobs, and {!run_subtree} runs it below one such job. Descending
+    into a child costs one step. A memo over exact state keys
+    ({!Runtime.digest}) prunes converging interleavings while keeping the
+    reported schedule count exact, and optional reduction layers prune
+    further on the same terms. A key holds what a state's future and the
+    property read, and no more: whether each process has been scheduled,
+    not how often, and a decided process's decision, not its history, so
+    interleavings that differ only in how null moves fell among processes
+    that cannot move again, or in how a process came to its decision,
+    converge too.
 
-    A node's children are read on its own runtime before any of them takes
-    it: each child's move is taken there, the child read, and the move
-    taken back ({!Runtime.with_step}). A child whose move is null (its
-    process has decided, finished or crashed) is read this way, so a leaf,
-    a memo hit, a frontier job or a violation there needs no runtime of its
-    own. When every other process is asleep or inert at such a child, its
-    whole subtree takes null moves only, and it is searched then and there,
-    on the parent's runtime under nested null moves; the child's turn
-    returns what that search found. A node one step above full depth reads
-    its leaves this way too, real steps included: a real step of a started
-    process uses up its continuation, so that runtime is only read from
-    then on, and no leaf needs it. A process that has not started holds no
-    continuation, only its code, so its first step is taken back by
-    restarting it: such a leaf is read on any runtime, and the runtime
-    stays live for later siblings. With the memo on, every other child
-    reached by a real step has its key predicted on the parent
-    ({!Runtime.digest_after}, which runs a process that has not started to
-    its first operation and restarts it), so a memo hit there needs no
-    runtime either. The live runtime goes to the first child that needs
-    one (a miss to expand); a later one rebuilds it and replays the prefix
-    (effect continuations cannot be cloned). {!stats} makes the saved work
-    observable. More cores are used by running {!split}'s jobs on several
-    processes (the [subtree] service verb).
+    One runtime serves a whole search (a {!split}, a {!run}, each
+    {!run_subtree} job). A node's children are read on it before any of
+    them takes it: a node one step above full depth takes each leaf's move
+    there, reads the leaf and takes the move back ({!Runtime.with_step}),
+    so no leaf needs the runtime. A real step of a started process uses up
+    its continuation (the process is spent until the next restore), and a
+    process that has not started is restarted instead, since it holds no
+    continuation, only its code. With the memo on, every other child has
+    its key predicted on the parent ({!Runtime.digest_after}, which runs a
+    process that has not started to its first operation and restarts it),
+    so a memo hit needs no runtime either. The runtime goes to the first
+    child that needs it (a miss to expand), and a later one gets the node
+    back by {!Runtime.restore}: the node saved its state before the first
+    one stepped, and the restore writes that data back and re-runs, alone,
+    each process that moved since, answering its operations from its
+    history in the key context. Nothing is rebuilt and no prefix is
+    replayed. {!stats} makes the saved work observable. More cores are
+    used by running {!split}'s jobs on several processes (the [subtree]
+    service verb).
 
     Cost before pruning is |pids|^depth schedules: keep |pids| ≤ 4 and
     depth ≤ 12 or so. Used to verify the agreement primitives (safe
@@ -56,8 +52,9 @@
     Soundness requirements on the inputs (all hold for the usual
     fresh-memory/fresh-algorithm builders):
     - [build] must be deterministic and return independent runtimes on
-      which no operation has executed yet: with the memo on, the engine
-      attaches its table's key context ({!Runtime.attach}) to each one;
+      which no operation has executed yet: the engine attaches a key
+      context to the one it builds ({!Runtime.attach}), its table's with
+      the memo on and one of its own with it off;
     - with the memo enabled, [prop] must be a function of the reached state
       as captured by {!Runtime.digest} (memory, statuses, decisions, per
       process observations) — not of absolute event times or the trace,
@@ -68,16 +65,20 @@
       [Every] mode a table stores only states that passed it (every node's
       property is read before the node is expanded, a job's root included),
       so the child would pass too;
-    - [prop] may be evaluated on a child before that child's turn in DFS
-      order (on its parent's runtime, with the child's move taken and then
-      taken back), and on a whole null-move subtree before the turns of
-      earlier siblings, so it must have no side effects that matter;
-    - process code must reach the world only through its operations: a
-      leaf's real step is taken and taken back on its parent's runtime,
-      and whatever else the step's code changes (an OCaml value outside
-      the runtime) stays changed when the next leaf is read. A process
-      that has not started may have its code run, and restarted, several
-      times on one runtime before its first step stays taken.
+    - [prop] may be evaluated on a leaf before that leaf's turn in DFS
+      order (on its parent's runtime, with the leaf's move taken and then
+      taken back), so it must have no side effects that matter;
+    - process code must be deterministic and reach the world only through
+      its operations: a restore re-runs a process's code from the start,
+      answering each operation from its recorded history, and a leaf's
+      real step is taken and taken back, so whatever else the code changes
+      (an OCaml value outside the runtime, a register it allocates) stays
+      changed. A process that has not started may have its code run, and
+      restarted, several times on one runtime before its first step stays
+      taken. This one is checked: a re-run whose code asks for another
+      operation than its history holds (one it picked from a value
+      outside the runtime, or a register it allocated as it ran) makes the
+      restore, and so the search, raise [Invalid_argument].
 
     Restarts: taking back the first step of a process that has not started
     discontinues whatever its code parked and sets it back to not started,
@@ -102,13 +103,14 @@ type mode =
 type stats = {
   nodes : int;  (** DFS nodes visited (memo-skipped subtrees excluded) *)
   steps_executed : int;
-      (** total {!Runtime.step} calls: replays, and the moves taken and
-          taken back to read a child on its parent's runtime, included *)
+      (** total {!Runtime.step} calls, the moves taken and taken back to
+          read a leaf on its parent's runtime included, plus the
+          operations restores re-ran ({!Runtime.restore}) *)
   replays : int;
-      (** rebuild-and-replay events (a child that needs a runtime to
-          expand after its parent's has moved on, or whose parent's runtime
-          is borrowed / baseline runs) *)
-  runtimes_built : int;  (** calls to [build] *)
+      (** restores: a child that needs the runtime after an earlier
+          sibling took it ({!run_replay}: rebuild-and-replay events) *)
+  runtimes_built : int;
+      (** calls to [build]: one per search and per {!run_subtree} job *)
   memo_hits : int;  (** subtrees skipped via the state-key memo *)
   sleep_pruned : int;
       (** subtrees skipped (and credited) by sleep-set partial-order
@@ -224,10 +226,10 @@ val run :
     splitter's own result and reproduces {!run}'s verdict and exact
     credited schedule count. It is the same traversal cut at the frontier:
     with the memo off, splitter plus job [nodes], [sleep_pruned] and
-    [orbits_collapsed] equal {!run}'s. Jobs replay their prefixes, so steps
-    and builds exceed it. With the memo on, [memo_hits] and [nodes] differ
-    too, by how much the jobs' memo {!table}s held (a private table per job
-    by default). *)
+    [orbits_collapsed] equal {!run}'s. Each job builds its runtime and
+    steps its prefix, so steps and builds exceed it. With the memo on,
+    [memo_hits] and [nodes] differ too, by how much the jobs' memo
+    {!table}s held (a private table per job by default). *)
 
 type subtree = {
   sj_id : int;
@@ -266,7 +268,7 @@ val split :
 (** Explore to [split_depth] (raises [Invalid_argument] unless
     [1 <= split_depth < depth]) and emit the frontier. In [Every] mode the
     property is checked on every prefix up to the frontier — {!run_subtree}
-    accordingly replays a job's prefix without checking the prefixes on
+    accordingly steps a job's prefix without checking the prefixes on
     the way, and reads only the job root's own property. [~mode],
     [~reduce] and the scenario must match between [split] and the
     [run_subtree] calls that consume its jobs. *)
@@ -289,12 +291,10 @@ type table
     all the jobs it serves key in one set of ids. Only fully verified
     subtrees are stored, each under the mask it was verified under, so an
     entry holds for that state wherever and whenever it is reached in the
-    same search configuration: a null-move subtree searched on its
-    parent's runtime is looked up and stored before the turns of its
-    earlier siblings, and that changes effort only. Hence the jobs of one
-    split may share a table, in any order and on any subset, and a job's
-    root is looked up and stored like any other node: a job whose root
-    state an earlier job has already explored costs only the replay of its
+    same search configuration. Hence the jobs of one split may share a
+    table, in any order and on any subset, and a job's root is looked up
+    and stored like any other node: a job whose root state an earlier job
+    has already explored costs only its build and the steps of its
     prefix.
 
     Sharing keeps credited counts and the lex-least counterexample as exact
@@ -331,7 +331,7 @@ val run_subtree :
   subtree ->
   verdict * stats
 (** Run one frontier job to the full [depth] (the same [depth] given to
-    {!split}): the prefix is replayed, then the engine expands the subtree
+    {!split}): the prefix is stepped, then the engine expands the subtree
     under the job's seeded context. In [Every] mode the job root's property
     is read before its memo lookup, and a root that fails it answers the
     prefix itself as the counterexample: a job need not come from

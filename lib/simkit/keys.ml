@@ -1,20 +1,21 @@
-(* Two open-addressing tables and a scratch buffer, grown on first use so
-   that a context nobody keys through costs one small record. Probes are
-   top-level functions taking every argument, so a lookup allocates
-   nothing. *)
+(* Values and trie edges are stored once, indexed by id and by node, and
+   two open-addressing tables of slots holding ids find them; a scratch
+   buffer builds keys. Everything is grown on first use, so that a context
+   nobody keys through costs one small record. Probes are top-level
+   functions taking every argument, so a lookup allocates nothing. *)
 
 type t = {
-  (* value intern table: slot i holds [vals.(i)], its hash [vhash.(i)] and
-     its id + 1 in [vslot.(i)] (0 = empty) *)
+  (* value [i] is [vals.(i)], with hash [vhash.(i)]; a slot of [vslot]
+     holds an id + 1 (0 = empty) *)
   mutable vals : Value.t array;
   mutable vhash : int array;
   mutable vslot : int array;
   mutable n_vals : int;
-  (* history trie, one flat table: slot i maps the edge
-     (edges.(3i), edges.(3i+1), edges.(3i+2)) = (parent, op, value id) to
-     the child [kids.(i)] (0 = empty: the root is nobody's child) *)
+  (* node [c] > 0 is the child of [edges.(3c)] by the edge
+     ([edges.(3c + 1)], [edges.(3c + 2)]) = (op, value id); a slot of
+     [kslot] holds a node (0 = empty: the root is nobody's child) *)
   mutable edges : int array;
-  mutable kids : int array;
+  mutable kslot : int array;
   mutable n_nodes : int;
   (* the key being built *)
   mutable buf : Bytes.t;
@@ -28,7 +29,7 @@ let create () =
     vslot = [||];
     n_vals = 0;
     edges = [||];
-    kids = [||];
+    kslot = [||];
     n_nodes = 0;
     buf = Bytes.empty;
     pos = 0;
@@ -48,57 +49,70 @@ let clear k =
     k.vslot <- [||]
   end
   else if k.n_vals > 0 then begin
-    (* [vhash] needs no wipe: a slot is read only when [vslot] marks it *)
+    (* the stored values are let go; [vhash] needs no wipe, as an id is
+       read only once a slot holds it *)
     Array.fill k.vslot 0 (Array.length k.vslot) 0;
-    Array.fill k.vals 0 (Array.length k.vals) Value.unit
+    Array.fill k.vals 0 k.n_vals Value.unit
   end;
   if k.n_nodes > keep_max then begin
     k.edges <- [||];
-    k.kids <- [||]
+    k.kslot <- [||]
   end
-  else if k.n_nodes > 0 then Array.fill k.kids 0 (Array.length k.kids) 0;
+  else if k.n_nodes > 0 then Array.fill k.kslot 0 (Array.length k.kslot) 0;
   k.n_vals <- 0;
   k.n_nodes <- 0;
   k.pos <- 0
+
+(* [a], or [a] doubled with its new cells [x], so that index [n] is in
+   range. *)
+let room a n x =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 16 (2 * Array.length a)) x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Put [id] into the first empty slot from [h]'s. *)
+let rec place slots mask i id =
+  if slots.(i) = 0 then slots.(i) <- id + 1
+  else place slots mask ((i + 1) land mask) id
 
 (* ------------------------------------------------------------ values *)
 
 let rec vprobe k v h mask i =
   let s = k.vslot.(i) in
   if s = 0 then begin
-    k.vals.(i) <- v;
-    k.vhash.(i) <- h;
-    k.n_vals <- k.n_vals + 1;
-    k.vslot.(i) <- k.n_vals;
-    k.n_vals - 1
+    let id = k.n_vals in
+    k.vals <- room k.vals id Value.unit;
+    k.vhash <- room k.vhash id 0;
+    k.vals.(id) <- v;
+    k.vhash.(id) <- h;
+    k.n_vals <- id + 1;
+    k.vslot.(i) <- id + 1;
+    id
   end
-  else if k.vhash.(i) = h && (k.vals.(i) == v || Value.equal k.vals.(i) v)
-  then s - 1
-  else vprobe k v h mask ((i + 1) land mask)
+  else
+    let id = s - 1 in
+    if k.vhash.(id) = h && (k.vals.(id) == v || Value.equal k.vals.(id) v)
+    then id
+    else vprobe k v h mask ((i + 1) land mask)
 
 let grow_values k =
-  let vals = k.vals and vhash = k.vhash and vslot = k.vslot in
-  let cap = max 16 (2 * Array.length vslot) in
-  k.vals <- Array.make cap Value.unit;
-  k.vhash <- Array.make cap 0;
+  let cap = max 16 (2 * Array.length k.vslot) in
   k.vslot <- Array.make cap 0;
-  let mask = cap - 1 in
-  for i = 0 to Array.length vslot - 1 do
-    if vslot.(i) <> 0 then begin
-      let j = ref (vhash.(i) land mask) in
-      while k.vslot.(!j) <> 0 do
-        j := (!j + 1) land mask
-      done;
-      k.vals.(!j) <- vals.(i);
-      k.vhash.(!j) <- vhash.(i);
-      k.vslot.(!j) <- vslot.(i)
-    end
+  for id = 0 to k.n_vals - 1 do
+    place k.vslot (cap - 1) (k.vhash.(id) land (cap - 1)) id
   done
 
 let intern k v =
   if 2 * (k.n_vals + 1) > Array.length k.vslot then grow_values k;
   let h = Value.hash v and mask = Array.length k.vslot - 1 in
   vprobe k v h mask (h land mask)
+
+let value k id =
+  if id < 0 || id >= k.n_vals then invalid_arg "Keys.value";
+  k.vals.(id)
 
 (* -------------------------------------------------------------- trie *)
 
@@ -108,48 +122,47 @@ let edge_hash parent op vid =
   h lxor (h lsr 32)
 
 let rec eprobe k parent op vid mask i =
-  let c = k.kids.(i) in
+  let c = k.kslot.(i) in
   if c = 0 then begin
-    k.n_nodes <- k.n_nodes + 1;
-    k.kids.(i) <- k.n_nodes;
-    k.edges.(3 * i) <- parent;
-    k.edges.((3 * i) + 1) <- op;
-    k.edges.((3 * i) + 2) <- vid;
-    k.n_nodes
+    let c = k.n_nodes + 1 in
+    k.edges <- room k.edges ((3 * c) + 2) 0;
+    k.edges.(3 * c) <- parent;
+    k.edges.((3 * c) + 1) <- op;
+    k.edges.((3 * c) + 2) <- vid;
+    k.n_nodes <- c;
+    k.kslot.(i) <- c;
+    c
   end
   else if
-    k.edges.(3 * i) = parent
-    && k.edges.((3 * i) + 1) = op
-    && k.edges.((3 * i) + 2) = vid
+    k.edges.(3 * c) = parent
+    && k.edges.((3 * c) + 1) = op
+    && k.edges.((3 * c) + 2) = vid
   then c
   else eprobe k parent op vid mask ((i + 1) land mask)
 
 let grow_trie k =
-  let edges = k.edges and kids = k.kids in
-  let cap = max 64 (2 * Array.length kids) in
-  k.edges <- Array.make (3 * cap) 0;
-  k.kids <- Array.make cap 0;
-  let mask = cap - 1 in
-  for i = 0 to Array.length kids - 1 do
-    if kids.(i) <> 0 then begin
-      let parent = edges.(3 * i)
-      and op = edges.((3 * i) + 1)
-      and vid = edges.((3 * i) + 2) in
-      let j = ref (edge_hash parent op vid land mask) in
-      while k.kids.(!j) <> 0 do
-        j := (!j + 1) land mask
-      done;
-      k.kids.(!j) <- kids.(i);
-      k.edges.(3 * !j) <- parent;
-      k.edges.((3 * !j) + 1) <- op;
-      k.edges.((3 * !j) + 2) <- vid
-    end
+  let cap = max 64 (2 * Array.length k.kslot) in
+  k.kslot <- Array.make cap 0;
+  for c = 1 to k.n_nodes do
+    let e = 3 * c in
+    place k.kslot (cap - 1)
+      (edge_hash k.edges.(e) k.edges.(e + 1) k.edges.(e + 2) land (cap - 1))
+      (c - 1)
   done
 
 let child k parent ~op ~vid =
-  if 2 * (k.n_nodes + 1) > Array.length k.kids then grow_trie k;
-  let mask = Array.length k.kids - 1 in
+  if 2 * (k.n_nodes + 1) > Array.length k.kslot then grow_trie k;
+  let mask = Array.length k.kslot - 1 in
   eprobe k parent op vid mask (edge_hash parent op vid land mask)
+
+(* Field [i] of the edge into node [c]. *)
+let edge k c i =
+  if c <= root || c > k.n_nodes then invalid_arg "Keys: not a child node";
+  k.edges.((3 * c) + i)
+
+let parent k c = edge k c 0
+let op k c = edge k c 1
+let vid k c = edge k c 2
 
 (* --------------------------------------------------------------- keys *)
 

@@ -10,6 +10,12 @@
     so runtimes whose keys are compared must share one context
     ({!Runtime.attach}).
 
+    Each value and each edge is stored once, under its id and its node,
+    so a context also reads backwards: a node's parent and the edge into
+    it, and an id's value. {!Runtime.restore} walks a process's history
+    this way, from its node back to {!root}, and re-runs its code along
+    it.
+
     Creating a context allocates one small record; its tables are made on
     first use. A context is not thread-safe: the runtimes attached to it
     must run on one domain at a time. *)
@@ -35,6 +41,18 @@ val intern : t -> Value.t -> int
 val child : t -> int -> op:int -> vid:int -> int
 (** [child k node ~op ~vid]: the node one edge below [node]. [op] encodes
     the operation (its kind and register), [vid] its value id. *)
+
+val value : t -> int -> Value.t
+(** [value k id]: the value {!intern} gave [id]. Raises [Invalid_argument]
+    for an id the context has not given. *)
+
+val parent : t -> int -> int
+val op : t -> int -> int
+
+val vid : t -> int -> int
+(** [parent k c], [op k c] and [vid k c]: the edge by which node [c] is
+    {!child} of [parent k c]. Raise [Invalid_argument] for {!root} and for
+    a node the context has not made. *)
 
 (** {1 Building a key}
 

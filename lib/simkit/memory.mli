@@ -4,7 +4,9 @@
     allocation order. Algorithm constructors take their registers when they
     are built, by {!alloc} or {!reserve}. Process code must never allocate:
     register ids would then depend on the schedule, and state would live
-    outside the runtime, which {!Exhaustive.run} forbids.
+    outside the runtime, which {!Exhaustive.run} forbids (a
+    {!Runtime.restore} that re-runs such code raises, its registers no
+    longer the recorded ones).
 
     Every register in range that was never written reads [Value.unit]
     (playing the role of ⊥). Cells are kept in pages of 64 registers, and a

@@ -298,7 +298,9 @@ let execute t (p : pstate) (op : pending) : unit =
     | Pid.S _ -> ());
     if t.cfg.record_trace then record t p (Trace.Decide v);
     Effect.Deep.discontinue k Halted
-  | K_yield k -> Effect.Deep.continue k ()
+  | K_yield k ->
+    if t.cfg.record_trace then record t p Trace.Yield;
+    Effect.Deep.continue k ()
 
 (* ------------------------------------------------------------------ *)
 (* Per-step footprints — the static face of the next step of each process,
@@ -327,7 +329,6 @@ let peek t pid = start_if_fresh (unspent t pid)
 (* Every step of [p] from now on is null: it has returned or decided, or
    it is an S-process crashed by now (crash-stop keeps it crashed). *)
 let inert_p t p = p.status = Done || crashed t p
-let inert t pid = inert_p t (proc t pid)
 
 let footprint t pid =
   let p = unspent t pid in
@@ -481,9 +482,6 @@ let with_step t pid f =
       undo ();
       raise e)
 
-let with_null_step t pid f =
-  if inert_p t (unspent t pid) then with_step t pid f else None
-
 let destroy t =
   Array.iter discard t.c_procs;
   Array.iter discard t.s_procs
@@ -617,3 +615,130 @@ let digest_after t pid =
     | exception e ->
       take_back t p ~fresh ~now ~scheds ~node ~reg ~id;
       raise e)
+
+(* ------------------------------------------------------------------ *)
+(* Save and restore. A save copies data only; a restore writes it back and
+   re-runs, alone, each process whose continuation is not the saved one
+   any more, answering each operation its code asks for from the next edge
+   of its saved history node (runtime.mli). *)
+
+type saved = {
+  s_rt : t;
+  s_now : int;
+  s_total : int;
+  s_c_decided : int;
+  s_trace : int;
+  s_mem : int array;
+  s_procs : pstate array;  (* copies: C-processes, then S-processes *)
+}
+
+let save t =
+  match t.keys with
+  | None -> invalid_arg "Runtime.save: no key context attached"
+  | Some ks ->
+    (* every register from [extent] up holds [Value.unit] now *)
+    cover t ks (Memory.extent t.cfg.memory);
+    let copy p = { p with pending = None } in
+    {
+      s_rt = t;
+      s_now = t.now;
+      s_total = t.steps_total;
+      s_c_decided = t.c_decided;
+      s_trace = Trace.length t.tr;
+      s_mem = Array.copy t.mem_ids;
+      s_procs = Array.map copy (Array.append t.c_procs t.s_procs);
+    }
+
+let diverged p =
+  discard p;
+  invalid_arg
+    ("Runtime.restore: " ^ Pid.to_string p.pid
+   ^ "'s code asks for an operation its history does not hold; process \
+      code must be deterministic and reach the world only through its \
+      operations (exhaustive.mli)")
+
+(* Run [p]'s code from the start along the history [node] names, each
+   operation answered from its edge (a snapshot's from one edge per
+   register), to the operation after the last edge. Returns the number of
+   operations answered. *)
+let rerun ks p node =
+  let rec path n es =
+    if n = Keys.root then es else path (Keys.parent ks n) (n :: es)
+  in
+  let value e = Keys.value ks (Keys.vid ks e) in
+  let is e kind r = Keys.op ks e = edge_op kind r in
+  let rec go ops es =
+    match (p.pending, es) with
+    | Some _, [] -> ops
+    | Some (K_read (r, k)), e :: es when is e k_read r ->
+      answer k (value e) es ops
+    | Some (K_write (r, v, k)), e :: es
+      when is e k_write r && Value.equal v (value e) ->
+      answer k () es ops
+    | Some (K_snapshot ([||], k)), e :: es when is e k_empty_snapshot 0 ->
+      answer k [||] es ops
+    | Some (K_snapshot (rs, k)), es when Array.length rs > 0 ->
+      let vs = Array.make (Array.length rs) Value.unit in
+      let rec read i = function
+        | es when i = Array.length rs -> es
+        | e :: es when is e k_snapshot rs.(i) ->
+          vs.(i) <- value e;
+          read (i + 1) es
+        | _ -> diverged p
+      in
+      answer k vs (read 0 es) ops
+    | Some (K_query k), e :: es when is e k_query 0 ->
+      answer k (value e) es ops
+    | Some (K_yield k), e :: es when is e k_yield 0 -> answer k () es ops
+    | _ -> diverged p
+  and answer : type a.
+      (a, unit) Effect.Deep.continuation -> a -> int list -> int -> int =
+   fun k v es ops ->
+    p.pending <- None;
+    Effect.Deep.continue k v;
+    go (ops + 1) es
+  in
+  p.status <- Runnable;
+  run_under p p.code;
+  go 0 (path node [])
+
+(* Put [p] back as its copy [s] holds it, adding the operations re-run to
+   [ops]. *)
+let restore_proc ks ops p s =
+  if p.spent || p.node <> s.node || p.status <> s.status then begin
+    discard p;
+    p.spent <- false;
+    p.status <- s.status;
+    if s.status = Runnable then ops := !ops + rerun ks p s.node
+  end;
+  p.decided <- s.decided;
+  p.steps <- s.steps;
+  p.scheds <- s.scheds;
+  p.first_step <- s.first_step;
+  p.decide_at <- s.decide_at;
+  p.node <- s.node
+
+let restore t s =
+  if s.s_rt != t then invalid_arg "Runtime.restore: saved on another runtime";
+  if t.now < s.s_now || Trace.length t.tr < s.s_trace then
+    invalid_arg "Runtime.restore: the runtime is behind the saved state";
+  let ks = Option.get t.keys in
+  t.now <- s.s_now;
+  t.steps_total <- s.s_total;
+  t.c_decided <- s.s_c_decided;
+  Trace.truncate t.tr s.s_trace;
+  (* the saved ids cover every register that did not hold [Value.unit]
+     then, and [mem_ids] every one written since *)
+  cover t ks (Array.length s.s_mem);
+  let ids = t.mem_ids in
+  for r = 0 to Array.length ids - 1 do
+    let id = if r < Array.length s.s_mem then s.s_mem.(r) else t.unit_id in
+    if ids.(r) <> id then begin
+      Memory.write t.cfg.memory r (Keys.value ks id);
+      ids.(r) <- id
+    end
+  done;
+  let ops = ref 0 and n_c = t.cfg.n_c in
+  Array.iteri (fun i p -> restore_proc ks ops p s.s_procs.(i)) t.c_procs;
+  Array.iteri (fun i p -> restore_proc ks ops p s.s_procs.(n_c + i)) t.s_procs;
+  !ops

@@ -68,10 +68,10 @@ val create :
   config -> c_code:(int -> unit -> unit) -> s_code:(int -> unit -> unit) -> t
 (** [create cfg ~c_code ~s_code]: [c_code i] (resp. [s_code i]) is the
     automaton of [p_i] (resp. [q_i]); it is not started until the process is
-    first scheduled. With [cfg.record_trace] the run records in its
-    {!trace} every step that has a {!Trace.event} (all but a [yield]): the
-    one place its per-step events are read from ({!Trace.to_events},
-    {!Trace.emit}). Without it a step builds no event. *)
+    first scheduled. With [cfg.record_trace] the run records every step in
+    its {!trace}, one {!Trace.event} each: the one place its per-step
+    events are read from ({!Trace.to_events}, {!Trace.emit}). Without it a
+    step builds no event. *)
 
 val step : t -> Pid.t -> unit
 (** Execute one step of the given process (null if crashed / done) and
@@ -91,19 +91,19 @@ val with_step : t -> Pid.t -> (unit -> 'a) -> 'a option
     history node, {!decided_count} and {!all_c_done}, and the register a
     write wrote, with its value id.
 
-    A {e null} step ([pid] is {!inert}) executes nothing and spends
-    nothing. A {e real} step executes [pid]'s parked operation (a [Fresh]
-    process first starts its code) and resumes its code up to its next
-    operation, which is parked in a new continuation. Continuations are
-    one-shot, so that one is discontinued. A process that had started is
-    then left {e spent}: it reads as before the step, but {!step},
-    {!peek}, {!footprint}, {!digest_after}, [with_step] and
-    {!with_null_step} raise [Invalid_argument] on it, and {!destroy}
-    skips it. A [Fresh] process held no continuation, only its code, so it
-    is {e restarted} instead: it is [Fresh] again, unspent, and its next
-    step runs its code from the beginning, reaching what that step would
-    have reached without the take-back. The other processes step as
-    before.
+    A {e null} step ([pid] is [Done], or an S-process crashed by now,
+    which crash-stop keeps crashed) executes nothing and spends nothing.
+    A {e real} step executes [pid]'s parked operation (a [Fresh] process
+    first starts its code) and resumes its code up to its next operation,
+    which is parked in a new continuation. Continuations are one-shot, so
+    that one is discontinued. A process that had started is then left
+    {e spent}: it reads as before the step, but {!step}, {!peek},
+    {!footprint}, {!digest_after} and [with_step] raise [Invalid_argument]
+    on it, and {!destroy} skips it; a {!restore} re-runs it. A [Fresh]
+    process held no continuation, only its code, so it is {e restarted}
+    instead: it is [Fresh] again, unspent, and its next step runs its code
+    from the beginning, reaching what that step would have reached without
+    the take-back. The other processes step as before.
 
     Returns [None] and leaves [t] untouched for a C-process parked on a
     query (its step raises {!Forbidden_query}). A [Fresh] C-process whose
@@ -114,15 +114,6 @@ val with_step : t -> Pid.t -> (unit -> 'a) -> 'a option
     (an OCaml value outside the runtime, a register it allocates) stays
     changed, and a restarted process's code runs again from the start on
     its next step. *)
-
-val with_null_step : t -> Pid.t -> (unit -> 'a) -> 'a option
-(** {!with_step} when [pid] is {!inert}, so that the step spends nothing;
-    [None], with [t] untouched, otherwise. *)
-
-val inert : t -> Pid.t -> bool
-(** Every step of [pid] from {!time} on is null: it is [Done], or it is an
-    S-process crashed by now (crash-stop keeps it crashed, and its code
-    never starts or resumes). *)
 
 (** {1 Step footprints}
 
@@ -135,7 +126,7 @@ val inert : t -> Pid.t -> bool
 type footprint =
   | F_local
       (** touches no shared state and is time-insensitive: a null step
-          ({!inert}: done, returned, or crashed-forever, whether or not
+          (done, returned, or crashed-forever, whether or not
           the pattern crashes it later), [yield], or [decide] (which
           writes only process-local state) *)
   | F_read of Memory.reg array  (** [read] (one register) or [snapshot] *)
@@ -152,9 +143,9 @@ val footprint : t -> Pid.t -> footprint
     {!step}: pure local computation only, no operation executes and
     {!participating}/{!steps_taken} are unchanged — but {!status} moves off
     [Fresh], so callers keying states with {!digest} must call it at
-    consistent points; see {!peek}). An {!inert} process is [F_local]
-    without being forced. Raises [Invalid_argument] for a spent process
-    ({!with_step}). *)
+    consistent points; see {!peek}). A process whose every step is null
+    (done, or crashed by now) is [F_local] without being forced. Raises
+    [Invalid_argument] for a spent process ({!with_step}). *)
 
 val peek : t -> Pid.t -> unit
 (** Force a [Fresh] process to its first suspension point without executing
@@ -283,3 +274,46 @@ val digest_after : t -> Pid.t -> string option
     is a query, whose step raises {!Forbidden_query}. Raises
     [Invalid_argument] on a runtime with no context attached, and for a
     spent process ({!with_step}). *)
+
+(** {1 Save and restore}
+
+    A runtime rewound in place, without a rebuild or a replay of its
+    schedule. A process's parked continuation cannot be copied, but it is
+    fixed by the process's code and the results of its operations, which
+    its history node in the attached context records. *)
+
+type saved
+(** The data of a runtime's state: clock, step total, decided count,
+    trace length, the registers' value ids, and per process its status,
+    decision, step and sched counts, first-step and decide times and
+    history node. No continuation. *)
+
+val save : t -> saved
+(** [save t]: [t]'s state, for {!restore}. Raises [Invalid_argument] on a
+    runtime with no key context attached. *)
+
+val restore : t -> saved -> int
+(** [restore t s] puts [t] back in the state [s] was saved at, and returns
+    the number of operations it re-ran. [s] must come from {!save} on [t]
+    itself, and [t] must be at that state or at one descended from it by
+    steps, taken-back steps ({!with_step}), predictions and peeks: the
+    trace is cut back to its saved length, never rebuilt. Raises
+    [Invalid_argument] on another runtime's [s], or a runtime whose clock
+    or trace is behind [s]'s.
+
+    Every field {!save} copies is written back, and so is every register
+    whose value id differs from the saved one (a register written since
+    the save and not covered then goes back to [Value.unit]). A process
+    whose node or status moved since the save, or that a take-back spent,
+    is put back as saved: one saved [Fresh] is restarted, one saved [Done]
+    keeps no continuation, and one saved mid-run has its continuation
+    discarded and its code re-run alone from the start. Each operation the
+    re-run asks for is answered from the next edge of the saved history,
+    with no memory effect, key update, detector query or clock move, and
+    the code is left parked on the operation after the last edge. Each
+    other process executed nothing since the save, so it keeps its parked
+    continuation. A re-run that asks for an operation other than the
+    recorded one (say its code picks it from an OCaml value outside the
+    runtime, or allocates registers as it runs), or that returns before
+    the history ends, raises [Invalid_argument] naming the determinism
+    requirement of {!Exhaustive}; the runtime is then unusable. *)

@@ -4,6 +4,7 @@ type event =
   | Snapshot of Memory.reg array
   | Query of Value.t
   | Decide of Value.t
+  | Yield
   | Null
 
 type entry = { time : int; pid : Pid.t; event : event }
@@ -51,6 +52,7 @@ let pp_event ppf = function
   | Snapshot rs -> Fmt.pf ppf "snapshot (%d regs)" (Array.length rs)
   | Query v -> Fmt.pf ppf "query -> %a" Value.pp v
   | Decide v -> Fmt.pf ppf "decide %a" Value.pp v
+  | Yield -> Fmt.string ppf "yield"
   | Null -> Fmt.string ppf "null"
 
 let pp_entry ppf e =
@@ -78,6 +80,7 @@ let event_to_obs ~time ~pid event =
         [ ("regs", Obs.Json.List (Array.to_list (Array.map (fun r -> Obs.Json.Int r) rs))) ]
     | Query v -> op "query" [ ("value", value_json v) ]
     | Decide v -> op "decide" [ ("value", value_json v) ]
+    | Yield -> op "yield" []
     | Null -> op "null" []
   in
   Obs.Event.make "step" fields

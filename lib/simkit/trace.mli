@@ -6,6 +6,7 @@ type event =
   | Snapshot of Memory.reg array
   | Query of Value.t
   | Decide of Value.t
+  | Yield  (** a [yield]: a step that executes, touching no shared state *)
   | Null  (** step of a terminated/decided process, or skipped crashed process *)
 
 type entry = { time : int; pid : Pid.t; event : event }

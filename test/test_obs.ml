@@ -377,9 +377,16 @@ let test_bench_record_roundtrip () =
 
 (* ------------------------------------------------- recorded events *)
 
-(* A run's per-step events are read from its recorded trace: streamed
-   through a sink, they are the trace's event list. *)
+(* A run's per-step events are read from its recorded trace, one per step
+   a yield's included: streamed through a sink, they are the trace's event
+   list. *)
 let test_recorded_events () =
+  let streams_equal tr =
+    let sink, streamed = Obs.Sink.buffer () in
+    Trace.emit tr sink;
+    check_bool "emit = to_events" true
+      (List.equal Obs.Event.equal (Trace.to_events tr) (streamed ()))
+  in
   let task = Set_agreement.make ~n:3 ~k:1 () in
   let input = Task.sample_input task (Random.State.make [| 7 |]) in
   let r =
@@ -389,12 +396,43 @@ let test_recorded_events () =
       ~input ~seed:7 ()
   in
   let tr = Option.get r.Run.r_trace in
-  let events = Trace.to_events tr in
-  check_int "one event per step" r.Run.r_steps (List.length events);
-  let sink, streamed = Obs.Sink.buffer () in
-  Trace.emit tr sink;
-  check_bool "emit = to_events" true
-    (List.equal Obs.Event.equal events (streamed ()))
+  check_int "one event per step" r.Run.r_steps
+    (List.length (Trace.to_events tr));
+  streams_equal tr;
+  (* p1 yields, writes and yields again, then returns *)
+  let mem = Memory.create () in
+  let reg = Memory.alloc1 mem () in
+  let rt =
+    Runtime.create
+      {
+        Runtime.n_c = 1;
+        n_s = 1;
+        memory = mem;
+        pattern = Failure.failure_free 1;
+        history = History.trivial;
+        record_trace = true;
+      }
+      ~c_code:(fun _ () ->
+        Runtime.Op.yield ();
+        Runtime.Op.write reg (Value.int 1);
+        Runtime.Op.yield ())
+      ~s_code:(fun _ () -> ())
+  in
+  for _ = 1 to 4 do
+    Runtime.step rt (Pid.c 0)
+  done;
+  let tr = Runtime.trace rt in
+  let op e =
+    match Obs.Json.member "op" (Obs.Json.Obj e.Obs.Event.fields) with
+    | Some (Obs.Json.Str op) -> op
+    | _ -> "?"
+  in
+  check_string "a yield is a step's event" "yield write yield null"
+    (String.concat " " (List.map op (Trace.to_events tr)));
+  check_int "one event per step, yields too" (Runtime.steps_total rt)
+    (Trace.length tr);
+  streams_equal tr;
+  Runtime.destroy rt
 
 let test_exhaustive_stats_export () =
   let build () =

@@ -275,11 +275,12 @@ let reference ~sleep ~mode ~build ~pids ~depth ~prop =
    so each engine's merges are checked against [run_replay].
 
    Each search's effort is checked against [reference], which reads every
-   child on a runtime of its own: probing may move steps, replays and
-   builds only. Verdicts, nodes, memo hits, sleep-pruned and orbits must
-   match it exactly, which a probe that left the live runtime changed
-   would break, and replays must stay below the counts of the search that
-   took nothing back (a runtime that refused every take-back). *)
+   child on a runtime of its own: leaf reads, predictions and restores may
+   move steps, replays and builds only. Verdicts, nodes, memo hits,
+   sleep-pruned and orbits must match it exactly, which a take-back or a
+   restore that left the runtime changed would break, and restores (the
+   engine's [replays]) must stay below the replays of a search that took
+   nothing back and read nothing ahead. *)
 let test_differential_crash () =
   let pattern = Failure.pattern ~n_s:2 [ (1, 2) ] in
   let sleep_only = { Exhaustive.sleep = true; symmetry = [] } in
@@ -309,8 +310,8 @@ let test_differential_crash () =
                       ~prop))
                 (effort (v, st));
               check_bool
-                (Printf.sprintf "%s: probes save replays (%d, below %d)" label
-                   st.Exhaustive.replays bound)
+                (Printf.sprintf "%s: restores stay below %d (%d)" label bound
+                   st.Exhaustive.replays)
                 true
                 (st.Exhaustive.replays < bound))
             [ ("memo", None); ("reduced", Some sleep_only) ]
@@ -780,10 +781,8 @@ let print_search s =
 let search_outcome ~on s =
   let keys = ref 0 in
   let prop rt =
-    (* the splitter keeps no memo, so its runtimes have no key context *)
-    (match Runtime.digest rt with
-    | key -> keys := Hashtbl.hash (!keys, key)
-    | exception Invalid_argument _ -> ());
+    (* the splitter keeps no memo, and keys in a context of its own *)
+    keys := Hashtbl.hash (!keys, Runtime.digest rt);
     program_prop s.s_prog rt
   in
   let v, st =
@@ -1070,6 +1069,148 @@ let prop_take_back_exact =
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
 
+(* --- restores: [Runtime.restore] rewinds a runtime to what a replay
+       reaches --- *)
+
+(* A state to save at, the moves taken after the save (steps, each
+   process's key predicted, then, when [reads], each process's step taken
+   and taken back, as a node one step above full depth reads its leaves,
+   which spends a started process), and steps taken after the restore. *)
+type rewind = {
+  at : state;
+  moves : Pid.t list;
+  reads : bool;
+  later : Pid.t list;
+}
+
+let gen_rewind =
+  let open QCheck.Gen in
+  let* at = gen_state in
+  let pid = oneofl (program_pids at.prog) in
+  let* moves = list_size (int_bound at.prog.depth) pid in
+  let* reads = bool in
+  let* later = list_size (int_bound at.prog.depth) pid in
+  return { at; moves; reads; later }
+
+let print_rewind w =
+  let pids ps = String.concat " " (List.map Pid.to_string ps) in
+  Printf.sprintf "%s; then [%s]%s; restored, then [%s]" (print_state w.at)
+    (pids w.moves)
+    (if w.reads then " and every step read" else "")
+    (pids w.later)
+
+(* At a random reachable state, saved, moved on and restored (twice): the
+   runtime reads as a new runtime replayed to the state reads, every field
+   and the key included, and so it does after each later step. *)
+let prop_restore_exact =
+  QCheck.Test.make ~count:300 ~name:"a restore equals a replay"
+    (QCheck.make ~print:print_rewind gen_rewind)
+    (fun w ->
+      let s = w.at and keys = Keys.create () in
+      let pids = program_pids s.prog in
+      let step rt p =
+        Runtime.step rt p;
+        if s.peeked then List.iter (Runtime.peek rt) pids
+      in
+      let rt = reach ~record_trace:true keys s in
+      let saved = Runtime.save rt in
+      let agree what =
+        let fresh = reach ~record_trace:true keys s in
+        let same i =
+          fields s rt = fields s fresh
+          || QCheck.Test.fail_reportf
+               "%s, after %d later steps:\n%s\nreplayed:\n%s" what i
+               (fields s rt) (fields s fresh)
+        in
+        let ok =
+          same 0
+          && List.for_all Fun.id
+               (List.mapi
+                  (fun i p ->
+                    step rt p;
+                    step fresh p;
+                    same (i + 1))
+                  w.later)
+        in
+        Runtime.destroy fresh;
+        ok
+      in
+      List.iter (step rt) w.moves;
+      List.iter (fun p -> ignore (Runtime.digest_after rt p)) pids;
+      if w.reads then
+        List.iter
+          (fun p -> ignore (Runtime.with_step rt p (fun () -> observe s rt)))
+          pids;
+      ignore (Runtime.restore rt saved : int);
+      let ok = agree "restored" in
+      ignore (Runtime.restore rt saved : int);
+      let ok = ok && agree "restored again" in
+      Runtime.destroy rt;
+      ok)
+
+(* A process that picks its next operation from an OCaml value outside the
+   runtime breaks exhaustive.mli's determinism requirement: its re-run
+   asks for another operation than its history holds, and the restore
+   raises, naming the requirement. So does a search over it. The same code
+   keeping its choice inside restores as a replay does. *)
+let test_restore_checks_determinism () =
+  let build ~outside () =
+    let mem = Memory.create () in
+    let regs = Memory.alloc mem 2 in
+    let reads = ref 0 in
+    let c_code _ () =
+      Runtime.Op.write regs.(0) (Value.int 1);
+      let r = regs.(!reads mod 2) in
+      if outside then incr reads;
+      ignore (Runtime.Op.read r);
+      Runtime.Op.decide (Value.int 0)
+    in
+    Runtime.create
+      {
+        Runtime.n_c = 1;
+        n_s = 1;
+        memory = mem;
+        pattern = Failure.failure_free 1;
+        history = program_history;
+        record_trace = false;
+      }
+      ~c_code
+      ~s_code:(fun _ () -> ())
+  in
+  let p1 = Pid.c 0 in
+  let rewound ~outside =
+    let rt = build ~outside () in
+    Runtime.attach rt (Keys.create ());
+    Runtime.step rt p1;
+    Runtime.step rt p1;
+    let saved = Runtime.save rt in
+    Runtime.step rt p1;
+    match Runtime.restore rt saved with
+    | _ ->
+      if Runtime.decision rt 0 = None && Runtime.steps_taken rt p1 = 2 then
+        "restored"
+      else "restored wrongly"
+    | exception Invalid_argument msg ->
+      let named = "(exhaustive.mli)" in
+      let n = String.length msg and k = String.length named in
+      if n >= k && String.sub msg (n - k) k = named then
+        "refused, naming the requirement"
+      else "refused: " ^ msg
+  in
+  Alcotest.(check string) "kept inside" "restored" (rewound ~outside:false);
+  Alcotest.(check string)
+    "kept outside" "refused, naming the requirement" (rewound ~outside:true);
+  let search ~outside =
+    Exhaustive.run ~build:(build ~outside) ~pids:(Pid.all ~n_c:1 ~n_s:1)
+      ~depth:4
+      ~prop:(fun _ -> true)
+      ()
+  in
+  Alcotest.(check string) "kept inside: a search" "Ok 16"
+    (verdict_str (fst (search ~outside:false)));
+  check_bool "kept outside: a search raises" true
+    (raises_invalid (fun () -> search ~outside:true))
+
 (* A real step of a started process spends it: nothing resumes it again,
    while every other process still steps and [destroy] passes over it. A
    [Fresh] process's first step is taken back by restarting it: it is
@@ -1096,8 +1237,7 @@ let test_take_back_spends () =
   check_bool "a Fresh process's first step is read" true
     (Runtime.with_step rt p2 (fun () -> Runtime.steps_taken rt p2) = Some 1);
   check_bool "a crashed process's step is null" true
-    (Runtime.with_null_step rt q2 (fun () -> Runtime.sched_count rt q2)
-    = Some 1);
+    (Runtime.with_step rt q2 (fun () -> Runtime.sched_count rt q2) = Some 1);
   check_bool "the key is the parent's" true (Runtime.digest rt = key);
   let what = "a spent Runnable process" in
   check_bool ("stepping " ^ what ^ " raises") true
@@ -1121,7 +1261,7 @@ let test_take_back_spends () =
   check_bool "... and its steps reach what a replay reaches" true
     (observe s rt = replayed && Runtime.decision rt 1 = Some (Value.int 1));
   check_bool "a null step spends nothing" true
-    (Runtime.with_null_step rt q2 ignore = Some ());
+    (Runtime.with_step rt q2 ignore = Some ());
   Runtime.step rt q1;
   Runtime.step rt q2;
   check_bool "the others still step" true
@@ -1227,7 +1367,7 @@ let test_take_back_refusals () =
   Runtime.peek rt (Pid.s 0);
   check_bool "a reader that leaves a step in place raises" true
     (raises_invalid (fun () ->
-         Runtime.with_null_step rt (Pid.s 0) (fun () ->
+         Runtime.with_step rt (Pid.s 0) (fun () ->
              Runtime.step rt (Pid.c 0))));
   Runtime.destroy rt
 
@@ -1298,15 +1438,16 @@ let test_finished_crash_prunes () =
         (c.Exhaustive.nodes < 596))
     [ Exhaustive.Every; Exhaustive.Final ]
 
-(* --- searches on a borrowed runtime --- *)
+(* --- regressions: programs that broke an engine --- *)
 
 (* Two programs of the random battery under which, in a reduced search, a
-   node inside a null-only walk needs a real step: the memo re-explores it
+   node whose subtree takes null moves only is re-explored by the memo
    under the intersection of its own and a stored sleep mask, which wakes
-   a process that is not inert. That node must get a runtime of its own:
-   a search that stepped the borrowed one answered wrongly. Each is run
-   under every property the battery draws. *)
-let borrowed_walk_programs =
+   a process that is not inert. An engine that searched such subtrees on
+   its parent's runtime answered them wrongly when it stepped that
+   runtime. Each is run under every property the battery draws, every
+   engine against [run_replay]. *)
+let regression_programs =
   [
     {
       n_c = 3;
@@ -1350,7 +1491,7 @@ let check_against_replay p mode =
         want v)
     got
 
-let test_borrowed_walks () =
+let test_regression_programs () =
   let forbids =
     List.concat_map
       (fun i ->
@@ -1367,7 +1508,7 @@ let test_borrowed_walks () =
             (check_against_replay { prog with forbid })
             [ Exhaustive.Every; Exhaustive.Final ])
         forbids)
-    borrowed_walk_programs
+    regression_programs
 
 (* --- keys hold what the future reads: a scheduled bit, not a sched
        count, and a decided process's decision, not its history --- *)
@@ -1539,6 +1680,9 @@ let suite =
     Alcotest.test_case "predicted keys: every kind of step covered" `Quick
       test_prediction_covers_every_step;
     QCheck_alcotest.to_alcotest prop_take_back_exact;
+    QCheck_alcotest.to_alcotest prop_restore_exact;
+    Alcotest.test_case "a restore checks that process code is deterministic"
+      `Quick test_restore_checks_determinism;
     Alcotest.test_case "a taken-back real step spends its process" `Quick
       test_take_back_spends;
     Alcotest.test_case "a Fresh process that raises or queries restarts" `Quick
@@ -1547,8 +1691,8 @@ let suite =
       test_take_back_refusals;
     Alcotest.test_case "a finished S-process's later crash prunes" `Quick
       test_finished_crash_prunes;
-    Alcotest.test_case "searches on a borrowed runtime: regressions" `Quick
-      test_borrowed_walks;
+    Alcotest.test_case "regression programs: every engine matches run_replay"
+      `Quick test_regression_programs;
     Alcotest.test_case "keys merge inert processes' null moves and histories"
       `Quick test_keys_merge_inert;
     QCheck_alcotest.to_alcotest prop_merged_states_agree;

@@ -578,14 +578,14 @@ let test_null_move_taken_back () =
       (* the state inside is exactly the one a real step reaches *)
       let twin = null_move_runtime ~keys () in
       Runtime.step twin pid;
-      (match Runtime.with_null_step rt pid (fun () -> observe rt pid) with
+      (match Runtime.with_step rt pid (fun () -> observe rt pid) with
       | Some inside ->
         check_bool (name ^ ": inside is the stepped state") true
           (inside = observe twin pid)
       | None -> Alcotest.failf "%s: null move refused" name);
       check_bool (name ^ ": taken back") true (observe rt pid = before);
       (* and taken back when the body raises *)
-      (match Runtime.with_null_step rt pid (fun () -> raise Exit) with
+      (match Runtime.with_step rt pid (fun () -> raise Exit) with
       | exception Exit -> ()
       | _ -> Alcotest.failf "%s: exception swallowed" name);
       check_bool (name ^ ": taken back after a raise") true
@@ -594,18 +594,26 @@ let test_null_move_taken_back () =
       Runtime.destroy twin)
     [ Pid.c 0 (* decided *); Pid.s 0 (* crashed, write parked *) ]
 
-let test_null_move_refused () =
-  let refused rt pid label =
+(* A process that has not finished, and is not crashed, moves for real:
+   taken back, a [Fresh] one is restarted and a started one is spent. *)
+let test_live_move_real () =
+  let keys = Keys.create () in
+  let rt = null_move_runtime ~keys () in
+  let real pid label =
     let before = observe rt pid in
-    check_bool (label ^ ": refused") true
-      (Runtime.with_null_step rt pid (fun () -> ()) = None);
-    check_bool (label ^ ": untouched") true (observe rt pid = before)
+    check_bool (label ^ ": a step") true
+      (Runtime.with_step rt pid (fun () -> Runtime.steps_taken rt pid)
+      = Some (Runtime.steps_taken rt pid + 1));
+    check_bool (label ^ ": taken back") true (observe rt pid = before)
   in
-  let rt = null_move_runtime () in
-  refused rt (Pid.s 1) "Fresh q2";
-  check_bool "q2 still Fresh" true
+  real (Pid.s 1) "Fresh q2";
+  check_bool "q2 restarted, Fresh" true
     (Runtime.status rt (Pid.s 1) = Runtime.Fresh);
-  refused rt (Pid.c 1) "p2 with a parked write";
+  real (Pid.c 1) "p2 with a parked write";
+  check_bool "p2 spent" true
+    (match Runtime.step rt (Pid.c 1) with
+    | exception Invalid_argument _ -> true
+    | () -> false);
   Runtime.destroy rt
 
 (* --- Schedule --- *)
@@ -1011,7 +1019,8 @@ let suite =
       test_key_ignores_reserved_rounds;
     Alcotest.test_case "trace recording" `Quick test_trace_recording;
     Alcotest.test_case "null move taken back" `Quick test_null_move_taken_back;
-    Alcotest.test_case "null move refused" `Quick test_null_move_refused;
+    Alcotest.test_case "a live process's move is real" `Quick
+      test_live_move_real;
     Alcotest.test_case "round robin fair" `Quick test_round_robin_fair;
     Alcotest.test_case "shuffled rounds fair" `Quick test_shuffled_rounds_fair;
     Alcotest.test_case "explicit schedule stops" `Quick test_explicit_schedule_stops;

@@ -377,8 +377,12 @@ let raw_calls path requests =
   Unix.close fd;
   replies
 
+(* about 40 ms of search on a 2-vCPU host: long enough that pings overtake
+   it, a 5 ms deadline trips on it and a queue of them fills *)
+let slow_params = J.Obj [ ("depth", J.Int 20); ("n_s", J.Int 2) ]
+
 let slow_modelcheck ?deadline_ms ~id () =
-  P.request ?deadline_ms ~params:(J.Obj [ ("depth", J.Int 14) ]) ~id P.Modelcheck
+  P.request ?deadline_ms ~params:slow_params ~id P.Modelcheck
 
 let test_server_backpressure () =
   let path = socket_path () in
@@ -407,13 +411,11 @@ let test_server_deadline () =
   let path = socket_path () in
   with_server (default_cfg path) (fun _ ->
       let c = Svc.Client.connect path in
-      (* depth 14 runs for tens of milliseconds; a 5 ms deadline trips
+      (* [slow_params] runs for tens of milliseconds; a 5 ms deadline trips
          either while queued or mid-execution — both are deadline_exceeded,
          and the cancelled engine reports no verdict *)
       (match
-         Svc.Client.call ~deadline_ms:5
-           ~params:(J.Obj [ ("depth", J.Int 14) ])
-           c P.Modelcheck
+         Svc.Client.call ~deadline_ms:5 ~params:slow_params c P.Modelcheck
        with
       | Error (Svc.Client.Server (P.Deadline_exceeded, _)) -> ()
       | Ok _ -> Alcotest.fail "deadline did not trip"
