@@ -1,10 +1,10 @@
 (* The experiment harness: regenerates every table/claim of the paper
-   (experiments E1..E12 of DESIGN.md) and runs Bechamel micro-benchmarks.
+   (experiments E1..E12 of DESIGN.md), the ablations, the checker table and
+   the fleet and journal benches.
 
    Usage:
-     dune exec bench/main.exe            -- all experiment tables + benches
-     dune exec bench/main.exe -- e5 e12  -- selected experiments only
-     dune exec bench/main.exe -- micro   -- micro-benchmarks only          *)
+     dune exec bench/main.exe            -- every section
+     dune exec bench/main.exe -- e5 e12  -- selected sections only        *)
 
 open Simkit
 open Tasklib
@@ -713,134 +713,6 @@ let checker () =
         vs_baseline vs_memo)
     configs
 
-(* ------------------------------------------------------- micro-benches *)
-
-let micro () =
-  header "micro" "Bechamel micro-benchmarks";
-  let open Bechamel in
-  (* setup (task construction, input sampling) happens outside the staged
-     closures: the benchmark times the run, not the enumeration of input
-     vectors *)
-  let consensus_run n seed =
-    let task = Set_agreement.make ~n ~k:1 () in
-    let algo = Ksa.consensus () in
-    let fd = Fdlib.Leader_fds.omega ~max_stab:40 () in
-    let rng = Random.State.make [| seed |] in
-    let input = Task.sample_input task rng in
-    fun () ->
-      ignore
-        (Run.execute ~task ~algo ~fd
-           ~pattern:(Failure.failure_free n)
-           ~input ~seed ())
-  in
-  let ksa_run n k =
-    let task = Set_agreement.make ~n ~k () in
-    let algo = Ksa.make ~k () in
-    let fd = Fdlib.Leader_fds.vector_omega_k ~max_stab:40 ~k () in
-    let rng = Random.State.make [| 3 |] in
-    let input = Task.sample_input task rng in
-    fun () ->
-      ignore
-        (Run.execute ~task ~algo ~fd
-           ~pattern:(Failure.failure_free n)
-           ~input ~seed:3 ())
-  in
-  let renaming_run j k =
-    let task = Renaming.make ~n:(j + 1) ~j ~l:(j + k - 1) in
-    let rng = Random.State.make [| 3 |] in
-    let input = Task.sample_input task rng in
-    let algo = Renaming_algos.fig4 () in
-    fun () ->
-      ignore
-        (Run.execute
-           ~policy:(Run.k_concurrent_policy k)
-           ~task ~algo ~fd:Fdlib.Fd.trivial
-           ~pattern:(Failure.failure_free 1)
-           ~input ~seed:3 ())
-  in
-  let snapshot_scan n () =
-    (* the honest Afek-style snapshot construction, solo *)
-    let mem = Memory.create () in
-    let h = Snapshot.create mem ~n in
-    let rt =
-      Runtime.create
-        {
-          Runtime.n_c = 1;
-          n_s = 1;
-          memory = mem;
-          pattern = Failure.failure_free 1;
-          history = History.trivial;
-          record_trace = false;
-        }
-        ~c_code:(fun _ () ->
-          Snapshot.update h 0 (Value.int 1);
-          ignore (Snapshot.scan h);
-          Runtime.Op.decide Value.unit)
-        ~s_code:(fun _ () -> ())
-    in
-    let _ = Schedule.run rt (Schedule.c_solo 0) ~budget:10_000 in
-    Runtime.destroy rt
-  in
-  let extraction_explore () =
-    let n = 3 and k = 1 in
-    let task = Set_agreement.make ~n ~k () in
-    let algo = Ksa.make ~max_rounds:128 ~k () in
-    let fd = Fdlib.Leader_fds.vector_omega_k_silent ~max_stab:25 ~k () in
-    let pattern = Failure.failure_free 3 in
-    let history = Fdlib.Fd.draw fd pattern ~seed:3 in
-    let dag = Fdlib.Dag.create ~n_s:3 in
-    for t = 0 to 150 do
-      ignore
-        (Fdlib.Dag.add_sample dag ~q:(t mod 3)
-           (History.get history ~q:(t mod 3) ~time:t))
-    done;
-    let rng = Random.State.make [| 3 |] in
-    let inputs = Task.sample_input task rng in
-    ignore
-      (Extraction.simulate_branch ~algo ~inputs ~n_c:n ~n_s:3 ~k ~dag
-         ~stall_on:None ~budget:4_000)
-  in
-  let tests =
-    [
-      Test.make ~name:"consensus-omega-n3" (Staged.stage (consensus_run 3 1));
-      Test.make ~name:"consensus-omega-n5" (Staged.stage (consensus_run 5 1));
-      Test.make ~name:"consensus-omega-n7" (Staged.stage (consensus_run 7 1));
-      Test.make ~name:"consensus-omega-n10" (Staged.stage (consensus_run 10 1));
-      Test.make ~name:"ksa-n4-k2" (Staged.stage (ksa_run 4 2));
-      Test.make ~name:"ksa-n6-k3" (Staged.stage (ksa_run 6 3));
-      Test.make ~name:"ksa-n8-k4" (Staged.stage (ksa_run 8 4));
-      Test.make ~name:"renaming-j4-k2" (Staged.stage (renaming_run 4 2));
-      Test.make ~name:"snapshot-scan-n8" (Staged.stage (snapshot_scan 8));
-      Test.make ~name:"snapshot-scan-n32" (Staged.stage (snapshot_scan 32));
-      Test.make ~name:"extraction-branch" (Staged.stage extraction_explore);
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let instance = Toolkit.Instance.monotonic_clock in
-  Fmt.pr "  %-26s %16s@." "benchmark" "time/run";
-  line ();
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let stats = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            let pretty =
-              if est > 1e6 then Fmt.str "%8.2f ms" (est /. 1e6)
-              else if est > 1e3 then Fmt.str "%8.2f us" (est /. 1e3)
-              else Fmt.str "%8.0f ns" est
-            in
-            Rec.row ~labels:[ ("benchmark", name) ] [ ("ns_per_run", jfloat est) ];
-            Fmt.pr "  %-26s %16s@." name pretty
-          | _ -> Fmt.pr "  %-26s %16s@." name "n/a")
-        stats)
-    tests
-
 (* ----------------------------------------------------------- ablations *)
 
 let ablations () =
@@ -1265,7 +1137,7 @@ let all : (string * (unit -> unit)) list =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("ablations", ablations); ("checker", checker);
-    ("micro", micro); ("dist", dist_bench); ("ckpt", ckpt_bench);
+    ("dist", dist_bench); ("ckpt", ckpt_bench);
   ]
 
 let () =

@@ -4,7 +4,7 @@
    $ wfa solve --task ksa --k 2 --n 5 --fd vector
    $ wfa solve --task renaming --j 3 --l 4 --policy kconc:2
    $ wfa classify --n 4
-   $ wfa witness --kind strong-renaming --j 3
+   $ wfa fuzz --kind strong-renaming --j 3 --explain
    $ wfa extract --n 3 --k 1 --crashes 2:300                              *)
 
 open Cmdliner
@@ -123,8 +123,6 @@ let json_arg =
 
 (* ------------------------------------------------------------- helpers *)
 
-let policy_of_spec = Scenario.Build.policy_factory
-
 (* Range-checking a crash index needs [n_s], known only at run time: report
    cleanly on stderr and exit nonzero without a backtrace. *)
 let with_pattern ~n_s crashes f =
@@ -198,81 +196,66 @@ let scenario_file_arg cmd =
               flags) and exit 0 iff its declared expectation holds."
              cmd))
 
+(* The flag modes of solve, fuzz and modelcheck read their values with the
+   reader scenario files and the server use, then run them with the
+   executor the server's workers use (Svc.Jobs): a value either refuses is
+   one line on stderr and exit 2, with the reader's or the constructor's
+   message, as the server answers it with a bad_request. *)
+let refuse ~cmd msg =
+  Fmt.epr "wfa %s: %s@." cmd msg;
+  2
+
+let checked ~cmd work k =
+  match Scenario.Spec.check work with
+  | Ok () -> k ()
+  | Error msg -> refuse ~cmd msg
+
+let executed ~cmd result k =
+  match result with
+  | Ok v -> k v
+  | Error (Svc.Protocol.Bad_request, msg) -> refuse ~cmd msg
+  | Error (code, msg) ->
+    refuse ~cmd (Svc.Protocol.err_code_string code ^ ": " ^ msg)
+
 (* ------------------------------------------------------------ commands *)
 
-let solve scenario_file task_kind fd_kind policy n k j l seed budget crashes
-    json =
+let solve scenario_file sv_task sv_fd sv_policy sv_n sv_k sv_j sv_l sv_seed
+    sv_budget sv_crashes json =
   match scenario_file with
   | Some path -> run_scenario_file ~cmd:"solve" path
-  | None when task_kind = `Consensus && k <> 1 ->
-    Fmt.epr "wfa solve: consensus needs -k 1, got %d (use --task ksa)@." k;
-    2
   | None ->
-  let task = Scenario.Build.task task_kind ~n ~k ~j ~l in
-  let algo = Scenario.Build.algo task_kind task ~k in
-  let fd = Scenario.Build.fd fd_kind ~k in
-  with_pattern ~n_s:n crashes (fun pattern ->
-      let rng = Random.State.make [| seed |] in
-      let input = Task.sample_input task rng in
-      let r =
-        Run.execute ~budget ~policy:(policy_of_spec policy) ~task ~algo ~fd
-          ~pattern ~input ~seed ()
-      in
-      Fmt.pr
-        "task     %s@.algo     %s@.fd       %s@.pattern  %a@.%a@.verdict  %s@."
-        task.Task.task_name algo.Algorithm.algo_name (Fdlib.Fd.name fd)
-        Failure.pp_pattern pattern Run.pp_report r
-        (if Run.ok r then "OK" else "FAILED");
-      Option.iter
-        (fun path ->
-          write_json path
-            (Run.report_json ~labels:(Run.labels ~task ~algo ~fd ~seed) r))
-        json;
-      if Run.ok r then 0 else 1)
+  let s =
+    {
+      Scenario.Spec.sv_task; sv_fd; sv_policy; sv_n; sv_k; sv_j; sv_l;
+      sv_crashes; sv_seed; sv_budget;
+    }
+  in
+  checked ~cmd:"solve" (Scenario.Spec.Solve s) @@ fun () ->
+  executed ~cmd:"solve" (Svc.Jobs.solve s)
+  @@ fun ({ Svc.Jobs.so_task; so_algo; so_fd; so_pattern; so_report = r; _ }
+          as so) ->
+  Fmt.pr "task     %s@.algo     %s@.fd       %s@.pattern  %a@.%a@.verdict  %s@."
+    so_task.Task.task_name so_algo.Algorithm.algo_name (Fdlib.Fd.name so_fd)
+    Failure.pp_pattern so_pattern Run.pp_report r
+    (if Run.ok r then "OK" else "FAILED");
+  Option.iter (fun path -> write_json path (Svc.Jobs.report_json so)) json;
+  if Run.ok r then 0 else 1
 
 let classify n seeds =
   let table = Classifier.table ~seeds_per_level:seeds ~n () in
   Fmt.pr "%a@." Classifier.pp_table table;
   if List.for_all Classifier.consistent table then 0 else 1
 
-let witness kind n j seeds explain =
-  let seeds = List.init seeds (fun i -> i + 1) in
-  let w =
-    match kind with
-    | `Strong_renaming -> Adversary.strong_renaming_witness ~seeds ~n ~j ()
-    | `Consensus_reduction -> Adversary.consensus_reduction_witness ~seeds ~n ()
-  in
-  match w with
-  | Some w ->
-    if explain then begin
-      let task, algo =
-        match kind with
-        | `Strong_renaming -> (Renaming.strong ~n ~j, Renaming_algos.fig4 ())
-        | `Consensus_reduction ->
-          ( Set_agreement.make ~u:[ 0; 1 ] ~n ~k:1 (),
-            Adversary.consensus_via_strong_renaming () )
-      in
-      Adversary.explain
-        ~policy:(Run.k_concurrent_uniform_policy 2)
-        ~task ~algo ~fd:Fdlib.Fd.trivial w Fmt.stdout;
-      Fmt.pr "@."
-    end
-    else Fmt.pr "%a@." Adversary.pp_witness w;
-    0
-  | None ->
-    Fmt.pr "no witness found in %d seeds@." (List.length seeds);
-    1
-
-let fuzz scenario_file kind n j seed trials domains do_shrink explain json =
+let fuzz scenario_file fz_kind fz_n fz_j fz_seed fz_budget fz_domains do_shrink
+    explain json =
   match scenario_file with
   | Some path -> run_scenario_file ~cmd:"fuzz" path
   | None ->
-  match Scenario.Build.fuzz_target kind ~n ~j with
-  | Error msg ->
-    Fmt.epr "wfa fuzz: %s@." msg;
-    2
-  | Ok target ->
-  let res = Adversary.fuzz_target ~domains ~seed ~budget:trials target () in
+  let f =
+    { Scenario.Spec.fz_kind; fz_n; fz_j; fz_seed; fz_budget; fz_domains }
+  in
+  checked ~cmd:"fuzz" (Scenario.Spec.Fuzz f) @@ fun () ->
+  executed ~cmd:"fuzz" (Svc.Jobs.fuzz f) @@ fun (target, res) ->
   Fmt.pr "target   %s@.trials   %d/%d (%d domain%s, %.3fs, %.0f seeds/s)@."
     target.Adversary.t_name res.Adversary.f_trials res.Adversary.f_budget
     res.Adversary.f_domains
@@ -435,89 +418,70 @@ let ckpt_field ~dir ~resumed =
     Obs.Json.Obj
       [ ("dir", Obs.Json.Str dir); ("resumed", Obs.Json.Bool resumed) ] )
 
-let modelcheck scenario_file depth n_s reduce scenario workers split_depth
-    checkpoint checkpoint_interval_s json =
+(* Exhaustively check a named scenario over every schedule (default:
+   2-process safe agreement); the S-processes are idle and symmetric, so
+   --reduce declares them one symmetry class on top of sleep-set pruning.
+   With --workers the frontier is split and fanned out to a fleet of wfa
+   serve instances (lib/dist); the merge algebra makes the verdict and
+   credited count identical to the local run. *)
+let modelcheck scenario_file mc_depth mc_n_s mc_reduce mc_scenario workers
+    split_depth checkpoint checkpoint_interval_s json =
   match scenario_file with
   | Some path -> run_scenario_file ~cmd:"modelcheck" path
-  | None ->
-  (* exhaustively check a named scenario over every schedule (default:
-     2-process safe agreement); the S-processes are idle and symmetric, so
-     --reduce declares them one symmetry class on top of sleep-set
-     pruning. With --workers the frontier is split and fanned out to a
-     fleet of wfa serve instances (lib/dist); the merge algebra makes the
-     verdict and credited count identical to the local run. *)
-  let n_s = max 1 n_s in
-  match Mcheck.Scenario.find scenario ~n_s with
-  | Error msg ->
-    Fmt.epr "wfa modelcheck: %s@." msg;
-    2
-  | Ok sc -> (
+  | None -> (
+    let m = { Scenario.Spec.mc_scenario; mc_n_s; mc_depth; mc_reduce } in
+    checked ~cmd:"modelcheck" (Scenario.Spec.Modelcheck m) @@ fun () ->
     let finish =
-      finish_check ~scenario:sc.Mcheck.Scenario.sc_name ~depth ~n_s ~reduce
-        ~json
+      finish_check ~scenario:mc_scenario ~depth:mc_depth ~n_s:mc_n_s
+        ~reduce:mc_reduce ~json
+    in
+    (* the reader has resolved the name and bounded n_s *)
+    let scenario () =
+      Result.get_ok (Mcheck.Scenario.find mc_scenario ~n_s:mc_n_s)
     in
     let store =
       match checkpoint with
       | None -> Ok None
-      | Some dir ->
-        Result.map (fun s -> Some (dir, s)) (Ckpt.Store.create dir)
+      | Some dir -> Result.map (fun s -> Some (dir, s)) (Ckpt.Store.create dir)
     in
-    match store with
-    | Error msg ->
-      Fmt.epr "wfa modelcheck: %s@." msg;
-      2
-    | Ok store -> (
-      match (workers, store) with
-      | [], None -> (
-        let red = Mcheck.Scenario.reduction sc ~reduce in
-        match
-          Exhaustive.run ?reduce:red ~build:sc.Mcheck.Scenario.sc_build
-            ~pids:sc.Mcheck.Scenario.sc_pids ~depth
-            ~prop:sc.Mcheck.Scenario.sc_prop ()
-        with
-        | exception Invalid_argument msg ->
-          Fmt.epr "wfa modelcheck: %s@." msg;
-          2
-        | verdict, stats ->
-          finish
-            ~engine:
-              (if red = None then "incremental+memo"
-               else "incremental+memo+sleep+symmetry")
-            ~dist_fields:[] verdict stats)
-      | [], Some (dir, store) -> (
-        match
-          Ckpt.Local.run ~interval_s:checkpoint_interval_s ?split_depth
-            ~reduce ~store ~scenario:sc ~depth ()
-        with
-        | Error msg ->
-          Fmt.epr "wfa modelcheck: %s@." msg;
-          2
-        | Ok (verdict, stats) ->
-          finish ~engine:"checkpointed"
-            ~dist_fields:[ ckpt_field ~dir ~resumed:false ]
-            verdict stats)
-      | workers, store -> (
-        let checkpoint =
-          Option.map
-            (fun (_, s) -> (s, checkpoint_interval_s))
-            store
+    match (workers, store) with
+    | _, Error msg -> refuse ~cmd:"modelcheck" msg
+    | [], Ok None ->
+      executed ~cmd:"modelcheck" (Svc.Jobs.check m) @@ fun (verdict, stats) ->
+      finish
+        ~engine:
+          (if mc_reduce then "incremental+memo+sleep+symmetry"
+           else "incremental+memo")
+        ~dist_fields:[] verdict stats
+    | [], Ok (Some (dir, store)) -> (
+      match
+        Ckpt.Local.run ~interval_s:checkpoint_interval_s ?split_depth
+          ~reduce:mc_reduce ~store ~scenario:(scenario ()) ~depth:mc_depth ()
+      with
+      | Error msg -> refuse ~cmd:"modelcheck" msg
+      | Ok (verdict, stats) ->
+        finish ~engine:"checkpointed"
+          ~dist_fields:[ ckpt_field ~dir ~resumed:false ]
+          verdict stats)
+    | workers, Ok store -> (
+      let checkpoint =
+        Option.map (fun (_, s) -> (s, checkpoint_interval_s)) store
+      in
+      match
+        Dist.Coordinator.run ?split_depth ?checkpoint ~reduce:mc_reduce
+          ~scenario:(scenario ()) ~depth:mc_depth ~workers ()
+      with
+      | Error msg -> refuse ~cmd:"modelcheck" msg
+      | Ok r ->
+        let dist_fields =
+          dist_report ~workers r
+          @
+          match store with
+          | None -> []
+          | Some (dir, _) -> [ ckpt_field ~dir ~resumed:false ]
         in
-        match
-          Dist.Coordinator.run ?split_depth ?checkpoint ~reduce ~scenario:sc
-            ~depth ~workers ()
-        with
-        | Error msg ->
-          Fmt.epr "wfa modelcheck: %s@." msg;
-          2
-        | Ok r ->
-          let dist_fields = dist_report ~workers r in
-          let dist_fields =
-            match store with
-            | None -> dist_fields
-            | Some (dir, _) -> dist_fields @ [ ckpt_field ~dir ~resumed:false ]
-          in
-          finish ~engine:"distributed" ~dist_fields
-            r.Dist.Coordinator.r_verdict r.Dist.Coordinator.r_stats)))
+        finish ~engine:"distributed" ~dist_fields r.Dist.Coordinator.r_verdict
+          r.Dist.Coordinator.r_stats))
 
 let resume dir workers checkpoint_interval_s json =
   (* pick the run back up from its journal: the record's config decides
@@ -775,23 +739,6 @@ let classify_cmd =
     (Cmd.info "classify" ~doc)
     Term.(const classify $ n_arg $ seeds_arg)
 
-let witness_kind_arg =
-  Arg.(
-    value
-    & opt (enum
-             [ ("strong-renaming", `Strong_renaming);
-               ("consensus-reduction", `Consensus_reduction) ])
-        `Strong_renaming
-    & info [ "kind" ] ~docv:"KIND" ~doc:"strong-renaming | consensus-reduction.")
-
-let witness_cmd =
-  let doc = "Search for an impossibility witness (Lemma 11 / Theorem 12)." in
-  Cmd.v
-    (Cmd.info "witness" ~doc)
-    Term.(const witness $ witness_kind_arg $ n_arg $ j_arg
-          $ Arg.(value & opt int 500 & info [ "seeds" ] ~docv:"COUNT" ~doc:"Seeds to try.")
-          $ Arg.(value & flag & info [ "explain" ] ~doc:"Replay the witness with tracing and print the violating interleaving."))
-
 let fuzz_cmd =
   let doc =
     "Domain-parallel randomized fuzzing for an impossibility witness, with \
@@ -919,9 +866,9 @@ let socket_arg =
 
 let serve_cmd =
   let doc =
-    "Run the concurrent job server: solve/modelcheck/subtree/fuzz over a \
-     Unix-domain or TCP socket with worker pools, backpressure and \
-     deadlines."
+    "Run the concurrent job server: scenario (solve/modelcheck/fuzz) and \
+     subtree requests over a Unix-domain or TCP socket with worker pools, \
+     backpressure and deadlines."
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
@@ -969,10 +916,11 @@ let call_cmd =
       const call $ socket_arg
       $ Arg.(value & pos 0 verb_conv Svc.Protocol.Ping
              & info [] ~docv:"VERB"
-                 ~doc:"ping | stats | metrics | solve | modelcheck | \
-                       subtree | fuzz | scenario | shutdown. The scenario \
-                       verb takes a full scenario-file object as --params \
-                       and is validated server-side.")
+                 ~doc:"ping | stats | metrics | subtree | scenario | \
+                       shutdown | cancel. The scenario verb takes a full \
+                       scenario-file object as --params and is validated \
+                       server-side; it is how a solve, model check or fuzz \
+                       is sent.")
       $ Arg.(value & opt string "{}"
              & info [ "params" ] ~docv:"JSON" ~doc:"Request parameters.")
       $ Arg.(value & opt (some int) None
@@ -1040,6 +988,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.group info
-          [ solve_cmd; classify_cmd; witness_cmd; fuzz_cmd; extract_cmd;
-            emulate_cmd; modelcheck_cmd; resume_cmd; serve_cmd; call_cmd;
-            campaign_cmd ]))
+          [ solve_cmd; classify_cmd; fuzz_cmd; extract_cmd; emulate_cmd;
+            modelcheck_cmd; resume_cmd; serve_cmd; call_cmd; campaign_cmd ]))

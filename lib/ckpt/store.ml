@@ -7,7 +7,6 @@ type t = {
   codec : codec;
   keep : int;
   sink : Obs.Sink.t option;
-  metrics : Obs.Metrics.registry option;
   mutable next_gen : int;
 }
 
@@ -72,11 +71,6 @@ let emit t name fields =
   | None -> ()
   | Some s -> Obs.Sink.emit s (Obs.Event.make name fields)
 
-let count t ?(by = 1) name =
-  match t.metrics with
-  | None -> ()
-  | Some reg -> Obs.Metrics.incr ~by (Obs.Metrics.counter reg name)
-
 (* -- open ------------------------------------------------------------------ *)
 
 let rec mkdir_p path =
@@ -87,7 +81,7 @@ let rec mkdir_p path =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let create ?(codec = Binary) ?(keep = 3) ?sink ?metrics dir =
+let create ?(codec = Binary) ?(keep = 3) ?sink dir =
   match
     if Sys.file_exists dir then
       if Sys.is_directory dir then Ok ()
@@ -106,7 +100,7 @@ let create ?(codec = Binary) ?(keep = 3) ?sink ?metrics dir =
     let next_gen =
       match List.rev gens with [] -> 0 | newest :: _ -> newest + 1
     in
-    Ok { dir; codec; keep = max 1 keep; sink; metrics; next_gen }
+    Ok { dir; codec; keep = max 1 keep; sink; next_gen }
 
 (* -- durable write --------------------------------------------------------- *)
 
@@ -186,8 +180,6 @@ let save ?(sync = true) t value =
   | Ok () ->
       t.next_gen <- gen + 1;
       prune t;
-      count t "ckpt.generations";
-      count t ~by:(String.length contents) "ckpt.bytes_written";
       emit t Obs.Event.Name.ckpt_save
         [
           ("gen", J.Int gen);
@@ -247,7 +239,6 @@ let load t =
     | [] -> None
     | g :: older -> (
       let demote reason =
-        count t "ckpt.rollbacks";
         emit t Obs.Event.Name.ckpt_rollback
           [ ("gen", J.Int g); ("reason", J.Str reason) ];
         try_gens older
@@ -258,7 +249,6 @@ let load t =
         match validate contents with
         | Error reason -> demote reason
         | Ok value ->
-          count t "ckpt.loads";
           emit t Obs.Event.Name.ckpt_load
             [ ("gen", J.Int g); ("bytes", J.Int (String.length contents)) ];
           Some (g, value)))
@@ -266,6 +256,5 @@ let load t =
   try_gens (List.rev (scan_generations t.dir))
 
 let note_resume t ~gen ~total ~done_ =
-  count t "ckpt.resumes";
   emit t Obs.Event.Name.ckpt_resume
     [ ("gen", J.Int gen); ("total", J.Int total); ("done", J.Int done_) ]

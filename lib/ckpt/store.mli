@@ -33,7 +33,6 @@ val create :
   ?codec:codec ->
   ?keep:int ->
   ?sink:Obs.Sink.t ->
-  ?metrics:Obs.Metrics.registry ->
   string ->
   (t, string) result
 (** Open (creating the directory if needed) a store rooted at the given
@@ -41,9 +40,7 @@ val create :
     {e new} generations — {!load} auto-detects per file, so a store may
     mix codecs across its history. [keep] (default 3, min 1) is how many
     newest generations survive pruning. [sink] receives the [ckpt.*]
-    events ({!Obs.Event.Name}); [metrics] accumulates the
-    [ckpt.generations], [ckpt.bytes_written], [ckpt.loads] and
-    [ckpt.rollbacks] counters. [Error] covers an unusable path (exists
+    events ({!Obs.Event.Name}). [Error] covers an unusable path (exists
     but is a file, cannot be created). *)
 
 val dir : t -> string
@@ -70,6 +67,5 @@ val generation_path : t -> int -> string
 (** The file a given generation lives in (whether or not it exists). *)
 
 val note_resume : t -> gen:int -> total:int -> done_:int -> unit
-(** Emit the [ckpt.resume] event (and bump the [ckpt.resumes] counter)
-    through this store's sink — called by the engines when they continue
-    from a loaded record. *)
+(** Emit the [ckpt.resume] event through this store's sink — called by
+    the engines when they continue from a loaded record. *)

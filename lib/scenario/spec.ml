@@ -42,11 +42,12 @@ type t = {
 
 let version = 1
 
-let verb t =
-  match t.sp_work with
+let work_verb = function
   | Solve _ -> "solve"
   | Modelcheck _ -> "modelcheck"
   | Fuzz _ -> "fuzz"
+
+let verb t = work_verb t.sp_work
 
 let equal (a : t) (b : t) = a = b
 
@@ -100,8 +101,7 @@ let expect_json = function
   | Solves -> J.Obj [ ("outcome", J.Str "solves") ]
   | Err c -> J.Obj [ ("outcome", J.Str "error"); ("code", J.Str c) ]
 
-let params_json t =
-  match t.sp_work with
+let params_json = function
   | Solve s ->
     J.Obj
       ([
@@ -147,7 +147,7 @@ let to_json t =
        ("v", J.Int version);
        ("name", J.Str t.sp_name);
        ("verb", J.Str (verb t));
-       ("params", params_json t);
+       ("params", params_json t.sp_work);
      ]
     @ (match t.sp_deadline_ms with
       | None -> []
@@ -352,6 +352,10 @@ let work_of_kvs ~verb_path path ~verb kvs =
 let work_of_params ?(path = "params") ~verb params =
   let* kvs = obj path params in
   work_of_kvs ~verb_path:"verb" path ~verb kvs
+
+let check work =
+  Result.map ignore
+    (work_of_params ~verb:(work_verb work) (params_json work))
 
 let expect_of_json path ~verb v =
   let* kvs = obj path v in

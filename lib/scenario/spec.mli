@@ -99,8 +99,9 @@ val version : int
 (** [1]. *)
 
 val verb : t -> string
-(** ["solve"] / ["modelcheck"] / ["fuzz"] — the service verb this scenario
-    executes through. *)
+(** ["solve"] / ["modelcheck"] / ["fuzz"] — the kind of work the
+    scenario runs (its ["verb"] field; on the wire every kind travels as
+    a [scenario] request). *)
 
 val equal : t -> t -> bool
 
@@ -117,9 +118,16 @@ val work_of_params :
 (** The reader {!of_json} applies to a file's [params]: [verb] is
     ["solve"], ["modelcheck"] or ["fuzz"], and [params] must be that
     verb's params object, with the same defaults, bounds and refusal of
-    unknown fields. The server reads the params of every work request
-    with it. [path] (default ["params"]) prefixes error locations:
+    unknown fields. The server reads a [subtree] request's params with it
+    (as ["modelcheck"]), and {!check} reads work built in code back
+    through it. [path] (default ["params"]) prefixes error locations:
     [params.depth: 65 out of range [1, 64]]. *)
+
+val check : work -> (unit, string) result
+(** Print [work] as params and read them back with {!work_of_params}:
+    [Error] is what a scenario file with the same params gets, so work
+    built in code (the CLI's flag values) is refused where a spec would
+    be, with the same message. *)
 
 val of_json : ?path:string -> Obs.Json.t -> (t, string) result
 (** Full validation: names resolved against {!Build} and

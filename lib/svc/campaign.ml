@@ -136,16 +136,14 @@ let run_local ?default_deadline_ms ~name specs =
       (fun sp ->
         let t0 = Obs.Clock.now_ns () in
         let cancel =
-          match deadline_of ?default_deadline_ms sp with
-          | None -> fun () -> false
-          | Some ms ->
-            let limit =
-              Int64.add t0 (Int64.mul (Int64.of_int ms) 1_000_000L)
-            in
-            fun () -> Obs.Clock.now_ns () > limit
+          Option.map
+            (fun ms ->
+              Pool.deadline_cancel
+                (Int64.add t0 (Int64.mul (Int64.of_int ms) 1_000_000L)))
+            (deadline_of ?default_deadline_ms sp)
         in
         let result =
-          match Jobs.run_work ~cancel sp.Spec.sp_work with
+          match Jobs.run_work ?cancel sp.Spec.sp_work with
           | Ok j -> Ok j
           | Error (code, msg) -> Error (P.err_code_string code, msg)
         in

@@ -58,7 +58,8 @@ val run_local :
   Scenario.Spec.t list ->
   summary
 (** Sequential in-process execution through {!Jobs.run_work}, deadlines
-    enforced with the same cooperative-cancellation hooks the pool uses. *)
+    enforced with the same cooperative-cancellation hook the pool uses
+    ({!Pool.deadline_cancel}). *)
 
 val record : summary -> Obs.Bench_record.t
 (** The [wfa.bench] record (id ["campaign"] → [BENCH_campaign.json]): one

@@ -5,28 +5,42 @@ module J = Obs.Json
 module P = Protocol
 module Spec = Scenario.Spec
 
+type error = P.err_code * string
+
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-(* Params are read by [Scenario.Spec] alone, so a native request and a
-   scenario file's [params] accept exactly the same objects. *)
-let work_of ~verb params =
-  match Spec.work_of_params ~verb params with
-  | Ok w -> w
-  | Error msg -> raise (Bad msg)
 
 (* Constructors refuse some arguments that [Spec]'s bounds let through
    (renaming with j >= n, wsb with j = 1, ...) by raising
    [Invalid_argument], as do the exhaustive engines for trees and jobs they
    cannot count or reduce. That is the caller's fault. [solve] and [fuzz]
    wrap only their set-up, so one raised mid-run stays [Internal];
-   [modelcheck] and [subtree] wrap the whole engine call. *)
+   [check] and [subtree] wrap the whole engine call. *)
 let refusing f = try f () with Invalid_argument msg -> raise (Bad msg)
 
-(* --------------------------------------------------------------- verbs *)
+let never_cancel () = false
 
-let solve ~cancel (s : Spec.solve) =
+let guarded f =
+  try Ok (f ()) with
+  | Bad msg -> Error (P.Bad_request, msg)
+  | Exhaustive.Cancelled | Adversary.Cancelled | Run.Cancelled ->
+    Error (P.Deadline_exceeded, "deadline exceeded during execution")
+  | exn -> Error (P.Internal, Printexc.to_string exn)
+
+(* ---------------------------------------------------------------- work *)
+
+type solved = {
+  so_task : Task.t;
+  so_algo : Algorithm.t;
+  so_fd : Fdlib.Fd.t;
+  so_pattern : Failure.pattern;
+  so_seed : int;
+  so_report : Run.report;
+}
+
+let solve ?(cancel = never_cancel) (s : Spec.solve) =
+  guarded @@ fun () ->
   let policy = Scenario.Build.policy_factory s.sv_policy in
   let task, algo, fd, pattern, input =
     refusing (fun () ->
@@ -44,16 +58,21 @@ let solve ~cancel (s : Spec.solve) =
         in
         (task, algo, fd, pattern, input))
   in
-  let seed = s.sv_seed in
-  let r =
+  let so_report =
     Run.execute ~budget:s.sv_budget ~policy ~cancel ~task ~algo ~fd ~pattern
-      ~input ~seed ()
+      ~input ~seed:s.sv_seed ()
   in
-  J.Obj
-    [
-      ("ok", J.Bool (Run.ok r));
-      ("report", Run.report_json ~labels:(Run.labels ~task ~algo ~fd ~seed) r);
-    ]
+  {
+    so_task = task; so_algo = algo; so_fd = fd; so_pattern = pattern;
+    so_seed = s.sv_seed; so_report;
+  }
+
+let report_json so =
+  Run.report_json
+    ~labels:
+      (Run.labels ~task:so.so_task ~algo:so.so_algo ~fd:so.so_fd
+         ~seed:so.so_seed)
+    so.so_report
 
 (* Scenario records are immutable setup — the closures inside ([sc_build],
    [sc_prop]) generate fresh mutable state per call — so one compiled
@@ -78,24 +97,15 @@ let scenario_of (m : Spec.modelcheck) =
       sc
     | Error msg -> raise (Bad msg))
 
-let modelcheck ~cancel (m : Spec.modelcheck) =
+let check ?(cancel = never_cancel) (m : Spec.modelcheck) =
+  guarded @@ fun () ->
   let sc = scenario_of m in
-  let red = Mcheck.Scenario.reduction sc ~reduce:m.mc_reduce in
-  let verdict, stats =
-    refusing (fun () ->
-        Exhaustive.run ?reduce:red ~cancel ~build:sc.Mcheck.Scenario.sc_build
-          ~pids:sc.Mcheck.Scenario.sc_pids ~depth:m.mc_depth
-          ~prop:sc.Mcheck.Scenario.sc_prop ())
-  in
-  J.Obj
-    ([
-       ("scenario", J.Str sc.Mcheck.Scenario.sc_name);
-       ("depth", J.Int m.mc_depth);
-       ("n_s", J.Int sc.Mcheck.Scenario.sc_n_s);
-       ("reduce", J.Bool (red <> None));
-     ]
-    @ Exhaustive.verdict_fields verdict
-    @ [ ("stats", Exhaustive.stats_json stats) ])
+  refusing (fun () ->
+      Exhaustive.run
+        ?reduce:(Mcheck.Scenario.reduction sc ~reduce:m.mc_reduce)
+        ~cancel ~build:sc.Mcheck.Scenario.sc_build
+        ~pids:sc.Mcheck.Scenario.sc_pids ~depth:m.mc_depth
+        ~prop:sc.Mcheck.Scenario.sc_prop ())
 
 (* The memo table of the distributed run this pool domain served last,
    under its key (run, scenario, n_s, depth, reduce). Consecutive jobs of
@@ -134,9 +144,10 @@ let subtree ~cancel params =
     | j -> j
   in
   let m =
-    match work_of ~verb:"modelcheck" modelcheck_params with
-    | Spec.Modelcheck m -> m
-    | Spec.Solve _ | Spec.Fuzz _ -> assert false
+    match Spec.work_of_params ~verb:"modelcheck" modelcheck_params with
+    | Ok (Spec.Modelcheck m) -> m
+    | Ok (Spec.Solve _ | Spec.Fuzz _) -> assert false
+    | Error msg -> raise (Bad msg)
   in
   let sc = scenario_of m in
   let sj =
@@ -171,31 +182,55 @@ let subtree ~cancel params =
     ((("id", J.Int sj.Exhaustive.sj_id) :: Exhaustive.verdict_fields verdict)
     @ [ ("stats", Exhaustive.stats_json stats) ])
 
-let fuzz ~cancel (f : Spec.fuzz) =
+let fuzz ?(cancel = never_cancel) (f : Spec.fuzz) =
+  guarded @@ fun () ->
   let target =
     refusing (fun () ->
         match Scenario.Build.fuzz_target f.fz_kind ~n:f.fz_n ~j:f.fz_j with
         | Ok t -> t
         | Error msg -> raise (Bad msg))
   in
-  let res =
+  ( target,
     Adversary.fuzz_target ~domains:f.fz_domains ~cancel ~seed:f.fz_seed
-      ~budget:f.fz_budget target ()
-  in
-  J.Obj
-    ([
-       ("found", J.Bool (res.Adversary.f_witness <> None));
-       ("fuzz", Adversary.fuzz_result_json res);
-     ]
-    @
-    match res.Adversary.f_witness with
-    | None -> []
-    | Some w -> [ ("witness", Adversary.witness_json w) ])
+      ~budget:f.fz_budget target () )
 
-let execute ~cancel = function
-  | Spec.Solve s -> solve ~cancel s
-  | Spec.Modelcheck m -> modelcheck ~cancel m
-  | Spec.Fuzz f -> fuzz ~cancel f
+(* -------------------------------------------------------------- verbs *)
+
+let run_work ?cancel = function
+  | Spec.Solve s ->
+    Result.map
+      (fun so ->
+        J.Obj
+          [
+            ("ok", J.Bool (Run.ok so.so_report)); ("report", report_json so);
+          ])
+      (solve ?cancel s)
+  | Spec.Modelcheck m ->
+    Result.map
+      (fun (verdict, stats) ->
+        J.Obj
+          ([
+             ("scenario", J.Str m.mc_scenario);
+             ("depth", J.Int m.mc_depth);
+             ("n_s", J.Int m.mc_n_s);
+             ("reduce", J.Bool m.mc_reduce);
+           ]
+          @ Exhaustive.verdict_fields verdict
+          @ [ ("stats", Exhaustive.stats_json stats) ]))
+      (check ?cancel m)
+  | Spec.Fuzz f ->
+    Result.map
+      (fun (_, res) ->
+        J.Obj
+          ([
+             ("found", J.Bool (res.Adversary.f_witness <> None));
+             ("fuzz", Adversary.fuzz_result_json res);
+           ]
+          @
+          match res.Adversary.f_witness with
+          | None -> []
+          | Some w -> [ ("witness", Adversary.witness_json w) ]))
+      (fuzz ?cancel f)
 
 (* A caller-supplied scenario file as params: validated by [Spec.of_json]
    (path-carrying errors; an unknown name or a malformed field is a
@@ -204,26 +239,17 @@ let execute ~cancel = function
    already enforces it here. *)
 let scenario ~cancel params =
   match Spec.of_json params with
-  | Error msg -> bad "invalid scenario: %s" msg
+  | Error msg -> Error (P.Bad_request, "invalid scenario: " ^ msg)
   | Ok sp ->
-    J.Obj
-      [
-        ("scenario", J.Str sp.Spec.sp_name);
-        ("verb", J.Str (Spec.verb sp));
-        ("result", execute ~cancel sp.Spec.sp_work);
-      ]
-
-let never_cancel () = false
-
-let guarded f =
-  try Ok (f ()) with
-  | Bad msg -> Error (P.Bad_request, msg)
-  | Exhaustive.Cancelled | Adversary.Cancelled | Run.Cancelled ->
-    Error (P.Deadline_exceeded, "deadline exceeded during execution")
-  | exn -> Error (P.Internal, Printexc.to_string exn)
-
-let run_work ?(cancel = never_cancel) work =
-  guarded (fun () -> execute ~cancel work)
+    Result.map
+      (fun result ->
+        J.Obj
+          [
+            ("scenario", J.Str sp.Spec.sp_name);
+            ("verb", J.Str (Spec.verb sp));
+            ("result", result);
+          ])
+      (run_work ~cancel sp.Spec.sp_work)
 
 let run ?(cancel = never_cancel) verb params =
   match verb with
@@ -231,8 +257,5 @@ let run ?(cancel = never_cancel) verb params =
     Error
       ( P.Internal,
         Printf.sprintf "verb %S is not a pool job" (P.verb_string verb) )
-  | P.Solve | P.Modelcheck | P.Fuzz ->
-    guarded (fun () ->
-        execute ~cancel (work_of ~verb:(P.verb_string verb) params))
   | P.Subtree -> guarded (fun () -> subtree ~cancel params)
-  | P.Scenario -> guarded (fun () -> scenario ~cancel params)
+  | P.Scenario -> scenario ~cancel params

@@ -42,7 +42,8 @@ val deadline_cancel : int64 -> unit -> bool
     monotonic deadline: sticky, thread-safe (parallel fuzz domains poll one
     shared closure), and consults the clock on the {e first} call and every
     256th thereafter — so an already-expired deadline trips on the very
-    first poll. Exposed for tests. *)
+    first poll. {!Campaign.run_local} enforces a scenario's deadline with
+    it too. *)
 
 val cancel : t -> string -> int
 (** [cancel t run]: stop the jobs whose [jb_run] is [run] and return how

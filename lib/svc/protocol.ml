@@ -4,10 +4,7 @@ type verb =
   | Ping
   | Stats
   | Metrics
-  | Solve
-  | Modelcheck
   | Subtree
-  | Fuzz
   | Shutdown
   | Scenario
   | Cancel
@@ -16,10 +13,7 @@ let verb_string = function
   | Ping -> "ping"
   | Stats -> "stats"
   | Metrics -> "metrics"
-  | Solve -> "solve"
-  | Modelcheck -> "modelcheck"
   | Subtree -> "subtree"
-  | Fuzz -> "fuzz"
   | Shutdown -> "shutdown"
   | Scenario -> "scenario"
   | Cancel -> "cancel"
@@ -28,10 +22,7 @@ let verb_of_string = function
   | "ping" -> Some Ping
   | "stats" -> Some Stats
   | "metrics" -> Some Metrics
-  | "solve" -> Some Solve
-  | "modelcheck" -> Some Modelcheck
   | "subtree" -> Some Subtree
-  | "fuzz" -> Some Fuzz
   | "shutdown" -> Some Shutdown
   | "scenario" -> Some Scenario
   | "cancel" -> Some Cancel
@@ -218,13 +209,11 @@ module Codec = struct
     | Ping -> 0
     | Stats -> 1
     | Metrics -> 2
-    | Solve -> 3
-    | Modelcheck -> 4
     | Subtree -> 5
-    | Fuzz -> 6
     | Shutdown -> 7
-    (* 8 stays unassigned: a client from before [hello] was retired may
-       still send it, and must get bad_request *)
+    (* 3, 4, 6 and 8 stay unassigned: a client from before the native
+       solve, modelcheck and fuzz verbs and [hello] were retired may still
+       send them, and must get bad_request *)
     | Scenario -> 9
     | Cancel -> 10
 
@@ -232,10 +221,7 @@ module Codec = struct
     | 0 -> Some Ping
     | 1 -> Some Stats
     | 2 -> Some Metrics
-    | 3 -> Some Solve
-    | 4 -> Some Modelcheck
     | 5 -> Some Subtree
-    | 6 -> Some Fuzz
     | 7 -> Some Shutdown
     | 9 -> Some Scenario
     | 10 -> Some Cancel

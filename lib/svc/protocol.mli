@@ -5,8 +5,8 @@
     {v
     request  ::= { "v": 1, "id": <int>, "verb": <verb>,
                    "params": <object>?, "deadline_ms": <int>? }
-    verb     ::= "ping" | "stats" | "metrics" | "solve" | "modelcheck"
-               | "subtree" | "fuzz" | "scenario" | "shutdown" | "cancel"
+    verb     ::= "ping" | "stats" | "metrics" | "subtree" | "scenario"
+               | "shutdown" | "cancel"
     response ::= { "v": 1, "id": <int>, "ok": true,  "result": <value> }
                | { "v": 1, "id": <int>, "ok": false,
                    "error": { "code": <code>, "msg": <string> } }
@@ -25,16 +25,15 @@ type verb =
   | Ping  (** liveness probe; answered inline by the shard *)
   | Stats  (** server counters snapshot; answered inline *)
   | Metrics  (** {!Obs.Metrics} registry snapshot as JSON; answered inline *)
-  | Solve  (** pool job: one safe-agreement instance *)
-  | Modelcheck  (** pool job: exhaustive search over a named scenario *)
   | Subtree  (** pool job: one frontier subtree ({!Simkit.Exhaustive.split}) *)
-  | Fuzz  (** pool job: randomized schedule search *)
   | Shutdown  (** begin graceful drain *)
   | Scenario
       (** pool job: one caller-supplied {!Scenario.Spec} object as params —
           validated server-side (a structured [bad_request] carrying the
-          JSON path on anything malformed, never a crash), then dispatched
-          to the solve / modelcheck / fuzz handler it describes *)
+          JSON path on anything malformed, never a crash), then run as the
+          solve, model check or fuzz it describes. The one request shape
+          for that work: the native [solve], [modelcheck] and [fuzz] verbs
+          are retired, and a frame naming one gets [bad_request]. *)
   | Cancel
       (** [{"run": <string>}]: stop the jobs that carry this [run] id
           ({!run_of_params}; the coordinator tags every [subtree] job of a
@@ -111,9 +110,10 @@ val parse : string -> (Obs.Json.t, string) result
     byte 2      kind: 0 request | 1 ok-response | 2 error-response
     request:    byte 3 verb tag, byte 4 flags (bit 0: deadline present),
                 bytes 5..12 id, [bytes 13..20 deadline_ms,] params value
-    verb tag:   0 ping | 1 stats | 2 metrics | 3 solve | 4 modelcheck
-              | 5 subtree | 6 fuzz | 7 shutdown | 9 scenario | 10 cancel
-                (8 is unassigned: it was the retired hello's)
+    verb tag:   0 ping | 1 stats | 2 metrics | 5 subtree | 7 shutdown
+              | 9 scenario | 10 cancel
+                (3, 4, 6 and 8 are unassigned: they were the retired solve,
+                modelcheck, fuzz and hello verbs')
     ok:         byte 3 reserved, bytes 4..11 id, result value
     error:      byte 3 code tag, bytes 4..11 id, u32 msg length, msg bytes
     value:      0 null | 1 false | 2 true | 3 int (8B) | 4 float (IEEE 8B)

@@ -505,7 +505,7 @@ let handle_frame t conn codec payload pending =
     | P.Cancel ->
       (* applied with the wakeup's batch, after the jobs read before it *)
       pending := (conn, rq, codec) :: !pending
-    | P.Solve | P.Modelcheck | P.Subtree | P.Fuzz | P.Scenario ->
+    | P.Subtree | P.Scenario ->
       if Atomic.get t.stop then
         reject t conn ~codec ~id:rq.P.rq_id P.Shutting_down
           "server is draining"

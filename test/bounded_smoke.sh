@@ -6,7 +6,11 @@
 # just below max_int); for consensus and ksa also a request with more inputs
 # than a 4 GB heap can list (2^24 and 4^12). Each must get an answer or a
 # bad_request within 60 s, never a dead server; a ping must be answered
-# afterwards.
+# afterwards. Each solve travels as a `scenario` spec that declares its
+# expectation, so the spec itself is never refused for want of one.
+# Then the CLI's flag modes: inputs the reader or a constructor refuses
+# must exit 2 with one `wfa <command>:` line on stderr, never an uncaught
+# exception.
 set -eu
 
 WFA=${WFA:-_build/default/bin/wfa.exe}
@@ -15,7 +19,7 @@ OUT="/tmp/wfa-bounded-$$.out"
 
 cleanup() {
   kill "$SRV" 2>/dev/null || true
-  rm -f "$SOCK" "$OUT"
+  rm -f "$SOCK" "$OUT" "$OUT.err"
 }
 
 (ulimit -v 4194304 && exec "$WFA" serve --socket "$SOCK" --workers 1 --shards 1) &
@@ -46,8 +50,9 @@ for params in \
   '{"task":"identity","n":61}'
 do
   echo "bounded_smoke: solve $params"
-  timeout 60 "$WFA" call --socket "$SOCK" solve \
-    --params "$params" > "$OUT" 2>&1 || true
+  timeout 60 "$WFA" call --socket "$SOCK" scenario \
+    --params "{\"v\":1,\"name\":\"bounded\",\"verb\":\"solve\",\"params\":$params,\"expect\":{\"outcome\":\"solves\"}}" \
+    > "$OUT" 2>&1 || true
   if grep -q '"ok":' "$OUT"; then
     echo "  answered"
   elif grep -q 'bad_request' "$OUT"; then
@@ -61,3 +66,26 @@ done
 
 echo "bounded_smoke: the server still answers"
 "$WFA" call --socket "$SOCK" ping
+
+for args in \
+  'solve --task renaming -j 5 -n 3' \
+  'solve --task wsb -j 1 -n 3' \
+  'solve --task consensus -n 62' \
+  'solve -n 2000' \
+  'fuzz --kind consensus-reduction -n 1' \
+  'modelcheck --n-s 0 --depth 2'
+do
+  echo "bounded_smoke: wfa $args"
+  cmd=${args%% *}
+  rc=0
+  # shellcheck disable=SC2086 # the flags are meant to split
+  "$WFA" $args > "$OUT" 2> "$OUT.err" || rc=$?
+  if [ "$rc" -ne 2 ] || [ "$(wc -l < "$OUT.err")" -ne 1 ] \
+     || ! grep -q "^wfa $cmd: " "$OUT.err" \
+     || grep -q 'uncaught exception' "$OUT.err"; then
+    echo "bounded_smoke: wfa $args: expected exit 2 and one 'wfa $cmd:' line, got exit $rc:" >&2
+    cat "$OUT.err" >&2
+    exit 1
+  fi
+  echo "  refused: $(cat "$OUT.err")"
+done

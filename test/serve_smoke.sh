@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI smoke test for the job server (DESIGN.md §5): start `wfa serve` in the
-# background, script `wfa call` against it, check that an oversized frame is
+# background, script `wfa call` against it (a solve, model check or fuzz
+# travels as a `scenario` spec), check that an oversized frame is
 # rejected without desynchronizing the connection, that the binary codec
 # produces field-for-field the same results as JSON, and that SIGTERM
 # drains gracefully -- an in-flight call still gets its reply and the
@@ -27,12 +28,19 @@ while [ ! -S "$SOCK" ]; do
   sleep 0.1
 done
 
+# spec VERB PARAMS OUTCOME: the scenario spec that runs VERB on PARAMS
+spec() {
+  printf '{"v":1,"name":"smoke/%s","verb":"%s","params":%s,"expect":{"outcome":"%s"}}' \
+    "$1" "$1" "$2" "$3"
+}
+
 echo "serve_smoke: solve"
-"$WFA" call --socket "$SOCK" solve \
-  --params '{"task":"consensus","n":3,"fd":"omega"}'
+"$WFA" call --socket "$SOCK" scenario \
+  --params "$(spec solve '{"task":"consensus","n":3,"fd":"omega"}' solves)"
 
 echo "serve_smoke: modelcheck"
-"$WFA" call --socket "$SOCK" modelcheck --params '{"depth":8}'
+"$WFA" call --socket "$SOCK" scenario \
+  --params "$(spec modelcheck '{"depth":8}' safe)"
 
 echo "serve_smoke: pipelined pings on one connection"
 PIPE_OUT=$("$WFA" call --socket "$SOCK" ping --pipeline 64)
@@ -58,9 +66,9 @@ echo "serve_smoke: server still answers after the reject"
 # volatile field in these reports)
 codec_diff() {
   echo "serve_smoke: codec differential: $1"
-  "$WFA" call --socket "$SOCK" "$1" --params "$2" --codec json \
+  "$WFA" call --socket "$SOCK" "$2" --params "$3" --codec json \
     | grep -v '"wall_s"' > "$OUT.json"
-  "$WFA" call --socket "$SOCK" "$1" --params "$2" --codec binary \
+  "$WFA" call --socket "$SOCK" "$2" --params "$3" --codec binary \
     | grep -v '"wall_s"' > "$OUT.binary"
   if ! diff -u "$OUT.json" "$OUT.binary"; then
     echo "serve_smoke: codec outputs diverge for $1" >&2
@@ -68,13 +76,14 @@ codec_diff() {
   fi
   rm -f "$OUT.json" "$OUT.binary"
 }
-codec_diff ping '{}'
-codec_diff modelcheck '{"depth":7}'
-codec_diff solve '{"task":"consensus","n":3,"seed":7}'
+codec_diff ping ping '{}'
+codec_diff modelcheck scenario "$(spec modelcheck '{"depth":7}' safe)"
+codec_diff solve scenario \
+  "$(spec solve '{"task":"consensus","n":3,"seed":7}' solves)"
 
 echo "serve_smoke: SIGTERM drains the in-flight call"
-"$WFA" call --socket "$SOCK" fuzz \
-  --params '{"kind":"strong-renaming","n":5,"j":3,"budget":20000}' \
+"$WFA" call --socket "$SOCK" scenario \
+  --params "$(spec fuzz '{"kind":"strong-renaming","n":5,"j":3,"budget":20000}' violation)" \
   > "$OUT" &
 CALL=$!
 sleep 0.3

@@ -15,8 +15,7 @@ module C = Svc.Protocol.Codec
 
 let verbs =
   [
-    P.Ping; P.Stats; P.Metrics; P.Solve; P.Modelcheck; P.Subtree; P.Fuzz;
-    P.Shutdown; P.Scenario; P.Cancel;
+    P.Ping; P.Stats; P.Metrics; P.Subtree; P.Shutdown; P.Scenario; P.Cancel;
   ]
 
 let err_codes =
@@ -198,7 +197,7 @@ let test_nonfinite_floats () =
   List.iter
     (fun f ->
       let rq =
-        P.request ~params:(J.Obj [ ("x", J.Float f) ]) ~id:7 P.Solve
+        P.request ~params:(J.Obj [ ("x", J.Float f) ]) ~id:7 P.Scenario
       in
       let decoded codec = (decode_request_exn codec rq).P.rq_params in
       check_bool "json side is null" true

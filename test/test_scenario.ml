@@ -448,26 +448,33 @@ let rec scrub = function
   | J.List vs -> J.List (List.map scrub vs)
   | v -> v
 
+(* The data form over the wire equals the work run in process: each spec
+   goes as a [scenario] request to a TCP server, and its result must equal,
+   field for field, what [Svc.Jobs.run_work] (the CLI's executor) returns
+   for the spec's work. *)
 let test_differential ~workers () =
   with_server ~workers (fun c ->
       List.iteri
         (fun i (verb, params, expect) ->
-          let params = J.Obj params in
-          let name = Printf.sprintf "diff/%s-%d" (P.verb_string verb) i in
+          let name = Printf.sprintf "diff/%s-%d" verb i in
           let label = Printf.sprintf "%s @ %d workers" name workers in
-          let direct =
-            match Svc.Client.call ~params c verb with
-            | Ok j -> j
-            | Error e ->
-              Alcotest.failf "%s direct: %s" label (Svc.Client.error_string e)
-          in
           let spec =
             J.Obj
               [
-                ("v", J.Int 1); ("name", J.Str name);
-                ("verb", J.Str (P.verb_string verb)); ("params", params);
+                ("v", J.Int 1); ("name", J.Str name); ("verb", J.Str verb);
+                ("params", J.Obj params);
                 ("expect", J.Obj [ ("outcome", J.Str expect) ]);
               ]
+          in
+          let direct =
+            match Spec.of_json spec with
+            | Error msg -> Alcotest.failf "%s: %s" label msg
+            | Ok sp -> (
+              match Svc.Jobs.run_work sp.Spec.sp_work with
+              | Ok j -> j
+              | Error (code, msg) ->
+                Alcotest.failf "%s in process: %s %s" label
+                  (P.err_code_string code) msg)
           in
           let wrapped =
             match Svc.Client.call ~params:spec c P.Scenario with
@@ -479,35 +486,35 @@ let test_differential ~workers () =
           check_bool "echoes name" true
             (J.member "scenario" wrapped = Some (J.Str name));
           check_bool "echoes verb" true
-            (J.member "verb" wrapped = Some (J.Str (P.verb_string verb)));
+            (J.member "verb" wrapped = Some (J.Str verb));
           match J.member "result" wrapped with
           | None -> Alcotest.fail "no result member"
           | Some inner ->
             (* field-for-field: same verdict, same counts, same stats — the
-               data form runs the identical engine *)
+               wire runs the identical engine *)
             check_string label
               (J.to_string (scrub direct))
               (J.to_string (scrub inner)))
         [
-          ( P.Modelcheck,
+          ( "modelcheck",
             [
               ("scenario", J.Str "safe-agreement"); ("n_s", J.Int 1);
               ("depth", J.Int 8); ("reduce", J.Bool false);
             ],
             "safe" );
-          ( P.Modelcheck,
+          ( "modelcheck",
             [
               ("scenario", J.Str "race-false"); ("n_s", J.Int 1);
               ("depth", J.Int 8); ("reduce", J.Bool false);
             ],
             "violation" );
-          ( P.Solve,
+          ( "solve",
             [
               ("task", J.Str "consensus"); ("fd", J.Str "omega");
               ("n", J.Int 3); ("seed", J.Int 2);
             ],
             "solves" );
-          ( P.Fuzz,
+          ( "fuzz",
             [
               ("kind", J.Str "strong-renaming"); ("n", J.Int 4);
               ("j", J.Int 3); ("budget", J.Int 500);

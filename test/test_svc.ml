@@ -168,12 +168,12 @@ let test_protocol_roundtrip () =
   let rq =
     P.request ~deadline_ms:250
       ~params:(J.Obj [ ("depth", J.Int 8) ])
-      ~id:7 P.Modelcheck
+      ~id:7 P.Scenario
   in
   (match P.request_of_json (P.request_json rq) with
   | Ok rq' ->
     check_int "id" 7 rq'.P.rq_id;
-    check_bool "verb" true (rq'.P.rq_verb = P.Modelcheck);
+    check_bool "verb" true (rq'.P.rq_verb = P.Scenario);
     check_bool "deadline" true (rq'.P.rq_deadline_ms = Some 250);
     check_bool "params" true (J.equal rq'.P.rq_params rq.P.rq_params)
   | Error e -> Alcotest.failf "request round-trip: %s" e);
@@ -289,6 +289,25 @@ let test_connect_deadline_clamp () =
 
 (* ----------------------------------------------------------- end-to-end *)
 
+(* A solve, model check or fuzz travels as a [scenario] request: [as_scenario]
+   wraps a work verb's params in a spec (its expectation, which the server
+   does not read, is one every verb accepts), and [result] unwraps the
+   work's result from the reply. *)
+let as_scenario verb params =
+  J.Obj
+    [
+      ("v", J.Int 1);
+      ("name", J.Str "t");
+      ("verb", J.Str verb);
+      ("params", params);
+      ("expect", J.Obj [ ("outcome", J.Str "violation") ]);
+    ]
+
+let result reply =
+  match J.member "result" reply with
+  | Some r -> r
+  | None -> Alcotest.failf "no result in %s" (J.to_string reply)
+
 let with_server ?sink ?registry cfg f =
   let t = Svc.Server.start ?sink ?registry cfg in
   Fun.protect
@@ -316,11 +335,14 @@ let test_server_ping_solve_stats () =
           | Error e -> Svc.Client.error_string e));
       (match
          Svc.Client.call
-           ~params:(J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ])
-           c P.Solve
+           ~params:
+             (as_scenario "solve"
+                (J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ]))
+           c P.Scenario
        with
       | Ok j ->
-        check_bool "solve ok" true (J.member "ok" j = Some (J.Bool true))
+        check_bool "solve ok" true
+          (J.member "ok" (result j) = Some (J.Bool true))
       | Error e -> Alcotest.failf "solve: %s" (Svc.Client.error_string e));
       (match Svc.Client.call c P.Stats with
       | Ok j -> (
@@ -330,23 +352,31 @@ let test_server_ping_solve_stats () =
       | Error e -> Alcotest.failf "stats: %s" (Svc.Client.error_string e));
       (* malformed params are a clean bad_request, not a dead worker *)
       (match
-         Svc.Client.call ~params:(J.Obj [ ("task", J.Str "nope" ) ]) c P.Solve
+         Svc.Client.call
+           ~params:(as_scenario "solve" (J.Obj [ ("task", J.Str "nope") ]))
+           c P.Scenario
        with
       | Error (Svc.Client.Server (P.Bad_request, _)) -> ()
       | _ -> Alcotest.fail "expected bad_request");
       (* so is a tree whose schedule count overflows an int (3^40) *)
       (match
          Svc.Client.call
-           ~params:(J.Obj [ ("depth", J.Int 40); ("n_s", J.Int 1) ])
-           c P.Modelcheck
+           ~params:
+             (as_scenario "modelcheck"
+                (J.Obj [ ("depth", J.Int 40); ("n_s", J.Int 1) ]))
+           c P.Scenario
        with
       | Error (Svc.Client.Server (P.Bad_request, _)) -> ()
       | _ -> Alcotest.fail "expected bad_request for 3^40 schedules");
       (* and the worker still serves afterwards *)
-      (match Svc.Client.call ~params:(J.Obj [ ("depth", J.Int 6) ]) c P.Modelcheck with
+      (match
+         Svc.Client.call
+           ~params:(as_scenario "modelcheck" (J.Obj [ ("depth", J.Int 6) ]))
+           c P.Scenario
+       with
       | Ok j ->
         check_bool "modelcheck ok" true
-          (J.member "verdict" j = Some (J.Str "ok"))
+          (J.member "verdict" (result j) = Some (J.Str "ok"))
       | Error e -> Alcotest.failf "modelcheck: %s" (Svc.Client.error_string e));
       Svc.Client.close c)
 
@@ -379,10 +409,11 @@ let raw_calls path requests =
 
 (* about 40 ms of search on a 2-vCPU host: long enough that pings overtake
    it, a 5 ms deadline trips on it and a queue of them fills *)
-let slow_params = J.Obj [ ("depth", J.Int 20); ("n_s", J.Int 2) ]
+let slow_params =
+  as_scenario "modelcheck" (J.Obj [ ("depth", J.Int 20); ("n_s", J.Int 2) ])
 
 let slow_modelcheck ?deadline_ms ~id () =
-  P.request ?deadline_ms ~params:slow_params ~id P.Modelcheck
+  P.request ?deadline_ms ~params:slow_params ~id P.Scenario
 
 let test_server_backpressure () =
   let path = socket_path () in
@@ -415,7 +446,7 @@ let test_server_deadline () =
          either while queued or mid-execution — both are deadline_exceeded,
          and the cancelled engine reports no verdict *)
       (match
-         Svc.Client.call ~deadline_ms:5 ~params:slow_params c P.Modelcheck
+         Svc.Client.call ~deadline_ms:5 ~params:slow_params c P.Scenario
        with
       | Error (Svc.Client.Server (P.Deadline_exceeded, _)) -> ()
       | Ok _ -> Alcotest.fail "deadline did not trip"
@@ -465,7 +496,9 @@ let test_server_drain_loses_nothing () =
   List.iter
     (fun rq -> Svc.Frame.write fd (J.to_string (P.request_json rq)))
     (List.init jobs (fun i ->
-         P.request ~params:(J.Obj [ ("depth", J.Int 10) ]) ~id:i P.Modelcheck));
+         P.request
+           ~params:(as_scenario "modelcheck" (J.Obj [ ("depth", J.Int 10) ]))
+           ~id:i P.Scenario));
   (* wait until all four are accepted (connection handshake and dispatch
      are asynchronous), then shut down with them queued/in-flight: every
      accepted job must still be answered *)
@@ -564,7 +597,11 @@ let test_server_shutdown_verb_refuses_new () =
   | Ok (J.Str "draining") -> ()
   | _ -> Alcotest.fail "shutdown reply");
   (* a queued verb on the draining server is refused, not queued *)
-  (match Svc.Client.call ~params:(J.Obj [ ("depth", J.Int 6) ]) c P.Modelcheck with
+  (match
+     Svc.Client.call
+       ~params:(as_scenario "modelcheck" (J.Obj [ ("depth", J.Int 6) ]))
+       c P.Scenario
+   with
   | Error (Svc.Client.Server (P.Shutting_down, _)) -> ()
   | Error (Svc.Client.Transport _) -> ()  (* conn already torn down: also fine *)
   | Error (Svc.Client.Server (c, m)) ->
@@ -606,7 +643,7 @@ let test_server_deadline_bomb () =
          job with deadline_exceeded on arrival; it must be a parse-time
          bad_request instead *)
       Svc.Frame.write fd
-        "{\"v\":1,\"id\":7,\"verb\":\"modelcheck\",\"deadline_ms\":9300000000000}";
+        "{\"v\":1,\"id\":7,\"verb\":\"scenario\",\"deadline_ms\":9300000000000}";
       (match
          Result.bind
            (P.parse (Result.get_ok (Svc.Frame.read fd)))
@@ -620,11 +657,12 @@ let test_server_deadline_bomb () =
       let c = Svc.Client.connect path in
       (match
          Svc.Client.call ~deadline_ms:P.max_deadline_ms
-           ~params:(J.Obj [ ("depth", J.Int 6) ])
-           c P.Modelcheck
+           ~params:(as_scenario "modelcheck" (J.Obj [ ("depth", J.Int 6) ]))
+           c P.Scenario
        with
       | Ok j ->
-        check_bool "verdict ok" true (J.member "verdict" j = Some (J.Str "ok"))
+        check_bool "verdict ok" true
+          (J.member "verdict" (result j) = Some (J.Str "ok"))
       | Error e ->
         Alcotest.failf "max deadline: %s" (Svc.Client.error_string e));
       Svc.Client.close c)
@@ -805,8 +843,10 @@ let test_server_reply_cap () =
          connection's thread mid-write *)
       (match
          Svc.Client.call
-           ~params:(J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ])
-           c P.Solve
+           ~params:
+             (as_scenario "solve"
+                (J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ]))
+           c P.Scenario
        with
       | Error (Svc.Client.Server (P.Oversized, msg)) ->
         check_bool "error names the reply limit" true
@@ -912,11 +952,13 @@ let test_server_tcp () =
       | Ok (J.Str "pong") -> ()
       | _ -> Alcotest.fail "ping over tcp");
       (match
-         Svc.Client.call ~params:(J.Obj [ ("depth", J.Int 5) ]) c P.Modelcheck
+         Svc.Client.call
+           ~params:(as_scenario "modelcheck" (J.Obj [ ("depth", J.Int 5) ]))
+           c P.Scenario
        with
       | Ok j ->
         check_bool "modelcheck over tcp" true
-          (J.member "verdict" j = Some (J.Str "ok"))
+          (J.member "verdict" (result j) = Some (J.Str "ok"))
       | Error e -> Alcotest.failf "modelcheck: %s" (Svc.Client.error_string e));
       Svc.Client.close c)
 
@@ -928,7 +970,9 @@ let test_server_metrics_verb () =
       (* inline verbs don't touch the registry; run one pool job so the
          accepted/latency metrics exist before the snapshot *)
       (match
-         Svc.Client.call ~params:(J.Obj [ ("depth", J.Int 4) ]) c P.Modelcheck
+         Svc.Client.call
+           ~params:(as_scenario "modelcheck" (J.Obj [ ("depth", J.Int 4) ]))
+           c P.Scenario
        with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "modelcheck: %s" (Svc.Client.error_string e));
@@ -967,26 +1011,31 @@ let test_binary_client () =
       let c = Svc.Client.connect ~codec:P.Codec.Binary path in
       (match
          Svc.Client.call
-           ~params:(J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ])
-           c P.Solve
+           ~params:
+             (as_scenario "solve"
+                (J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ]))
+           c P.Scenario
        with
       | Ok j ->
         check_bool "solve over binary" true
-          (J.member "ok" j = Some (J.Bool true))
+          (J.member "ok" (result j) = Some (J.Bool true))
       | Error e -> Alcotest.failf "solve: %s" (Svc.Client.error_string e));
       (match
-         Svc.Client.call ~params:(J.Obj [ ("task", J.Str "nope") ]) c P.Solve
+         Svc.Client.call
+           ~params:(as_scenario "solve" (J.Obj [ ("task", J.Str "nope") ]))
+           c P.Scenario
        with
       | Error (Svc.Client.Server (P.Bad_request, _)) -> ()
       | _ -> Alcotest.fail "expected bad_request over binary");
       Svc.Client.close c)
 
-(* The retired [hello]: a JSON hello, which a client from before its
-   retirement opens with to offer binary, and a binary frame with its old
-   verb tag 8 each get bad_request, and the connection then answers a
-   ping. Such a client takes the bad_request as "no binary" and stays on
-   JSON. *)
-let test_retired_hello () =
+(* Retired verbs: a JSON hello, which a client from before its retirement
+   opens with to offer binary, and a binary frame with its old verb tag 8
+   each get bad_request (such a client takes it as "no binary" and stays
+   on JSON); so do the native solve, modelcheck and fuzz verbs, with
+   params that a scenario spec of theirs would run, in JSON and as binary
+   verb tags 3, 4 and 6. The connection then answers a ping. *)
+let test_retired_verbs () =
   let path = socket_path () in
   with_server (default_cfg path) (fun _ ->
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -998,21 +1047,44 @@ let test_retired_hello () =
         | Ok (Error e) -> Alcotest.failf "decode: %s" e
         | Error e -> Alcotest.failf "read: %s" (Svc.Frame.error_string e)
       in
-      let tag8 =
-        Bytes.of_string
-          (P.Codec.encode_request P.Codec.Binary (P.request ~id:2 P.Ping))
+      let native =
+        [
+          ("solve", J.Obj [ ("task", J.Str "consensus"); ("n", J.Int 3) ]);
+          ("modelcheck", J.Obj [ ("depth", J.Int 4) ]);
+          ("fuzz", J.Obj [ ("n", J.Int 4); ("budget", J.Int 10) ]);
+        ]
       in
-      Bytes.set tag8 3 '\x08';
+      (* a binary request for [params] under verb tag [tag] *)
+      let tagged tag params =
+        let b =
+          Bytes.of_string
+            (P.Codec.encode_request P.Codec.Binary
+               (P.request ~params ~id:2 P.Ping))
+        in
+        Bytes.set b 3 (Char.chr tag);
+        ("binary verb tag " ^ string_of_int tag, Bytes.to_string b)
+      in
       List.iter
         (fun (what, frame) ->
           match reply frame with
           | Error (P.Bad_request, _) -> ()
           | _ -> Alcotest.failf "%s: expected bad_request" what)
-        [
-          ( "json hello",
-            {|{"v":1,"id":1,"verb":"hello","params":{"codec":"binary"}}|} );
-          ("binary verb tag 8", Bytes.to_string tag8);
-        ];
+        ([
+           ( "json hello",
+             {|{"v":1,"id":1,"verb":"hello","params":{"codec":"binary"}}|} );
+           tagged 8 (J.Obj []);
+         ]
+        @ List.map
+            (fun (verb, params) ->
+              ( "json " ^ verb,
+                J.to_string
+                  (J.Obj
+                     [
+                       ("v", J.Int 1); ("id", J.Int 1); ("verb", J.Str verb);
+                       ("params", params);
+                     ]) ))
+            native
+        @ List.map2 tagged [ 3; 4; 6 ] (List.map snd native));
       (match reply (J.to_string (P.request_json (P.request ~id:3 P.Ping))) with
       | Ok (J.Str "pong") -> ()
       | _ -> Alcotest.fail "ping after the refusals");
@@ -1178,7 +1250,11 @@ let test_server_many_connections () =
       (* a worker domain starts the runtime's helper thread as it begins,
          which may be after [start] returns: a job has run once it has *)
       let c = Svc.Client.connect path in
-      (match Svc.Client.call ~params:(J.Obj [ ("n", J.Int 2) ]) c P.Solve with
+      (match
+         Svc.Client.call
+           ~params:(as_scenario "solve" (J.Obj [ ("n", J.Int 2) ]))
+           c P.Scenario
+       with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "solve: %s" (Svc.Client.error_string e));
       Svc.Client.close c;
@@ -1326,16 +1402,6 @@ let test_jobs_refuse_wide_sleep_masks () =
         ("used", J.List [ J.Int 0 ]);
       ]
   in
-  let spec =
-    J.Obj
-      [
-        ("v", J.Int 1);
-        ("name", J.Str "wide");
-        ("verb", J.Str "modelcheck");
-        ("params", J.Obj mc);
-        ("expect", J.Obj [ ("outcome", J.Str "violation") ]);
-      ]
-  in
   let names_sleep msg =
     let rec go i =
       i + 5 <= String.length msg && (String.sub msg i 5 = "sleep" || go (i + 1))
@@ -1343,34 +1409,26 @@ let test_jobs_refuse_wide_sleep_masks () =
     go 0
   in
   List.iter
-    (fun (label, verb, params) ->
-      match Svc.Jobs.run verb params with
+    (fun (label, result) ->
+      match result with
       | Error (P.Bad_request, msg) when names_sleep msg -> ()
       | Error (code, msg) ->
         Alcotest.failf "%s: %s %s" label (P.err_code_string code) msg
       | Ok j -> Alcotest.failf "%s: answered %s" label (J.to_string j))
     [
-      ("modelcheck", P.Modelcheck, J.Obj mc);
-      ("scenario", P.Scenario, spec);
-      ("subtree", P.Subtree, J.Obj (("job", job) :: mc));
+      ( "run_work",
+        Svc.Jobs.run_work
+          (Scenario.Spec.Modelcheck
+             {
+               Scenario.Spec.mc_scenario = "race-false"; mc_n_s = n_s;
+               mc_depth = 6; mc_reduce = true;
+             }) );
+      ( "scenario",
+        Svc.Jobs.run P.Scenario (as_scenario "modelcheck" (J.Obj mc)) );
+      ("subtree", Svc.Jobs.run P.Subtree (J.Obj (("job", job) :: mc)));
     ]
 
-(* Work params arrive in two shapes, a native verb's params and a scenario
-   file's [params]; both go through one reader, so each shape refuses what
-   the other refuses: unknown fields and out-of-range values are a
-   bad_request naming the field, never a silent default. *)
-let as_scenario verb params =
-  J.Obj
-    [
-      ("v", J.Int 1);
-      ("name", J.Str "t");
-      ("verb", J.Str (P.verb_string verb));
-      ("params", params);
-      ("expect", J.Obj [ ("outcome", J.Str "violation") ]);
-    ]
-
-let expect_bad_request ~label ~names verb params =
-  match Svc.Jobs.run verb params with
+let expect_refused ~label ~names = function
   | Error (P.Bad_request, msg) ->
     if not (contains msg names) then
       Alcotest.failf "%s: %S does not name %S" label msg names
@@ -1378,7 +1436,13 @@ let expect_bad_request ~label ~names verb params =
     Alcotest.failf "%s: %s %s" label (P.err_code_string code) msg
   | Ok j -> Alcotest.failf "%s: answered %s" label (J.to_string j)
 
-let test_native_params_strict () =
+let expect_bad_request ~label ~names verb params =
+  expect_refused ~label ~names (Svc.Jobs.run verb params)
+
+(* Work params arrive as a scenario's [params] or with a subtree job; both
+   go through one reader, so unknown fields and out-of-range values are a
+   bad_request naming the field, never a silent default. *)
+let test_params_strict () =
   let job =
     J.Obj
       [
@@ -1391,16 +1455,17 @@ let test_native_params_strict () =
   in
   List.iter
     (fun (label, names, verb, params) ->
-      expect_bad_request ~label ~names verb (J.Obj params))
+      expect_bad_request ~label ~names P.Scenario
+        (as_scenario verb (J.Obj params)))
     [
-      ("typo", "depht", P.Modelcheck, [ ("depht", J.Int 4) ]);
-      ("depth bound", "params.depth", P.Modelcheck, [ ("depth", J.Int 65) ]);
-      ("n_s bound", "params.n_s", P.Modelcheck, [ ("n_s", J.Int 65) ]);
-      ("n bound", "params.n", P.Solve, [ ("n", J.Int 2000) ]);
-      ("domains bound", "params.domains", P.Fuzz, [ ("domains", J.Int 257) ]);
-      ( "subtree typo", "depht", P.Subtree,
-        [ ("job", job); ("run", J.Str "r"); ("depht", J.Int 4) ] );
+      ("typo", "depht", "modelcheck", [ ("depht", J.Int 4) ]);
+      ("depth bound", "params.depth", "modelcheck", [ ("depth", J.Int 65) ]);
+      ("n_s bound", "params.n_s", "modelcheck", [ ("n_s", J.Int 65) ]);
+      ("n bound", "params.n", "solve", [ ("n", J.Int 2000) ]);
+      ("domains bound", "params.domains", "fuzz", [ ("domains", J.Int 257) ]);
     ];
+  expect_bad_request ~label:"subtree typo" ~names:"depht" P.Subtree
+    (J.Obj [ ("job", job); ("run", J.Str "r"); ("depht", J.Int 4) ]);
   (* the same job with only its own params runs *)
   match
     Svc.Jobs.run P.Subtree (J.Obj [ ("job", job); ("depth", J.Int 4) ])
@@ -1410,7 +1475,7 @@ let test_native_params_strict () =
   | Error (code, msg) ->
     Alcotest.failf "subtree: %s %s" (P.err_code_string code) msg
 
-(* The pooled modelcheck verb has no checkpoint params: a client that can
+(* A pooled model check has no checkpoint params: a client that can
    reach a worker cannot make it create directories or write journals. *)
 let test_modelcheck_refuses_checkpoint_dir () =
   let tmp =
@@ -1422,71 +1487,79 @@ let test_modelcheck_refuses_checkpoint_dir () =
     ~finally:(fun () -> try Unix.rmdir tmp with Unix.Unix_error _ -> ())
     (fun () ->
       expect_bad_request ~label:"checkpoint_dir" ~names:"checkpoint_dir"
-        P.Modelcheck
-        (J.Obj
-           [
-             ("checkpoint_dir", J.Str (Filename.concat tmp "x/y"));
-             ("depth", J.Int 4);
-           ]);
+        P.Scenario
+        (as_scenario "modelcheck"
+           (J.Obj
+              [
+                ("checkpoint_dir", J.Str (Filename.concat tmp "x/y"));
+                ("depth", J.Int 4);
+              ]));
       check_bool "no directory created" false
         (Sys.file_exists (Filename.concat tmp "x")))
 
 (* Arguments a constructor refuses before the first step are the caller's
-   fault: bad_request through the native verb and through a scenario, with
-   the constructor's own message. *)
+   fault: bad_request through a scenario and through [Svc.Jobs.run_work]
+   (the CLI's executor), with the constructor's own message. *)
 let test_constructor_refusals_are_bad_requests () =
   List.iter
     (fun (verb, params) ->
-      let label = P.verb_string verb ^ " " ^ J.to_string (J.Obj params) in
-      expect_bad_request ~label ~names:".make: " verb (J.Obj params);
+      let params = J.Obj params in
+      let label = verb ^ " " ^ J.to_string params in
       expect_bad_request ~label:("scenario " ^ label) ~names:".make: "
-        P.Scenario
-        (as_scenario verb (J.Obj params)))
+        P.Scenario (as_scenario verb params);
+      match Scenario.Spec.work_of_params ~verb params with
+      | Ok work ->
+        expect_refused ~label:("run_work " ^ label) ~names:".make: "
+          (Svc.Jobs.run_work work)
+      | Error msg -> Alcotest.failf "%s: the reader refused: %s" label msg)
     [
-      ( P.Solve,
+      ( "solve",
         [ ("task", J.Str "renaming"); ("j", J.Int 10); ("n", J.Int 3) ] );
-      ( P.Solve,
+      ( "solve",
         [
           ("task", J.Str "renaming"); ("j", J.Int 3); ("n", J.Int 3);
           ("l", J.Int 2);
         ] );
-      (P.Solve, [ ("task", J.Str "wsb"); ("j", J.Int 10); ("n", J.Int 3) ]);
-      (P.Solve, [ ("task", J.Str "wsb"); ("j", J.Int 1); ("n", J.Int 3) ]);
-      ( P.Fuzz,
+      ("solve", [ ("task", J.Str "wsb"); ("j", J.Int 10); ("n", J.Int 3) ]);
+      ("solve", [ ("task", J.Str "wsb"); ("j", J.Int 1); ("n", J.Int 3) ]);
+      ( "fuzz",
         [ ("kind", J.Str "strong-renaming"); ("n", J.Int 3); ("j", J.Int 10) ]
       );
-      (P.Fuzz, [ ("kind", J.Str "consensus-reduction"); ("n", J.Int 1) ]);
+      ("fuzz", [ ("kind", J.Str "consensus-reduction"); ("n", J.Int 1) ]);
     ]
 
 (* Consensus is 1-set agreement: a solve asking for it with any other k is
-   a bad_request naming params.k, through the native verb and a scenario,
-   whatever the detector, instead of an internal error (vector) or a
-   silent 1-set agreement run (omega). k = 1 still solves. *)
+   a bad_request naming params.k, whatever the detector, instead of an
+   internal error (vector) or a silent 1-set agreement run (omega). k = 1
+   still solves. *)
 let test_consensus_refuses_k () =
   List.iter
     (fun params ->
       let label = "solve " ^ J.to_string (J.Obj params) in
-      expect_bad_request ~label ~names:"params.k" P.Solve (J.Obj params);
-      expect_bad_request ~label:("scenario " ^ label) ~names:"params.k"
-        P.Scenario
-        (as_scenario P.Solve (J.Obj params)))
+      expect_bad_request ~label ~names:"params.k" P.Scenario
+        (as_scenario "solve" (J.Obj params)))
     [
       [ ("k", J.Int 5) ];
       [ ("task", J.Str "consensus"); ("k", J.Int 2); ("fd", J.Str "vector") ];
       [ ("task", J.Str "consensus"); ("k", J.Int 2); ("fd", J.Str "omega") ];
     ];
   match
-    Svc.Jobs.run P.Solve
-      (J.Obj
-         [ ("task", J.Str "consensus"); ("k", J.Int 1); ("fd", J.Str "omega") ])
+    Svc.Jobs.run P.Scenario
+      (as_scenario "solve"
+         (J.Obj
+            [
+              ("task", J.Str "consensus"); ("k", J.Int 1);
+              ("fd", J.Str "omega");
+            ]))
   with
   | Ok j ->
-    check_bool "k = 1 solves" true (J.member "ok" j = Some (J.Bool true))
+    check_bool "k = 1 solves" true
+      (J.member "ok" (result j) = Some (J.Bool true))
   | Error (code, msg) ->
     Alcotest.failf "k = 1: %s %s" (P.err_code_string code) msg
 
 (* A model check that finds a violation answers with its schedule, through
-   the native verb and a scenario: race-false's [cex] is the engine's
+   [Svc.Jobs.run_work] and a scenario: race-false's [cex] is the engine's
    lex-least counterexample, and replaying it violates the property. *)
 let test_modelcheck_carries_cex () =
   let depth = 6 and n_s = 2 in
@@ -1501,13 +1574,6 @@ let test_modelcheck_carries_cex () =
     | Simkit.Exhaustive.Counterexample cex, _ -> cex
     | Simkit.Exhaustive.Ok _, _ -> Alcotest.fail "race-false holds"
   in
-  let params =
-    J.Obj
-      [
-        ("scenario", J.Str "race-false"); ("n_s", J.Int n_s);
-        ("depth", J.Int depth);
-      ]
-  in
   let cex_of label result =
     match J.member "cex" result with
     | None -> Alcotest.failf "%s: no cex in %s" label (J.to_string result)
@@ -1516,19 +1582,30 @@ let test_modelcheck_carries_cex () =
       | Ok s -> s
       | Error msg -> Alcotest.failf "%s: %s" label msg)
   in
-  let run verb params =
-    match Svc.Jobs.run verb params with
+  let ok label = function
     | Ok j -> j
     | Error (code, msg) ->
-      Alcotest.failf "%s: %s %s" (P.verb_string verb) (P.err_code_string code)
-        msg
+      Alcotest.failf "%s: %s %s" label (P.err_code_string code) msg
   in
-  let native = run P.Modelcheck params in
+  let check ?(scenario = "race-false") depth =
+    {
+      Scenario.Spec.mc_scenario = scenario; mc_n_s = n_s; mc_depth = depth;
+      mc_reduce = false;
+    }
+  in
+  let via_run_work =
+    ok "run_work" (Svc.Jobs.run_work (Scenario.Spec.Modelcheck (check depth)))
+  in
   let via_scenario =
-    let reply = run P.Scenario (as_scenario P.Modelcheck params) in
-    match J.member "result" reply with
-    | Some r -> r
-    | None -> Alcotest.fail "scenario: no result"
+    result
+      (ok "scenario"
+         (Svc.Jobs.run P.Scenario
+            (as_scenario "modelcheck"
+               (J.Obj
+                  [
+                    ("scenario", J.Str "race-false"); ("n_s", J.Int n_s);
+                    ("depth", J.Int depth);
+                  ]))))
   in
   List.iter
     (fun (label, result) ->
@@ -1536,8 +1613,12 @@ let test_modelcheck_carries_cex () =
       check_bool (label ^ ": engine's counterexample") true (cex = expected);
       check_bool (label ^ ": replay rejects it") false
         (Simkit.Exhaustive.replay_ok ~build ~prop cex))
-    [ ("modelcheck", native); ("scenario", via_scenario) ];
-  let safe = run P.Modelcheck (J.Obj [ ("depth", J.Int 4) ]) in
+    [ ("run_work", via_run_work); ("scenario", via_scenario) ];
+  let safe =
+    ok "safe"
+      (Svc.Jobs.run_work
+         (Scenario.Spec.Modelcheck (check ~scenario:"safe-agreement" 4)))
+  in
   check_bool "a safe check has no cex" true (J.member "cex" safe = None)
 
 (* A campaign running over the wire honors per-scenario deadlines: the slow
@@ -1646,8 +1727,8 @@ let suite =
       test_server_metrics_verb;
     Alcotest.test_case "codec: a binary client sends binary at once" `Quick
       test_binary_client;
-    Alcotest.test_case "codec: a retired hello is a bad request" `Quick
-      test_retired_hello;
+    Alcotest.test_case "codec: retired verbs are bad requests" `Quick
+      test_retired_verbs;
     Alcotest.test_case "server: a ping's allocation" `Quick test_ping_words;
     Alcotest.test_case "server: 10k connections on fixed threads" `Quick
       test_server_many_connections;
@@ -1659,8 +1740,8 @@ let suite =
       test_server_scenario_validation;
     Alcotest.test_case "verbs refuse sleep masks wider than an int" `Quick
       test_jobs_refuse_wide_sleep_masks;
-    Alcotest.test_case "native verbs and subtree read params like scenarios"
-      `Quick test_native_params_strict;
+    Alcotest.test_case "scenario and subtree params are strict" `Quick
+      test_params_strict;
     Alcotest.test_case "modelcheck refuses checkpoint params" `Quick
       test_modelcheck_refuses_checkpoint_dir;
     Alcotest.test_case "constructor refusals are bad requests" `Quick
